@@ -13,10 +13,23 @@
 // the interval J minimizing the total estimated cost of the new tiling;
 // the three paper entries (J, y_J), (I_L, y_IL), (I_R, y_IR) are recorded
 // in the output priority histogram.
+//
+// Cost model. With d candidate endpoints (d = n under kAllIntervals) and r
+// collision sets, the search first builds a candidate-cost table once per
+// learn: struct-of-arrays prefix rows (r collision prefixes plus one main
+// count prefix at every endpoint's lo and hi+1) and, for each of the
+// d(d+1)/2 endpoint pairs, the index of the set whose ratio is the median
+// (1 byte per pair for r <= 256, else 4). Filling it costs O(d^2 r) once;
+// each iteration then costs O(d r) for the remnant costs plus an O(d^2)
+// scan that recomputes z_J and y_J from the prefix rows in O(1) — instead
+// of O(d^2 r) per iteration. The table is bounded by kMaxCandidatePairs
+// (2^24 pairs, at most 64 MiB): sample-endpoint lists are thinned to it,
+// and a kAllIntervals learn beyond it is rejected by ValidateLearnOptions.
 #ifndef HISTK_CORE_GREEDY_H_
 #define HISTK_CORE_GREEDY_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "dist/sampler.h"
@@ -40,6 +53,16 @@ enum class CandidateStrategy {
 
 const char* CandidateStrategyName(CandidateStrategy s);
 
+/// The candidate-cost table's cap, in endpoint pairs (a <= b): d endpoints
+/// make d(d+1)/2 pairs, so the cap admits d <= 5792.
+inline constexpr int64_t kMaxCandidatePairs = int64_t{1} << 24;
+
+/// The greedy search's interruption hook: called once per table-fill row
+/// and once per scan row. It may throw to abandon the search (the engine
+/// throws its deadline/cancel errors from it); an empty hook is never
+/// called.
+using GreedyPoll = std::function<void()>;
+
 /// Learner configuration.
 struct LearnOptions {
   int64_t k = 1;
@@ -48,8 +71,10 @@ struct LearnOptions {
   /// Multiplies the paper's sample-count formulas (l and m); 1.0 = paper
   /// constants. Experiments document the scale they run at.
   double sample_scale = 1.0;
-  /// Safety cap on candidate-set size for kSampleEndpoints (the endpoint
-  /// list is thinned evenly if (|T'| choose 2) would exceed this). 0 = off.
+  /// Cap on candidate-set size for kSampleEndpoints: the endpoint list is
+  /// thinned evenly if d(d+1)/2 would exceed it. It therefore also bounds
+  /// the candidate-cost table's bytes. 0, or any value above
+  /// kMaxCandidatePairs, thins to kMaxCandidatePairs.
   int64_t max_candidates = 2'000'000;
   /// Theorem 2 includes the +-1 neighbours of each sample in the endpoint
   /// set T'. Setting this false drops them (ablation E8 measures the cost).
@@ -75,13 +100,17 @@ struct LearnResult {
   /// to be silent.
   int64_t endpoints_before_thinning = 0;
   int64_t endpoints_after_thinning = 0;
+  /// Bytes the candidate-cost table held: the per-pair median-set indices
+  /// plus the endpoint prefix rows.
+  int64_t candidate_table_bytes = 0;
 };
 
 /// Non-aborting validation of everything LearnHistogram would otherwise
 /// HISTK_CHECK — including that the derived sample counts are finite and
 /// representable (extreme eps/sample_scale can blow the formulas up to
-/// inf). The facade calls this before touching the oracle, so no
-/// user-supplied spec can reach an abort.
+/// inf), and that a kAllIntervals learn fits kMaxCandidatePairs. The facade
+/// calls this before touching the oracle, so no user-supplied spec can reach
+/// an abort.
 Status ValidateLearnOptions(int64_t n, const LearnOptions& options);
 
 /// The options' derived Algorithm 1 parameters (paper formulas + the
@@ -95,10 +124,12 @@ LearnResult LearnHistogram(const Sampler& sampler, const LearnOptions& options,
                            Rng& rng);
 
 /// The deterministic part of Algorithm 1 on pre-drawn samples: used by
-/// tests and by experiments that share samples across strategies.
+/// tests and by experiments that share samples across strategies. `poll`
+/// is the search's interruption hook (see GreedyPoll).
 LearnResult LearnHistogramWithEstimator(const GreedyEstimator& estimator,
                                         const LearnOptions& options,
-                                        const GreedyParams& params);
+                                        const GreedyParams& params,
+                                        const GreedyPoll& poll = {});
 
 }  // namespace histk
 

@@ -38,6 +38,16 @@ void BudgetedSampler::CheckRuntime(int64_t m) const {
   draws_until_deadline_check_ -= m;
   if (draws_until_deadline_check_ > 0) return;
   draws_until_deadline_check_ = kDeadlineCheckDraws;
+  CheckDeadline();
+}
+
+void BudgetedSampler::PollRuntime() const {
+  if (policy_ == nullptr) return;
+  if (policy_->cancel.cancelled()) throw CancelledError();
+  if (policy_->deadline.set()) CheckDeadline();
+}
+
+void BudgetedSampler::CheckDeadline() const {
   const int64_t remaining_ms = policy_->deadline.RemainingMillis();
   if (remaining_ms <= 0) throw DeadlineExceededError(-remaining_ms);
 }

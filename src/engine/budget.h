@@ -127,6 +127,12 @@ class BudgetedSampler : public Sampler {
   /// Transient-fault retries performed so far (Report::retries).
   int64_t retries() const { return retries_; }
 
+  /// The runtime check for compute between draws (the greedy search's
+  /// GreedyPoll): polls the CancelToken and reads the Deadline clock,
+  /// unthrottled. Throws CancelledError / DeadlineExceededError; no-op
+  /// without a policy.
+  void PollRuntime() const;
+
   /// Deadline checks are throttled to once per this many charged draws, so
   /// arming a deadline never puts a clock read on the per-draw hot path.
   static constexpr int64_t kDeadlineCheckDraws = int64_t{1} << 16;
@@ -140,6 +146,9 @@ class BudgetedSampler : public Sampler {
   /// kDeadlineCheckDraws) the Deadline. Throws CancelledError /
   /// DeadlineExceededError; no-op without a policy.
   void CheckRuntime(int64_t m) const;
+
+  /// Throws DeadlineExceededError if the policy's (set) deadline expired.
+  void CheckDeadline() const;
 
   /// Budget admission alone — would this request exceed the cap? Throws
   /// BudgetExhaustedError; accounts nothing.

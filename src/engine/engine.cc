@@ -45,7 +45,9 @@ struct LearnProgress {
 };
 
 /// Algorithm 1 under the session: identical draw order to LearnHistogram
-/// (main set of l, then r collision sets of m), with phase attribution.
+/// (main set of l, then r collision sets of m), with phase attribution. The
+/// greedy search polls the session's deadline and cancel token once per
+/// candidate-table row, so an armed policy bounds the search's compute too.
 /// Property-test and closeness sessions reuse it under their own phase
 /// names. `progress` (armed sessions only — the copy is not free) receives
 /// the best-so-far state consumed by the degraded-report path.
@@ -61,7 +63,8 @@ LearnResult LearnOnSession(const BudgetedSampler& bs, const LearnOptions& option
   bs.BeginPhase(collisions_phase);
   SampleSetGroup group = DrawSessionGroup(bs, params.r, params.m, rng, threads);
   const GreedyEstimator estimator(std::move(main), std::move(group));
-  return LearnHistogramWithEstimator(estimator, options, params);
+  return LearnHistogramWithEstimator(estimator, options, params,
+                                     [&bs] { bs.PollRuntime(); });
 }
 
 /// The shared unhappy-path handler: runs a task body and converts the
@@ -108,6 +111,7 @@ void FillLearnTelemetry(Report& report, const LearnResult& result) {
   report.telemetry.candidates_per_iter = result.candidates_per_iter;
   report.telemetry.endpoints_before_thinning = result.endpoints_before_thinning;
   report.telemetry.endpoints_after_thinning = result.endpoints_after_thinning;
+  report.telemetry.candidate_table_bytes = result.candidate_table_bytes;
 }
 
 Status ValidateCommon(const SpecCommon& common) {
@@ -117,11 +121,14 @@ Status ValidateCommon(const SpecCommon& common) {
   return Status::Ok();
 }
 
-Status ValidateSynopsisKnobs(int64_t n, int64_t k, double eps, double sample_scale) {
+Status ValidateSynopsisKnobs(
+    int64_t n, int64_t k, double eps, double sample_scale,
+    CandidateStrategy strategy = CandidateStrategy::kSampleEndpoints) {
   LearnOptions options;
   options.k = k;
   options.eps = eps;
   options.sample_scale = sample_scale;
+  options.strategy = strategy;
   return ValidateLearnOptions(n, options);
 }
 
@@ -265,7 +272,7 @@ Result<Report> Engine::RunTest(const TestSpec& spec) const {
 Result<Report> Engine::RunCompare(const CompareSpec& spec) const {
   if (Status s = ValidateCommon(spec); !s.ok()) return s;
   if (Status s = ValidateSynopsisKnobs(oracle_.n(), spec.k, spec.eps,
-                                       spec.sample_scale);
+                                       spec.sample_scale, spec.strategy);
       !s.ok()) {
     return s;
   }
@@ -619,6 +626,7 @@ void WriteReportJson(std::ostream& os, const Report& report) {
      << ", \"samples_drawn\": " << t.samples_drawn << ", \"wall_ms\": ";
   JsonDouble(os, t.wall_ms);
   os << ", \"candidates_per_iter\": " << t.candidates_per_iter
+     << ", \"candidate_table_bytes\": " << t.candidate_table_bytes
      << ", \"endpoints_before_thinning\": " << t.endpoints_before_thinning
      << ", \"endpoints_after_thinning\": " << t.endpoints_after_thinning
      << ", \"phases\": [";

@@ -164,6 +164,7 @@ struct ReportTelemetry {
   std::vector<BudgetedSampler::PhaseDraws> phases;  ///< draws by phase, in order
   double wall_ms = 0.0;                          ///< task wall time
   int64_t candidates_per_iter = 0;               ///< greedy candidate intervals
+  int64_t candidate_table_bytes = 0;             ///< greedy candidate-cost table size
   /// The max_candidates thinning event (0/0 = strategy without endpoint
   /// lists; equal values = no thinning).
   int64_t endpoints_before_thinning = 0;

@@ -118,6 +118,7 @@ Status AnswerEstimateFromSynopsis(const RequestSpec& req,
   out.telemetry.budget = req.budget;
   out.telemetry.samples_drawn = 0;
   out.telemetry.candidates_per_iter = cached.result.candidates_per_iter;
+  out.telemetry.candidate_table_bytes = cached.result.candidate_table_bytes;
   out.telemetry.endpoints_before_thinning =
       cached.result.endpoints_before_thinning;
   out.telemetry.endpoints_after_thinning =

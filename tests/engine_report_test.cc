@@ -213,6 +213,18 @@ TEST(EngineReportTest, InvalidSpecsReturnStatusesNotAborts) {
   LearnSpec big_count;
   big_count.options.eps = 1e-8;  // finite but far past int64 samples
   EXPECT_EQ(engine.Run(big_count).status().code(), StatusCode::kInvalidArgument);
+
+  // An all-intervals learn past the candidate table's 2^24 pairs (n > 5792)
+  // is rejected up front instead of aborting inside the search.
+  const Distribution wide_truth = Distribution::Uniform(8192);
+  const AliasSampler wide_sampler(wide_truth);
+  const Engine wide(wide_sampler, wide_truth);
+  LearnSpec full_enum;
+  full_enum.options.strategy = CandidateStrategy::kAllIntervals;
+  EXPECT_EQ(wide.Run(full_enum).status().code(), StatusCode::kInvalidArgument);
+  CompareSpec full_enum_compare;
+  full_enum_compare.strategy = CandidateStrategy::kAllIntervals;
+  EXPECT_EQ(wide.Run(full_enum_compare).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EngineReportTest, CompareBudgetExhaustionKeepsTelemetryOnly) {

@@ -1,5 +1,7 @@
 #include "core/greedy.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baseline/voptimal_dp.h"
@@ -159,6 +161,39 @@ TEST(GreedyTest, MaxCandidatesCapThinsEndpoints) {
   opt.max_candidates = 50;
   const LearnResult res = LearnHistogram(sampler, opt, rng);
   EXPECT_LE(res.candidates_per_iter, 50);
+}
+
+TEST(GreedyTest, AllIntervalsBeyondTheCandidateTableCapIsRejected) {
+  // d(d+1)/2 <= 2^24 holds up to d = 5792.
+  LearnOptions opt = FastOptions(4, 0.3);
+  opt.strategy = CandidateStrategy::kAllIntervals;
+  EXPECT_TRUE(ValidateLearnOptions(5792, opt).ok());
+  EXPECT_EQ(ValidateLearnOptions(5793, opt).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateLearnOptions(int64_t{1} << 40, opt).code(),
+            StatusCode::kInvalidArgument);
+  opt.strategy = CandidateStrategy::kSampleEndpoints;
+  EXPECT_TRUE(ValidateLearnOptions(int64_t{1} << 40, opt).ok());
+}
+
+TEST(GreedyTest, UncappedMaxCandidatesThinsToTheTableCap) {
+  // 7000 distinct samples: without neighbours, 7000 endpoints, whose
+  // 24.5M pairs exceed the table's 2^24; max_candidates = 0 thins to it.
+  const int64_t n = 8000;
+  std::vector<int64_t> draws;
+  for (int64_t v = 0; v < 7000; ++v) draws.push_back(v);
+  const GreedyEstimator est(SampleSet::FromDraws(n, draws),
+                            SampleSetGroup({SampleSet::FromDraws(n, draws)}));
+  GreedyParams params = ComputeGreedyParams(n, 2, 0.3);
+  params.r = 1;
+  LearnOptions opt = FastOptions(2, 0.3);
+  opt.max_candidates = 0;
+  opt.include_endpoint_neighbors = false;
+  opt.iterations_override = 1;
+  const LearnResult res = LearnHistogramWithEstimator(est, opt, params);
+  EXPECT_EQ(res.endpoints_before_thinning, 7000);
+  EXPECT_LE(res.endpoints_after_thinning, 5792);
+  EXPECT_LE(res.candidates_per_iter, kMaxCandidatePairs);
+  EXPECT_GT(res.candidate_table_bytes, res.candidates_per_iter);  // 1 B per pair + rows
 }
 
 TEST(GreedyTest, ReportsSampleAccounting) {

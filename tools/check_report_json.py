@@ -169,11 +169,15 @@ def check_report(report, expected_task=None, where="report"):
         "samples_drawn",
         "wall_ms",
         "candidates_per_iter",
+        "candidate_table_bytes",
         "endpoints_before_thinning",
         "endpoints_after_thinning",
         "phases",
     ):
         require(key in tel, f"{where}: telemetry.{key} missing")
+    require(isinstance(tel["candidate_table_bytes"], int)
+            and tel["candidate_table_bytes"] >= 0,
+            f"{where}: telemetry.candidate_table_bytes must be a non-negative integer")
     require(isinstance(tel["phases"], list),
             f"{where}: telemetry.phases must be a list")
     for phase in tel["phases"]:
