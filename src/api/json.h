@@ -99,8 +99,9 @@ Result<JsonValue> ParseJson(const std::string& text);
 /// Append `s` as a JSON string literal (quotes + escapes) to `out`.
 void AppendJsonString(std::string& out, const std::string& s);
 
-/// Append a double with enough digits to round-trip (same `%.*g` grammar
-/// as WriteReportJson, so envelope and report numbers look alike).
+/// Append a double with enough digits to round-trip (`%.*g` at
+/// max_digits10); non-finite values become null. Together with
+/// AppendJsonString this is the one JSON emitter every document uses.
 void AppendJsonDouble(std::string& out, double value);
 
 }  // namespace api

@@ -1,7 +1,6 @@
 #include "api/request.h"
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -456,11 +455,8 @@ std::string WriteResponseJson(const ResponseEnvelope& envelope) {
     AppendJsonString(out, envelope.error);
   }
   if (envelope.report != nullptr) {
-    std::ostringstream report;
-    WriteReportJson(report, *envelope.report);
-    std::string body = report.str();
-    while (!body.empty() && body.back() == '\n') body.pop_back();
-    out += ", \"report\": " + body;
+    out += ", \"report\": ";
+    AppendReportJson(out, *envelope.report);
   }
   if (envelope.stats_json != nullptr) {
     out += ", \"stats\": " + *envelope.stats_json;

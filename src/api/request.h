@@ -161,7 +161,7 @@ struct ResponseEnvelope {
 };
 
 /// Serialize the envelope as one line ending in '\n'. The embedded report
-/// is exactly WriteReportJson's object, so existing report tooling can
+/// is exactly AppendReportJson's object, so existing report tooling can
 /// validate `response["report"]` unchanged.
 std::string WriteResponseJson(const ResponseEnvelope& envelope);
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <utility>
 
+#include "api/json.h"
 #include "util/common.h"
 
 namespace histk {
@@ -52,24 +52,12 @@ std::string SlugOf(const std::string& id) {
   return slug;
 }
 
-void JsonEscapeTo(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-}
-
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";  // bare inf/nan are not JSON tokens
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+/// `, "key": <double>` through the shared JSON emitter.
+void AppendNumberMember(std::string& out, const char* key, double v) {
+  out += ", \"";
+  out += key;
+  out += "\": ";
+  api::AppendJsonDouble(out, v);
 }
 
 /// Rewrites the whole document: cheap at bench scale, and a crash mid-run
@@ -77,26 +65,27 @@ std::string JsonNumber(double v) {
 void WriteJson() {
   BenchLog& log = Log();
   if (!log.active || !JsonEnabled()) return;
-  std::string out = "{\n  \"experiment\": \"";
-  JsonEscapeTo(out, log.experiment);
-  out += "\",\n  \"records\": [";
+  std::string out = "{\n  \"experiment\": ";
+  api::AppendJsonString(out, log.experiment);
+  out += ",\n  \"records\": [";
   for (size_t i = 0; i < log.records.size(); ++i) {
     const BenchRecord& r = log.records[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"label\": \"";
-    JsonEscapeTo(out, r.label);
-    out += "\", ";
+    out += "    {\"label\": ";
+    api::AppendJsonString(out, r.label);
     if (r.is_rate) {
-      out += "\"kind\": \"rate\", \"rate\": " + JsonNumber(r.rate.rate) +
-             ", \"ci_low\": " + JsonNumber(r.rate.ci_low) +
-             ", \"ci_high\": " + JsonNumber(r.rate.ci_high) +
-             ", \"trials\": " + std::to_string(r.rate.trials) + "}";
+      out += ", \"kind\": \"rate\"";
+      AppendNumberMember(out, "rate", r.rate.rate);
+      AppendNumberMember(out, "ci_low", r.rate.ci_low);
+      AppendNumberMember(out, "ci_high", r.rate.ci_high);
+      out += ", \"trials\": " + std::to_string(r.rate.trials) + "}";
     } else {
-      out += "\"kind\": \"scalar\", \"mean\": " + JsonNumber(r.scalar.mean) +
-             ", \"stddev\": " + JsonNumber(r.scalar.stddev) +
-             ", \"min\": " + JsonNumber(r.scalar.min) +
-             ", \"max\": " + JsonNumber(r.scalar.max) +
-             ", \"trials\": " + std::to_string(r.scalar.trials) + "}";
+      out += ", \"kind\": \"scalar\"";
+      AppendNumberMember(out, "mean", r.scalar.mean);
+      AppendNumberMember(out, "stddev", r.scalar.stddev);
+      AppendNumberMember(out, "min", r.scalar.min);
+      AppendNumberMember(out, "max", r.scalar.max);
+      out += ", \"trials\": " + std::to_string(r.scalar.trials) + "}";
     }
   }
   out += "\n  ]\n}\n";

@@ -55,10 +55,8 @@
 #include "stats/bounds.h"
 #include "stats/estimators.h"
 #include "stream/concurrent_histogram.h"
-#include "stream/dyadic_count_min.h"
 #include "stream/log_bucket.h"
 #include "stream/reservoir.h"
-#include "stream/stream_histogram.h"
 #include "util/ascii_plot.h"
 #include "util/interval.h"
 #include "util/rng.h"

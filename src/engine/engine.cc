@@ -1,12 +1,11 @@
 #include "engine/engine.h"
 
-#include <cmath>
-#include <cstdio>
-#include <limits>
-#include <ostream>
+#include <algorithm>
+#include <string>
 #include <type_traits>
 #include <utility>
 
+#include "api/json.h"
 #include "baseline/classic_histograms.h"
 #include "baseline/voptimal_dp.h"
 #include "dist/quantiles.h"
@@ -114,6 +113,75 @@ void FillLearnTelemetry(Report& report, const LearnResult& result) {
   report.telemetry.candidate_table_bytes = result.candidate_table_bytes;
 }
 
+/// What a learned synopsis contributes to a learn report, whether it was
+/// just learned or is replayed from a cache.
+void AnswerLearn(int64_t reduce_to, LearnResult learned, Report& report) {
+  FillLearnTelemetry(report, learned);
+  if (reduce_to > 0) report.reduced = ReduceToKPieces(learned.tiling, reduce_to);
+  report.learn = std::move(learned);
+  report.outcome = TaskOutcome::kOk;
+}
+
+/// An estimate's queries against a session over [0, n) with optional truth.
+Status ValidateEstimateQueries(const EstimateSpec& spec, int64_t n,
+                               const std::optional<Distribution>& truth) {
+  for (double q : spec.quantile_levels) {
+    if (!(q >= 0.0 && q <= 1.0)) {
+      return Status::InvalidArgument("quantile levels must be in [0, 1]");
+    }
+  }
+  const Interval domain = Interval::Full(n);
+  for (const Interval& range : spec.ranges) {
+    if (range.empty() || !domain.Contains(range)) {
+      return Status::InvalidArgument("ranges must be non-empty and within [0, n)");
+    }
+  }
+  if (truth && truth->n() != n) {
+    return Status::InvalidArgument("session truth domain differs from the oracle's");
+  }
+  return Status::Ok();
+}
+
+/// The estimate answer: reduce the learned tiling to spec.k pieces, then
+/// answer the quantile and range-selectivity queries from it. `truth`, when
+/// the session has one, fills the selectivity truth column.
+Status AnswerEstimate(const EstimateSpec& spec, LearnResult learned,
+                      const std::optional<Distribution>& truth, Report& report) {
+  TilingHistogram synopsis = ReduceToKPieces(learned.tiling, spec.k);
+  EstimateAnswers answers;
+  if (!spec.quantile_levels.empty()) {
+    // Quantiles need a proper distribution; the synopsis can carry zero
+    // mass only if the learner saw no samples at all.
+    double mass = 0.0;
+    for (int64_t j = 0; j < synopsis.k(); ++j) {
+      mass += std::max(synopsis.values()[static_cast<size_t>(j)], 0.0) *
+              static_cast<double>(synopsis.pieces()[static_cast<size_t>(j)].length());
+    }
+    if (mass <= 0.0) {
+      return Status::Internal("learned synopsis has zero mass; cannot answer quantiles");
+    }
+    const Distribution synopsis_dist = synopsis.ToDistribution();
+    for (double q : spec.quantile_levels) {
+      answers.quantiles.push_back(
+          EstimateAnswers::QuantileAnswer{q, Quantile(synopsis_dist, q)});
+    }
+  }
+  for (const Interval& range : spec.ranges) {
+    EstimateAnswers::SelectivityAnswer answer;
+    answer.range = range;
+    answer.estimate = synopsis.Mass(range);
+    if (truth) answer.truth = truth->Weight(range);
+    answers.selectivity.push_back(answer);
+  }
+
+  FillLearnTelemetry(report, learned);
+  report.estimate = std::move(answers);
+  report.reduced = std::move(synopsis);
+  report.learn = std::move(learned);
+  report.outcome = TaskOutcome::kOk;
+  return Status::Ok();
+}
+
 Status ValidateCommon(const SpecCommon& common) {
   if (common.draw_threads < 0) {
     return Status::InvalidArgument("draw_threads must be >= 0 (0 = sequential)");
@@ -213,16 +281,11 @@ Result<Report> Engine::RunLearn(const LearnSpec& spec) const {
   Rng rng(spec.seed);
   LearnProgress progress;
   RunGuarded(report, [&] {
-    LearnResult result =
-        LearnOnSession(bs, spec.options, rng, spec.draw_threads, "learn-main",
-                       "learn-collisions",
-                       spec.policy.armed() ? &progress : nullptr);
-    FillLearnTelemetry(report, result);
-    if (spec.reduce_to > 0) {
-      report.reduced = ReduceToKPieces(result.tiling, spec.reduce_to);
-    }
-    report.learn = std::move(result);
-    report.outcome = TaskOutcome::kOk;
+    AnswerLearn(spec.reduce_to,
+                LearnOnSession(bs, spec.options, rng, spec.draw_threads,
+                               "learn-main", "learn-collisions",
+                               spec.policy.armed() ? &progress : nullptr),
+                report);
   });
   FinalizeOutcome(report);
   if (report.degraded && progress.main.has_value() && progress.main->m() > 0) {
@@ -356,19 +419,8 @@ Result<Report> Engine::RunEstimate(const EstimateSpec& spec) const {
       !s.ok()) {
     return s;
   }
-  for (double q : spec.quantile_levels) {
-    if (!(q >= 0.0 && q <= 1.0)) {
-      return Status::InvalidArgument("quantile levels must be in [0, 1]");
-    }
-  }
-  const Interval domain = Interval::Full(oracle_.n());
-  for (const Interval& range : spec.ranges) {
-    if (range.empty() || !domain.Contains(range)) {
-      return Status::InvalidArgument("ranges must be non-empty and within [0, n)");
-    }
-  }
-  if (truth_ && truth_->n() != oracle_.n()) {
-    return Status::InvalidArgument("session truth domain differs from the oracle's");
+  if (Status s = ValidateEstimateQueries(spec, oracle_.n(), truth_); !s.ok()) {
+    return s;
   }
 
   Result<SessionGovernor::Permit> permit = AdmitSession(spec);
@@ -385,47 +437,41 @@ Result<Report> Engine::RunEstimate(const EstimateSpec& spec) const {
     options.k = spec.k;
     options.eps = spec.eps;
     options.sample_scale = spec.sample_scale;
-    LearnResult result = LearnOnSession(bs, options, rng, spec.draw_threads);
-    FillLearnTelemetry(report, result);
-    TilingHistogram synopsis = ReduceToKPieces(result.tiling, spec.k);
-
-    EstimateAnswers answers;
-    if (!spec.quantile_levels.empty()) {
-      // Quantiles need a proper distribution; the synopsis can carry zero
-      // mass only if the learner saw no samples at all.
-      double mass = 0.0;
-      for (int64_t j = 0; j < synopsis.k(); ++j) {
-        mass += std::max(synopsis.values()[static_cast<size_t>(j)], 0.0) *
-                static_cast<double>(synopsis.pieces()[static_cast<size_t>(j)].length());
-      }
-      if (mass <= 0.0) {
-        failure = Status::Internal("learned synopsis has zero mass; cannot answer quantiles");
-        return;
-      }
-      const Distribution synopsis_dist = synopsis.ToDistribution();
-      for (double q : spec.quantile_levels) {
-        answers.quantiles.push_back(
-            EstimateAnswers::QuantileAnswer{q, Quantile(synopsis_dist, q)});
-      }
-    }
-    for (const Interval& range : spec.ranges) {
-      EstimateAnswers::SelectivityAnswer answer;
-      answer.range = range;
-      answer.estimate = synopsis.Mass(range);
-      if (truth_) answer.truth = truth_->Weight(range);
-      answers.selectivity.push_back(answer);
-    }
-
-    report.estimate = std::move(answers);
-    report.reduced = std::move(synopsis);
-    report.learn = std::move(result);
-    report.outcome = TaskOutcome::kOk;
+    failure = AnswerEstimate(
+        spec, LearnOnSession(bs, options, rng, spec.draw_threads), truth_, report);
   });
   if (!failure.ok()) return failure;
   FinalizeOutcome(report);
   report.retries = bs.retries();
   FillSessionTelemetry(report, bs);
   report.telemetry.wall_ms = timer.ElapsedMillis();
+  return report;
+}
+
+Result<Report> Engine::AnswerFromSynopsis(const TaskSpec& spec,
+                                          const LearnResult& learned,
+                                          const ReportTelemetry& telemetry,
+                                          int64_t retries) const {
+  Report report;
+  if (const auto* learn = std::get_if<LearnSpec>(&spec)) {
+    report.task = "learn";
+    report.retries = retries;
+    report.telemetry = telemetry;
+    AnswerLearn(learn->reduce_to, learned, report);
+  } else if (const auto* estimate = std::get_if<EstimateSpec>(&spec)) {
+    if (Status s = ValidateEstimateQueries(*estimate, oracle_.n(), truth_); !s.ok()) {
+      return s;
+    }
+    report.task = "estimate";
+    report.telemetry.budget = estimate->budget;
+    if (Status s = AnswerEstimate(*estimate, learned, truth_, report); !s.ok()) {
+      return s;
+    }
+  } else {
+    return Status::InvalidArgument(
+        "only learn and estimate tasks can be answered from a learned synopsis");
+  }
+  FinalizeOutcome(report);
   return report;
 }
 
@@ -556,204 +602,202 @@ Result<Report> Engine::RunCloseness(const ClosenessSpec& spec) const {
 
 namespace {
 
-void JsonString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
+using api::AppendJsonDouble;
+using api::AppendJsonString;
+
+/// `, "key": ` — the separator and name of every member after an object's
+/// first; the typed overloads append the value too.
+void Member(std::string& out, const char* key) {
+  out += ", \"";
+  out += key;
+  out += "\": ";
 }
 
-void JsonDouble(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";  // JSON has no inf/nan
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.*g", std::numeric_limits<double>::max_digits10, v);
-  os << buf;
+void Member(std::string& out, const char* key, int64_t value) {
+  Member(out, key);
+  out += std::to_string(value);
 }
 
-void JsonTiling(std::ostream& os, const TilingHistogram& h) {
-  os << "{\"n\": " << h.n() << ", \"k\": " << h.k() << ", \"right_ends\": [";
+void Member(std::string& out, const char* key, double value) {
+  Member(out, key);
+  AppendJsonDouble(out, value);
+}
+
+void Member(std::string& out, const char* key, bool value) {
+  Member(out, key);
+  out += value ? "true" : "false";
+}
+
+/// `{"accepted": <bool>` — the opening of every test-outcome block.
+void OpenDecision(std::string& out, const char* block, bool accepted) {
+  Member(out, block);
+  out += "{\"accepted\": ";
+  out += accepted ? "true" : "false";
+}
+
+void AppendTiling(std::string& out, const TilingHistogram& h) {
+  out += "{\"n\": " + std::to_string(h.n());
+  Member(out, "k", h.k());
+  out += ", \"right_ends\": [";
   for (int64_t j = 0; j < h.k(); ++j) {
-    if (j > 0) os << ", ";
-    os << h.pieces()[static_cast<size_t>(j)].hi;
+    if (j > 0) out += ", ";
+    out += std::to_string(h.pieces()[static_cast<size_t>(j)].hi);
   }
-  os << "], \"values\": [";
+  out += "], \"values\": [";
   for (int64_t j = 0; j < h.k(); ++j) {
-    if (j > 0) os << ", ";
-    JsonDouble(os, h.values()[static_cast<size_t>(j)]);
+    if (j > 0) out += ", ";
+    AppendJsonDouble(out, h.values()[static_cast<size_t>(j)]);
   }
-  os << "]}";
+  out += "]}";
+}
+
+void AppendTilingMember(std::string& out, const char* key, const TilingHistogram& h) {
+  Member(out, key);
+  AppendTiling(out, h);
+}
+
+void AppendLearnParams(std::string& out, const GreedyParams& params) {
+  out += "{\"l\": " + std::to_string(params.l);
+  Member(out, "r", params.r);
+  Member(out, "m", params.m);
+  Member(out, "iterations", params.iterations);
+  out += "}";
 }
 
 }  // namespace
 
-void WriteReportJson(std::ostream& os, const Report& report) {
-  os << "{\"histk_report\": 1, \"task\": ";
-  JsonString(os, report.task);
-  os << ", \"outcome\": ";
-  JsonString(os, TaskOutcomeName(report.outcome));
-  os << ", \"status\": ";
-  JsonString(os, StatusCodeName(report.status));
-  os << ", \"degraded\": " << (report.degraded ? "true" : "false")
-     << ", \"retries\": " << report.retries;
+void AppendReportJson(std::string& out, const Report& report) {
+  out += "{\"histk_report\": 1, \"task\": ";
+  AppendJsonString(out, report.task);
+  Member(out, "outcome");
+  AppendJsonString(out, TaskOutcomeName(report.outcome));
+  Member(out, "status");
+  AppendJsonString(out, StatusCodeName(report.status));
+  Member(out, "degraded", report.degraded);
+  Member(out, "retries", report.retries);
 
   const ReportTelemetry& t = report.telemetry;
-  os << ", \"telemetry\": {\"budget\": " << t.budget
-     << ", \"samples_drawn\": " << t.samples_drawn << ", \"wall_ms\": ";
-  JsonDouble(os, t.wall_ms);
-  os << ", \"candidates_per_iter\": " << t.candidates_per_iter
-     << ", \"candidate_table_bytes\": " << t.candidate_table_bytes
-     << ", \"endpoints_before_thinning\": " << t.endpoints_before_thinning
-     << ", \"endpoints_after_thinning\": " << t.endpoints_after_thinning
-     << ", \"phases\": [";
+  out += ", \"telemetry\": {\"budget\": " + std::to_string(t.budget);
+  Member(out, "samples_drawn", t.samples_drawn);
+  Member(out, "wall_ms", t.wall_ms);
+  Member(out, "candidates_per_iter", t.candidates_per_iter);
+  Member(out, "candidate_table_bytes", t.candidate_table_bytes);
+  Member(out, "endpoints_before_thinning", t.endpoints_before_thinning);
+  Member(out, "endpoints_after_thinning", t.endpoints_after_thinning);
+  out += ", \"phases\": [";
   for (size_t i = 0; i < t.phases.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << "{\"phase\": ";
-    JsonString(os, t.phases[i].phase);
-    os << ", \"samples\": " << t.phases[i].samples << "}";
+    if (i > 0) out += ", ";
+    out += "{\"phase\": ";
+    AppendJsonString(out, t.phases[i].phase);
+    Member(out, "samples", t.phases[i].samples);
+    out += "}";
   }
-  os << "]}";
+  out += "]}";
 
   if (report.learn) {
     const LearnResult& r = *report.learn;
-    os << ", \"learn\": {\"params\": {\"l\": " << r.params.l
-       << ", \"r\": " << r.params.r << ", \"m\": " << r.params.m
-       << ", \"iterations\": " << r.params.iterations << "}, \"total_samples\": "
-       << r.total_samples << ", \"estimated_cost\": ";
-    JsonDouble(os, r.estimated_cost);
-    os << ", \"priority_entries\": " << r.priority.size() << ", \"tiling\": ";
-    JsonTiling(os, r.tiling);
-    os << "}";
+    out += ", \"learn\": {\"params\": ";
+    AppendLearnParams(out, r.params);
+    Member(out, "total_samples", r.total_samples);
+    Member(out, "estimated_cost", r.estimated_cost);
+    Member(out, "priority_entries", r.priority.size());
+    AppendTilingMember(out, "tiling", r.tiling);
+    out += "}";
   }
-  if (report.reduced) {
-    os << ", \"reduced\": ";
-    JsonTiling(os, *report.reduced);
-  }
+  if (report.reduced) AppendTilingMember(out, "reduced", *report.reduced);
   if (report.test) {
-    const TestOutcome& t2 = *report.test;
-    os << ", \"test\": {\"accepted\": " << (t2.accepted ? "true" : "false")
-       << ", \"params\": {\"r\": " << t2.params.r << ", \"m\": " << t2.params.m
-       << "}, \"total_samples\": " << t2.total_samples << ", \"flat_partition\": [";
-    for (size_t i = 0; i < t2.flat_partition.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << "[" << t2.flat_partition[i].lo << ", " << t2.flat_partition[i].hi << "]";
+    const TestOutcome& test = *report.test;
+    OpenDecision(out, "test", test.accepted);
+    out += ", \"params\": {\"r\": " + std::to_string(test.params.r);
+    Member(out, "m", test.params.m);
+    out += "}";
+    Member(out, "total_samples", test.total_samples);
+    out += ", \"flat_partition\": [";
+    for (size_t i = 0; i < test.flat_partition.size(); ++i) {
+      if (i > 0) out += ", ";
+      out += "[" + std::to_string(test.flat_partition[i].lo) + ", " +
+             std::to_string(test.flat_partition[i].hi) + "]";
     }
-    os << "]}";
+    out += "]}";
   }
   if (!report.compare.empty()) {
-    os << ", \"compare\": [";
+    out += ", \"compare\": [";
     for (size_t i = 0; i < report.compare.size(); ++i) {
-      if (i > 0) os << ", ";
+      if (i > 0) out += ", ";
       const CompareRow& row = report.compare[i];
-      os << "{\"method\": ";
-      JsonString(os, row.method);
-      os << ", \"pieces\": " << row.pieces << ", \"sse\": ";
-      JsonDouble(os, row.sse);
-      os << ", \"samples\": " << row.samples << "}";
+      out += "{\"method\": ";
+      AppendJsonString(out, row.method);
+      Member(out, "pieces", row.pieces);
+      Member(out, "sse", row.sse);
+      Member(out, "samples", row.samples);
+      out += "}";
     }
-    os << "]";
+    out += "]";
   }
   if (report.property_test) {
     const PropertyTestOutcome& p = *report.property_test;
-    os << ", \"property_test\": {\"accepted\": " << (p.accepted ? "true" : "false")
-       << ", \"params\": {\"learn\": {\"l\": " << p.params.learn.l
-       << ", \"r\": " << p.params.learn.r << ", \"m\": " << p.params.learn.m
-       << ", \"iterations\": " << p.params.learn.iterations
-       << "}, \"verify_r\": " << p.params.verify_r
-       << ", \"verify_m\": " << p.params.verify_m << "}"
-       << ", \"total_samples\": " << p.total_samples
-       << ", \"refinement_parts\": " << p.refinement_parts
-       << ", \"fitted_pieces\": " << p.fitted_pieces << ", \"fit_stat\": ";
-    JsonDouble(os, p.fit_stat);
-    os << ", \"fit_threshold\": ";
-    JsonDouble(os, p.fit_threshold);
-    os << ", \"exception_parts\": " << p.exception_parts << ", \"exception_mass\": ";
-    JsonDouble(os, p.exception_mass);
-    os << ", \"exception_mass_threshold\": ";
-    JsonDouble(os, p.exception_mass_threshold);
-    os << ", \"collision_stat\": ";
-    JsonDouble(os, p.collision_stat);
-    os << ", \"collision_threshold\": ";
-    JsonDouble(os, p.collision_threshold);
-    os << ", \"candidate_l1\": ";
-    JsonDouble(os, p.candidate_l1);
-    if (p.candidate) {
-      os << ", \"candidate\": ";
-      JsonTiling(os, *p.candidate);
-    }
-    os << "}";
+    OpenDecision(out, "property_test", p.accepted);
+    out += ", \"params\": {\"learn\": ";
+    AppendLearnParams(out, p.params.learn);
+    Member(out, "verify_r", p.params.verify_r);
+    Member(out, "verify_m", p.params.verify_m);
+    out += "}";
+    Member(out, "total_samples", p.total_samples);
+    Member(out, "refinement_parts", p.refinement_parts);
+    Member(out, "fitted_pieces", p.fitted_pieces);
+    Member(out, "fit_stat", p.fit_stat);
+    Member(out, "fit_threshold", p.fit_threshold);
+    Member(out, "exception_parts", p.exception_parts);
+    Member(out, "exception_mass", p.exception_mass);
+    Member(out, "exception_mass_threshold", p.exception_mass_threshold);
+    Member(out, "collision_stat", p.collision_stat);
+    Member(out, "collision_threshold", p.collision_threshold);
+    Member(out, "candidate_l1", p.candidate_l1);
+    if (p.candidate) AppendTilingMember(out, "candidate", *p.candidate);
+    out += "}";
   }
   if (report.closeness) {
     const ClosenessOutcome& c = *report.closeness;
-    os << ", \"closeness\": {\"accepted\": " << (c.accepted ? "true" : "false")
-       << ", \"params\": {\"verify_r\": " << c.params.verify_r
-       << ", \"verify_m\": " << c.params.verify_m << "}"
-       << ", \"total_samples\": " << c.total_samples
-       << ", \"refinement_parts\": " << c.refinement_parts << ", \"statistic\": ";
-    JsonDouble(os, c.statistic);
-    os << ", \"threshold\": ";
-    JsonDouble(os, c.threshold);
-    if (c.candidate_p) {
-      os << ", \"candidate_p\": ";
-      JsonTiling(os, *c.candidate_p);
-    }
-    if (c.candidate_q) {
-      os << ", \"candidate_q\": ";
-      JsonTiling(os, *c.candidate_q);
-    }
-    os << "}";
+    OpenDecision(out, "closeness", c.accepted);
+    out += ", \"params\": {\"verify_r\": " + std::to_string(c.params.verify_r);
+    Member(out, "verify_m", c.params.verify_m);
+    out += "}";
+    Member(out, "total_samples", c.total_samples);
+    Member(out, "refinement_parts", c.refinement_parts);
+    Member(out, "statistic", c.statistic);
+    Member(out, "threshold", c.threshold);
+    if (c.candidate_p) AppendTilingMember(out, "candidate_p", *c.candidate_p);
+    if (c.candidate_q) AppendTilingMember(out, "candidate_q", *c.candidate_q);
+    out += "}";
   }
   if (report.estimate) {
     const EstimateAnswers& e = *report.estimate;
-    os << ", \"estimate\": {\"quantiles\": [";
+    out += ", \"estimate\": {\"quantiles\": [";
     for (size_t i = 0; i < e.quantiles.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << "{\"q\": ";
-      JsonDouble(os, e.quantiles[i].q);
-      os << ", \"value\": " << e.quantiles[i].value << "}";
+      if (i > 0) out += ", ";
+      out += "{\"q\": ";
+      AppendJsonDouble(out, e.quantiles[i].q);
+      Member(out, "value", e.quantiles[i].value);
+      out += "}";
     }
-    os << "], \"selectivity\": [";
+    out += "], \"selectivity\": [";
     for (size_t i = 0; i < e.selectivity.size(); ++i) {
-      if (i > 0) os << ", ";
-      const auto& sel = e.selectivity[i];
-      os << "{\"lo\": " << sel.range.lo << ", \"hi\": " << sel.range.hi
-         << ", \"estimate\": ";
-      JsonDouble(os, sel.estimate);
-      os << ", \"truth\": ";
+      if (i > 0) out += ", ";
+      const EstimateAnswers::SelectivityAnswer& sel = e.selectivity[i];
+      out += "{\"lo\": " + std::to_string(sel.range.lo);
+      Member(out, "hi", sel.range.hi);
+      Member(out, "estimate", sel.estimate);
+      Member(out, "truth");
       if (sel.truth) {
-        JsonDouble(os, *sel.truth);
+        AppendJsonDouble(out, *sel.truth);
       } else {
-        os << "null";
+        out += "null";
       }
-      os << "}";
+      out += "}";
     }
-    os << "]}";
+    out += "]}";
   }
-  os << "}\n";
+  out += "}";
 }
 
 }  // namespace histk

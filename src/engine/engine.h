@@ -29,12 +29,11 @@
 //     examples all go through the facade.
 //   * Every Report carries a uniform telemetry block (samples by phase,
 //     wall time, candidate counts, thinning events) serializable to JSON
-//     via WriteReportJson.
+//     via AppendReportJson.
 #ifndef HISTK_ENGINE_ENGINE_H_
 #define HISTK_ENGINE_ENGINE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <variant>
@@ -225,9 +224,10 @@ struct Report {
   std::optional<ClosenessOutcome> closeness;         ///< closeness
 };
 
-/// Serializes a Report as a single JSON object (schema documented in the
-/// README; validated by tools/check_report_json.py in CI).
-void WriteReportJson(std::ostream& os, const Report& report);
+/// Appends a Report to `out` as a single-line JSON object, without a
+/// trailing newline (schema documented in the README; validated by
+/// tools/check_report_json.py in CI).
+void AppendReportJson(std::string& out, const Report& report);
 
 /// A session: an oracle, optional ground truth, and a uniform Run() entry
 /// point. The Engine holds references — oracle (and truth, if given by
@@ -246,6 +246,23 @@ class Engine {
   /// Validates the spec (kInvalidArgument — never aborts), runs the task
   /// against the session oracle under the spec's budget, and reports.
   Result<Report> Run(const TaskSpec& spec) const;
+
+  /// Answers a learn or estimate spec from a synopsis an earlier session
+  /// learned, without touching the oracle: the synopsis cache's hit path.
+  /// RunLearn and RunEstimate end in the same answer step, so the report
+  /// matches the session's outside the telemetry block.
+  ///   * learn: replays the learning session's `telemetry` and `retries`
+  ///     (wall_ms documents what the learn cost when it ran), reduced as
+  ///     the spec asks.
+  ///   * estimate: validates the queries against this session
+  ///     (kInvalidArgument), then answers them from `learned`; the report
+  ///     draws nothing, has no phases, and carries this session's truth
+  ///     column when it has one.
+  /// Other task kinds are kInvalidArgument.
+  Result<Report> AnswerFromSynopsis(const TaskSpec& spec,
+                                    const LearnResult& learned,
+                                    const ReportTelemetry& telemetry,
+                                    int64_t retries) const;
 
   bool has_truth() const { return truth_.has_value(); }
   const Distribution& truth() const;

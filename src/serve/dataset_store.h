@@ -79,10 +79,6 @@ class ServedDataset {
   /// bridged distribution as truth.
   const Engine& engine() const { return *engine_; }
 
-  /// The truth column estimate hits replicate: nullptr for item-backed
-  /// entries, the bridged distribution for sketch-backed ones.
-  const Distribution* session_truth() const { return bridged_.get(); }
-
   /// Content-equality guards for fingerprint reuse: the 64-bit FNV-1a
   /// fingerprint is not collision-resistant, so the store re-verifies the
   /// actual content whenever new bytes hash onto a live entry — a crafted

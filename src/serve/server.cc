@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -9,8 +8,6 @@
 #include <vector>
 
 #include "api/json.h"
-#include "dist/quantiles.h"
-#include "histogram/ops.h"
 #include "util/timer.h"
 
 namespace histk {
@@ -36,97 +33,6 @@ bool DegradedStatus(StatusCode code) {
     default:
       return false;
   }
-}
-
-/// The engine's pre-session estimate validation, replicated for the
-/// cache-hit path (which never enters Engine::Run). Kept in lockstep with
-/// Engine::RunEstimate — the hit/miss parity test pins it.
-Status ValidateEstimateQueries(const RequestSpec& req, int64_t n) {
-  for (double q : req.quantiles) {
-    if (!(q >= 0.0 && q <= 1.0)) {
-      return Status::InvalidArgument("quantile levels must be in [0, 1]");
-    }
-  }
-  const Interval domain = Interval::Full(n);
-  for (const Interval& range : req.ranges) {
-    if (range.empty() || !domain.Contains(range)) {
-      return Status::InvalidArgument(
-          "ranges must be non-empty and within [0, n)");
-    }
-  }
-  return Status::Ok();
-}
-
-/// A learn report served from cache: byte-identical to the session that
-/// populated the entry (telemetry included — wall_ms documents the
-/// original learning cost; the envelope's serve_ms carries this
-/// request's).
-Report ReconstructLearnReport(const RequestSpec& req,
-                              const CachedSynopsis& cached) {
-  Report report;
-  report.task = "learn";
-  report.outcome = TaskOutcome::kOk;
-  report.status = StatusCode::kOk;
-  report.degraded = false;
-  report.retries = cached.retries;
-  report.telemetry = cached.telemetry;
-  if (req.reduce) report.reduced = ReduceToKPieces(cached.result.tiling, req.k);
-  report.learn = cached.result;
-  return report;
-}
-
-/// An estimate report answered from the cached synopsis without touching
-/// the oracle: same answer block as Engine::RunEstimate, but
-/// samples_drawn is 0 and there are no phases — the session charged
-/// nothing.
-Status AnswerEstimateFromSynopsis(const RequestSpec& req,
-                                  const CachedSynopsis& cached,
-                                  const ServedDataset& ds, Report& out) {
-  TilingHistogram synopsis = ReduceToKPieces(cached.result.tiling, req.k);
-  EstimateAnswers answers;
-  if (!req.quantiles.empty()) {
-    double mass = 0.0;
-    for (int64_t j = 0; j < synopsis.k(); ++j) {
-      mass += std::max(synopsis.values()[static_cast<size_t>(j)], 0.0) *
-              static_cast<double>(
-                  synopsis.pieces()[static_cast<size_t>(j)].length());
-    }
-    if (mass <= 0.0) {
-      return Status::Internal(
-          "learned synopsis has zero mass; cannot answer quantiles");
-    }
-    const Distribution synopsis_dist = synopsis.ToDistribution();
-    for (double q : req.quantiles) {
-      answers.quantiles.push_back(
-          EstimateAnswers::QuantileAnswer{q, Quantile(synopsis_dist, q)});
-    }
-  }
-  for (const Interval& range : req.ranges) {
-    EstimateAnswers::SelectivityAnswer answer;
-    answer.range = range;
-    answer.estimate = synopsis.Mass(range);
-    if (ds.session_truth() != nullptr) {
-      answer.truth = ds.session_truth()->Weight(range);
-    }
-    answers.selectivity.push_back(answer);
-  }
-  out.task = "estimate";
-  out.outcome = TaskOutcome::kOk;
-  out.status = StatusCode::kOk;
-  out.degraded = false;
-  out.retries = 0;
-  out.telemetry.budget = req.budget;
-  out.telemetry.samples_drawn = 0;
-  out.telemetry.candidates_per_iter = cached.result.candidates_per_iter;
-  out.telemetry.candidate_table_bytes = cached.result.candidate_table_bytes;
-  out.telemetry.endpoints_before_thinning =
-      cached.result.endpoints_before_thinning;
-  out.telemetry.endpoints_after_thinning =
-      cached.result.endpoints_after_thinning;
-  out.estimate = std::move(answers);
-  out.reduced = std::move(synopsis);
-  out.learn = cached.result;
-  return Status::Ok();
 }
 
 /// Best-effort id recovery for lines that fail request validation: if the
@@ -191,21 +97,15 @@ Status HistkdServer::RunTask(const RequestSpec& req, ResponseEnvelope& env,
 
   const std::string key = api::CanonicalSynopsisKey(req, ds->fingerprint_hex());
   if (!key.empty()) {
-    if (req.kind == RequestKind::kEstimate) {
-      Status s = ValidateEstimateQueries(req, ds->n());
-      if (!s.ok()) return s;
-    }
     std::shared_ptr<const CachedSynopsis> hit = cache_.Lookup(key);
     if (hit != nullptr) {
       // Served entirely from the synopsis — no oracle draws, no governor
       // slot. This is the "learn once, serve millions of queries" path.
-      if (req.kind == RequestKind::kLearn) {
-        report = ReconstructLearnReport(req, *hit);
-      } else {
-        Status s = AnswerEstimateFromSynopsis(req, *hit, *ds, report);
-        if (!s.ok()) return s;
-      }
       env.cache = CacheState::kHit;
+      Result<Report> answered = ds->engine().AnswerFromSynopsis(
+          *spec, hit->result, hit->telemetry, hit->retries);
+      if (!answered.ok()) return answered.status();
+      report = std::move(*answered);
       return Status::Ok();
     }
     env.cache = CacheState::kMiss;

@@ -27,9 +27,9 @@
 namespace histk {
 namespace serve {
 
-/// Everything needed to reconstruct a learn report (and answer estimate
-/// queries) without touching the oracle: the LearnResult itself plus the
-/// original session's telemetry and retry count.
+/// Everything Engine::AnswerFromSynopsis needs to answer a learn or
+/// estimate request without touching the oracle: the LearnResult itself
+/// plus the original session's telemetry and retry count.
 struct CachedSynopsis {
   CachedSynopsis(LearnResult result_in, ReportTelemetry telemetry_in,
                  int64_t retries_in)

@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 
+#include "api/json.h"
 #include "dist/io.h"
 #include "util/check.h"
 
@@ -392,28 +393,28 @@ std::optional<HistogramSnapshot> ReadSnapshot(std::istream& is) {
   return std::move(parsed).value();
 }
 
-void WriteSnapshotJson(std::ostream& os, const HistogramSnapshot& snap) {
-  os << "{\n";
-  os << "  \"format\": \"" << kTelemetryMagic << "\",\n";
-  os << "  \"version\": 1,\n";
-  os << "  \"mantissa_bits\": " << snap.mantissa_bits() << ",\n";
-  os << "  \"max_relative_error\": "
-     << LogBucketMaxRelativeError(snap.mantissa_bits()) << ",\n";
-  os << "  \"total\": " << snap.TotalCount() << ",\n";
-  os << "  \"buckets\": [";
+void AppendSnapshotJson(std::string& out, const HistogramSnapshot& snap) {
+  const int bits = snap.mantissa_bits();
+  out += "{\n  \"format\": ";
+  api::AppendJsonString(out, kTelemetryMagic);
+  out += ",\n  \"version\": 1,\n  \"mantissa_bits\": " + std::to_string(bits);
+  out += ",\n  \"max_relative_error\": ";
+  api::AppendJsonDouble(out, LogBucketMaxRelativeError(bits));
+  out += ",\n  \"total\": " + std::to_string(snap.TotalCount());
+  out += ",\n  \"buckets\": [";
   const std::vector<uint64_t>& counts = snap.counts();
   bool first = true;
   for (size_t key = 0; key < counts.size(); ++key) {
     if (counts[key] == 0) continue;
-    if (!first) os << ",";
+    if (!first) out += ",";
     first = false;
-    os << "\n    {\"key\": " << key << ", \"lo\": "
-       << LogBucketLow(static_cast<uint32_t>(key), snap.mantissa_bits())
-       << ", \"hi\": "
-       << LogBucketHigh(static_cast<uint32_t>(key), snap.mantissa_bits())
-       << ", \"count\": " << counts[key] << "}";
+    const uint32_t k32 = static_cast<uint32_t>(key);
+    out += "\n    {\"key\": " + std::to_string(key);
+    out += ", \"lo\": " + std::to_string(LogBucketLow(k32, bits));
+    out += ", \"hi\": " + std::to_string(LogBucketHigh(k32, bits));
+    out += ", \"count\": " + std::to_string(counts[key]) + "}";
   }
-  os << "\n  ]\n}\n";
+  out += "\n  ]\n}\n";
 }
 
 }  // namespace histk

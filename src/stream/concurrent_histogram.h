@@ -45,6 +45,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "dist/distribution.h"
@@ -212,10 +213,10 @@ Result<HistogramSnapshot> ParseSnapshot(std::istream& is);
 /// ParseSnapshot with the diagnosis discarded.
 std::optional<HistogramSnapshot> ReadSnapshot(std::istream& is);
 
-/// One JSON object: mantissa_bits, max_relative_error, total, and the
-/// occupied buckets as {key, lo, hi, count} records. The machine-readable
-/// face of `histk_cli ingest --json`.
-void WriteSnapshotJson(std::ostream& os, const HistogramSnapshot& snap);
+/// Appends one JSON document (ending in a newline): mantissa_bits,
+/// max_relative_error, total, and the occupied buckets as {key, lo, hi,
+/// count} records. The machine-readable face of `histk_cli ingest --json`.
+void AppendSnapshotJson(std::string& out, const HistogramSnapshot& snap);
 
 }  // namespace histk
 

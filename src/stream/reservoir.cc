@@ -26,30 +26,4 @@ void Reservoir::Add(int64_t item) {
       "reservoir size must equal min(stream_size, capacity)");
 }
 
-ReservoirBank::ReservoirBank(const std::vector<int64_t>& capacities, uint64_t seed) {
-  HISTK_CHECK(!capacities.empty());
-  uint64_t state = seed;
-  reservoirs_.reserve(capacities.size());
-  for (int64_t cap : capacities) {
-    reservoirs_.emplace_back(cap, SplitMix64(state));
-  }
-}
-
-void ReservoirBank::Add(int64_t item) {
-  for (auto& r : reservoirs_) r.Add(item);
-#if HISTK_CHECKS_ENABLED
-  // One-pass contract: every reservoir in the bank has seen the identical
-  // stream (the learner's r+1 sets must be views of ONE pass).
-  for (const auto& r : reservoirs_) {
-    HISTK_CHECK_INVARIANT(r.stream_size() == reservoirs_.front().stream_size(),
-                          "bank reservoirs diverged in stream position");
-  }
-#endif
-}
-
-const Reservoir& ReservoirBank::reservoir(int64_t i) const {
-  HISTK_CHECK(i >= 0 && i < size());
-  return reservoirs_[static_cast<size_t>(i)];
-}
-
 }  // namespace histk

@@ -4,9 +4,7 @@
 // when the data arrives as a stream of items (the massive-data setting of
 // the introduction and [TGIK02]), a uniform reservoir of the stream IS an
 // i.i.d.-without-replacement sample of the empirical distribution — close
-// enough to i.i.d. for reservoirs much smaller than the stream. The
-// learner's r+1 independent sample sets are served by r+1 independent
-// reservoirs over the same pass.
+// enough to i.i.d. for reservoirs much smaller than the stream.
 #ifndef HISTK_STREAM_RESERVOIR_H_
 #define HISTK_STREAM_RESERVOIR_H_
 
@@ -39,22 +37,6 @@ class Reservoir {
   int64_t seen_ = 0;
   std::vector<int64_t> sample_;
   Rng rng_;
-};
-
-/// A bank of independent reservoirs filled in one pass — the stream-side
-/// replacement for the learner's l main samples and r collision sets.
-class ReservoirBank {
- public:
-  /// `capacities[i]` is reservoir i's size.
-  ReservoirBank(const std::vector<int64_t>& capacities, uint64_t seed);
-
-  void Add(int64_t item);
-
-  int64_t size() const { return static_cast<int64_t>(reservoirs_.size()); }
-  const Reservoir& reservoir(int64_t i) const;
-
- private:
-  std::vector<Reservoir> reservoirs_;
 };
 
 }  // namespace histk

@@ -6,11 +6,13 @@
 // concurrency_stress_test.cc under the tsan preset.
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/json.h"
 #include "engine/engine.h"
 #include "engine/telemetry.h"
 #include "stream/concurrent_histogram.h"
@@ -197,14 +199,29 @@ TEST(ConcurrentHistogramTest, ParserRejectsMalformedSketches) {
 
 TEST(ConcurrentHistogramTest, JsonCarriesTheBucketRecords) {
   const HistogramSnapshot snap = SmallSnapshot();
-  std::ostringstream out;
-  WriteSnapshotJson(out, snap);
-  const std::string json = out.str();
+  std::string json;
+  AppendSnapshotJson(json, snap);
   EXPECT_NE(json.find("\"format\": \"histk-telemetry-histogram\""),
             std::string::npos);
   EXPECT_NE(json.find("\"total\": 100"), std::string::npos);
   EXPECT_NE(json.find("{\"key\": 100, \"lo\": 100, \"hi\": 100, \"count\": 40}"),
             std::string::npos);
+
+  // max_relative_error round-trips exactly (2^-b has more than the six
+  // significant digits a default-formatted stream prints from b = 8 on).
+  for (int bits : {7, 9, 12}) {
+    ConcurrentHistogram hist(bits);
+    hist.Record(12345, 1);
+    std::string doc;
+    AppendSnapshotJson(doc, hist.Snapshot());
+    const Result<api::JsonValue> parsed = api::ParseJson(doc);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const api::JsonValue* error = parsed->Find("max_relative_error");
+    ASSERT_NE(error, nullptr);
+    const Result<double> value = error->AsF64();
+    ASSERT_TRUE(value.ok());
+    EXPECT_EQ(*value, LogBucketMaxRelativeError(bits)) << "bits " << bits;
+  }
 }
 
 // ------------------------------------------------------------ the bridge

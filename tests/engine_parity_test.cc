@@ -5,7 +5,7 @@
 // <= budget and partial phase telemetry.
 #include "engine/engine.h"
 
-#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -218,9 +218,9 @@ TEST(EngineParityTest, BudgetExhaustionMidTestNeverAborts) {
 }
 
 std::string ReportJson(const Report& report) {
-  std::ostringstream os;
-  WriteReportJson(os, report);
-  return os.str();
+  std::string out;
+  AppendReportJson(out, report);
+  return out;
 }
 
 TEST(EngineParityTest, PropertyTestReproducesFreeFunction) {

@@ -4,6 +4,8 @@
 #include "engine/engine.h"
 
 #include <cmath>
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -11,15 +13,17 @@
 
 #include "dist/generators.h"
 #include "dist/sampler.h"
+#include "histogram/priority.h"
+#include "histogram/tiling.h"
 #include "util/rng.h"
 
 namespace histk {
 namespace {
 
 std::string ReportJson(const Report& report) {
-  std::ostringstream os;
-  WriteReportJson(os, report);
-  return os.str();
+  std::string out;
+  AppendReportJson(out, report);
+  return out;
 }
 
 bool Contains(const std::string& haystack, const std::string& needle) {
@@ -267,6 +271,116 @@ TEST(EngineReportTest, JsonCarriesOutcomeAndPhases) {
   EXPECT_TRUE(Contains(json, "\"budget\": 10")) << json;
   EXPECT_TRUE(Contains(json, "\"phase\": \"learn-main\"")) << json;
   EXPECT_FALSE(Contains(json, "\"learn\": {")) << json;
+}
+
+// A hand-built report that sets every optional block, non-finite doubles,
+// and a task string that needs every escape class. Hand-built (rather than
+// learned) so the golden bytes do not depend on the compiler's libm.
+Report AllBlocksReport() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Report report;
+  report.task = std::string("all \"blocks\" \\ line\nnext\ttab") + '\x01';
+  report.outcome = TaskOutcome::kAccepted;
+  report.status = StatusCode::kOk;
+  report.degraded = false;
+  report.retries = 2;
+  report.telemetry.budget = 1000000;
+  report.telemetry.samples_drawn = 123456;
+  report.telemetry.phases = {{"learn-main", 100000}, {"learn-collisions", 23456}};
+  report.telemetry.wall_ms = 12.5;
+  report.telemetry.candidates_per_iter = 55;
+  report.telemetry.candidate_table_bytes = 4096;
+  report.telemetry.endpoints_before_thinning = 20;
+  report.telemetry.endpoints_after_thinning = 10;
+
+  PriorityHistogram priority(16);
+  priority.Add(Interval(0, 15), 0.0625);
+  priority.Add(Interval(4, 7), 0.1);
+  LearnResult learned{priority,
+                      TilingHistogram::FromRightEnds(16, {3, 7, 15},
+                                                     {0.05, 0.1, 1.0 / 3.0}),
+                      GreedyParams{},
+                      /*total_samples=*/4600,
+                      /*candidates_per_iter=*/55,
+                      /*estimated_cost=*/nan,
+                      /*endpoints_before_thinning=*/20,
+                      /*endpoints_after_thinning=*/10,
+                      /*candidate_table_bytes=*/4096};
+  learned.params.l = 700;
+  learned.params.r = 13;
+  learned.params.m = 300;
+  learned.params.iterations = 9;
+  report.learn = learned;
+  report.reduced = TilingHistogram::FromRightEnds(16, {7, 15}, {1e-300, 0.125});
+
+  TestOutcome test;
+  test.accepted = true;
+  test.params.r = 40;
+  test.params.m = 250;
+  test.total_samples = 10000;
+  test.flat_partition = {Interval(0, 7), Interval(8, 15)};
+  report.test = test;
+
+  report.compare = {{"paper", 3, 1.25e-7, 4600}, {"v-optimal", 3, nan, 0}};
+
+  PropertyTestOutcome ptest;
+  ptest.accepted = false;
+  ptest.params.learn.l = 800;
+  ptest.params.learn.r = 11;
+  ptest.params.learn.m = 90;
+  ptest.params.learn.iterations = 6;
+  ptest.params.verify_r = 9;
+  ptest.params.verify_m = 5000;
+  ptest.total_samples = 50000;
+  ptest.refinement_parts = 12;
+  ptest.fitted_pieces = 3;
+  ptest.fit_stat = 0.1;
+  ptest.fit_threshold = inf;
+  ptest.exception_parts = 1;
+  ptest.exception_mass = 0.0078125;
+  ptest.exception_mass_threshold = 0.05;
+  ptest.collision_stat = -2.5e-5;
+  ptest.collision_threshold = 1e300;
+  ptest.candidate_l1 = nan;
+  ptest.candidate = TilingHistogram::Flat(16, 0.0625);
+  report.property_test = ptest;
+
+  ClosenessOutcome close;
+  close.accepted = true;
+  close.params.verify_r = 7;
+  close.params.verify_m = 3000;
+  close.total_samples = 42000;
+  close.refinement_parts = 4;
+  close.statistic = 0.3;
+  close.threshold = 2.0 / 3.0;
+  close.candidate_p = TilingHistogram::FromRightEnds(16, {9, 15}, {0.08, 0.0333});
+  close.candidate_q = TilingHistogram::Flat(16, 0.0625);
+  report.closeness = close;
+
+  EstimateAnswers answers;
+  answers.quantiles = {{0.5, 7}, {1.0, 15}};
+  EstimateAnswers::SelectivityAnswer with_truth;
+  with_truth.range = Interval(0, 3);
+  with_truth.estimate = 0.2;
+  with_truth.truth = 0.1875;
+  EstimateAnswers::SelectivityAnswer without_truth;
+  without_truth.range = Interval(4, 15);
+  without_truth.estimate = nan;
+  answers.selectivity = {with_truth, without_truth};
+  report.estimate = answers;
+  return report;
+}
+
+// Byte parity of the report writer: the golden holds the report as the
+// CLI prints it (one line) and was produced by the original ostream
+// emitter; the append-to-string writer must match it byte for byte.
+TEST(EngineReportTest, AllBlocksReportMatchesGolden) {
+  std::ifstream f(std::string(HISTK_TEST_DATA_DIR) + "/report_all_blocks.golden");
+  ASSERT_TRUE(f.good());
+  std::ostringstream golden;
+  golden << f.rdbuf();
+  EXPECT_EQ(ReportJson(AllBlocksReport()) + "\n", golden.str());
 }
 
 }  // namespace

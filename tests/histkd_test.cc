@@ -124,6 +124,141 @@ TEST(HistkdTest, RepeatLearnHitIsByteIdenticalModuloServeMs) {
   EXPECT_EQ(cold_norm, warm_norm);
 }
 
+// The balanced {...} value of the first `"key": {` in `line`; "" if absent.
+std::string ObjectField(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\": {";
+  const size_t at = line.find(needle);
+  if (at == std::string::npos) return std::string();
+  const size_t begin = at + needle.size() - 1;
+  int depth = 0;
+  bool in_string = false;
+  for (size_t i = begin; i < line.size(); ++i) {
+    const char c = line[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if ((c == '}' || c == ']') && --depth == 0) {
+      return line.substr(begin, i - begin + 1);
+    }
+  }
+  return std::string();
+}
+
+// Sends `line` cold (miss) then warm (hit) and checks the two answers
+// agree: the synopsis-derived blocks byte for byte, the telemetry in
+// everything but what the hit did not spend (draws, phases, wall time).
+void ExpectEstimateHitMatchesMiss(HistkdServer& server, const std::string& line) {
+  const std::string cold = server.HandleLine(line);
+  const std::string warm = server.HandleLine(line);
+  const JsonValue cold_v = MustParse(cold);
+  const JsonValue warm_v = MustParse(warm);
+  ASSERT_EQ(GetString(cold_v, "status"), "ok") << cold;
+  EXPECT_EQ(GetString(cold_v, "cache"), "miss");
+  EXPECT_EQ(GetString(warm_v, "cache"), "hit");
+
+  for (const char* block : {"estimate", "reduced", "learn"}) {
+    const std::string cold_block = ObjectField(cold, block);
+    EXPECT_FALSE(cold_block.empty()) << block;
+    EXPECT_EQ(cold_block, ObjectField(warm, block)) << block;
+  }
+
+  const JsonValue* cold_report = cold_v.Find("report");
+  const JsonValue* warm_report = warm_v.Find("report");
+  ASSERT_NE(cold_report, nullptr);
+  ASSERT_NE(warm_report, nullptr);
+  for (const char* field : {"task", "outcome", "status"}) {
+    EXPECT_EQ(GetString(*cold_report, field), GetString(*warm_report, field));
+  }
+  EXPECT_EQ(GetI64(*cold_report, "retries"), GetI64(*warm_report, "retries"));
+  EXPECT_EQ(cold_report->Find("degraded")->AsBool(),
+            warm_report->Find("degraded")->AsBool());
+
+  const JsonValue* cold_t = cold_report->Find("telemetry");
+  const JsonValue* warm_t = warm_report->Find("telemetry");
+  ASSERT_NE(cold_t, nullptr);
+  ASSERT_NE(warm_t, nullptr);
+  ASSERT_EQ(cold_t->AsObject().size(), warm_t->AsObject().size());
+  for (const auto& member : cold_t->AsObject()) {
+    const std::string& key = member.first;
+    if (key == "samples_drawn" || key == "phases" || key == "wall_ms") continue;
+    const JsonValue* other = warm_t->Find(key);
+    ASSERT_NE(other, nullptr) << key;
+    EXPECT_EQ(member.second.NumberToken(), other->NumberToken()) << key;
+  }
+  EXPECT_EQ(GetI64(*warm_t, "samples_drawn"), 0);
+}
+
+TEST(HistkdTest, EstimateHitMatchesMissOnItems) {
+  ServeOptions options;
+  options.workers = 1;
+  HistkdServer server(options);
+  ExpectEstimateHitMatchesMiss(
+      server,
+      "{\"id\": \"e\", \"kind\": \"estimate\", \"k\": 3, \"eps\": 0.2, "
+      "\"quantiles\": [0, 0.25, 0.5, 0.9, 1], \"ranges\": [[0, 3], [2, 7]], "
+      "\"dataset\": {\"items\": " + std::string(kItems) + "}}");
+}
+
+TEST(HistkdTest, EstimateHitMatchesMissOnSketchWithTruth) {
+  ConcurrentHistogram hist(7);
+  for (uint64_t v = 0; v < 40; ++v) hist.Record(v, 1 + v % 5);
+  const std::string path = testing::TempDir() + "/histkd_parity_sketch.txt";
+  {
+    std::ofstream f(path);
+    WriteSnapshot(f, hist.Snapshot());
+  }
+  ServeOptions options;
+  options.workers = 1;
+  HistkdServer server(options);
+  const std::string line =
+      "{\"id\": \"s\", \"kind\": \"estimate\", \"k\": 4, \"eps\": 0.3, "
+      "\"quantiles\": [0.5], \"ranges\": [[0, 9], [10, 39]], "
+      "\"dataset\": {\"sketch\": \"" + path + "\"}}";
+  ExpectEstimateHitMatchesMiss(server, line);
+  // The sketch session carries truth, so the hit fills the truth column.
+  const JsonValue hit = MustParse(server.HandleLine(line));
+  const JsonValue& selectivity =
+      *hit.Find("report")->Find("estimate")->Find("selectivity");
+  ASSERT_EQ(selectivity.AsArray().size(), 2u);
+  EXPECT_TRUE(selectivity.AsArray()[0].Find("truth")->is_number());
+}
+
+TEST(HistkdTest, InvalidEstimateQueriesFailAlikeOnHitAndMiss) {
+  const std::string items = "[0, 1, 2, 3, 5, 8, 13, 15]";
+  auto estimate = [&items](const std::string& queries) {
+    return "{\"id\": \"v\", \"kind\": \"estimate\", \"k\": 2, \"eps\": 0.3, "
+           "\"n\": 16, " + queries + ", \"dataset\": {\"items\": " + items +
+           "}}";
+  };
+  for (const std::string& bad :
+       {std::string("\"quantiles\": [1.5]"), std::string("\"ranges\": [[0, 99]]")}) {
+    ServeOptions options;
+    options.workers = 1;
+    HistkdServer cold_server(options);
+    const JsonValue miss = MustParse(cold_server.HandleLine(estimate(bad)));
+
+    HistkdServer warm_server(options);
+    ASSERT_EQ(GetString(MustParse(warm_server.HandleLine(
+                            estimate("\"quantiles\": [0.5]"))),
+                        "status"),
+              "ok");
+    const JsonValue hit = MustParse(warm_server.HandleLine(estimate(bad)));
+    EXPECT_EQ(warm_server.cache_counters().misses, 1);
+
+    EXPECT_EQ(GetString(miss, "status"), "invalid-argument") << bad;
+    EXPECT_EQ(GetString(hit, "status"), GetString(miss, "status")) << bad;
+    EXPECT_FALSE(GetString(miss, "error").empty());
+    EXPECT_EQ(GetString(hit, "error"), GetString(miss, "error")) << bad;
+  }
+}
+
 TEST(HistkdTest, CacheKeyFragmentsOnSeedAndEvictsLru) {
   ServeOptions options;
   options.workers = 1;

@@ -374,9 +374,9 @@ RequestSpec ApiRequest(const std::string& command, const LegacyArgs& args) {
 }
 
 std::string ReportJson(const Report& report) {
-  std::ostringstream out;
-  WriteReportJson(out, report);
-  return out.str();
+  std::string out;
+  AppendReportJson(out, report);
+  return out;
 }
 
 // wall_ms is the one nondeterministic report field; blank it before the
@@ -575,7 +575,7 @@ TEST(ResponseJsonTest, EnvelopeEmbedsTheReportVerbatim) {
   ASSERT_FALSE(line.empty());
   EXPECT_EQ(line.back(), '\n');
 
-  // The embedded object is exactly WriteReportJson's (modulo the trailing
+  // The embedded object is exactly AppendReportJson's (modulo the trailing
   // newline), so report tooling can validate response["report"] unchanged.
   std::string embedded = ReportJson(*report);
   while (!embedded.empty() && embedded.back() == '\n') embedded.pop_back();

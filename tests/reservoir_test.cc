@@ -47,22 +47,6 @@ TEST(ReservoirTest, DeterministicGivenSeed) {
   EXPECT_EQ(a.sample(), b.sample());
 }
 
-TEST(ReservoirBankTest, IndependentReservoirs) {
-  ReservoirBank bank({6, 6, 6}, 803);
-  for (int64_t i = 0; i < 2000; ++i) bank.Add(i);
-  EXPECT_EQ(bank.size(), 3);
-  // Same capacity, same stream — but different retained samples.
-  EXPECT_NE(bank.reservoir(0).sample(), bank.reservoir(1).sample());
-  EXPECT_NE(bank.reservoir(1).sample(), bank.reservoir(2).sample());
-}
-
-TEST(ReservoirBankTest, MixedCapacities) {
-  ReservoirBank bank({3, 100}, 804);
-  for (int64_t i = 0; i < 50; ++i) bank.Add(i);
-  EXPECT_EQ(bank.reservoir(0).sample().size(), 3u);
-  EXPECT_EQ(bank.reservoir(1).sample().size(), 50u);  // under capacity
-}
-
 TEST(ReservoirTest, CapacityOneHoldsExactlyOneStreamElement) {
   // Degenerate reservoir: one slot, long stream. The invariant in Add pins
   // size == min(seen, 1) on every step; the retained element must be real.
@@ -80,25 +64,8 @@ TEST(ReservoirTest, EmptyReservoirReportsEmptySample) {
   EXPECT_TRUE(r.sample().empty());
 }
 
-TEST(ReservoirBankTest, SingleReservoirBankMatchesStandalone) {
-  ReservoirBank bank({5}, 807);
-  for (int64_t i = 0; i < 100; ++i) bank.Add(i);
-  EXPECT_EQ(bank.size(), 1);
-  EXPECT_EQ(bank.reservoir(0).stream_size(), 100);
-  EXPECT_EQ(bank.reservoir(0).sample().size(), 5u);
-}
-
 TEST(ReservoirDeathTest, RejectsZeroCapacity) {
   EXPECT_DEATH(Reservoir(0, 1), "capacity");
-}
-
-TEST(ReservoirDeathTest, BankRejectsEmptyCapacityList) {
-  EXPECT_DEATH(ReservoirBank({}, 1), "empty");
-}
-
-TEST(ReservoirDeathTest, BankRejectsOutOfRangeIndex) {
-  const ReservoirBank bank({3}, 808);
-  EXPECT_DEATH(bank.reservoir(1), "");
 }
 
 }  // namespace

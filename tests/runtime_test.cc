@@ -4,7 +4,6 @@
 #include "engine/runtime.h"
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -286,9 +285,9 @@ TEST(ResilientSessionTest, GovernorRejectionSurfacesAsUnavailableStatus) {
 std::string CanonicalJson(const Report& report) {
   Report copy = report;
   copy.telemetry.wall_ms = 0.0;
-  std::ostringstream os;
-  WriteReportJson(os, copy);
-  return os.str();
+  std::string out;
+  AppendReportJson(out, copy);
+  return out;
 }
 
 TEST(ResilientSessionTest, DegradedReportsAreIdenticalAtAnyThreadCount) {

@@ -4,7 +4,6 @@
 // polls the session's deadline (once per candidate-table row). Each learn-
 // family task must end deadline-exceeded and degraded within 200 ms.
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -38,11 +37,11 @@ void ExpectDeadlineExceeded(const Result<Report>& run) {
   EXPECT_EQ(report.status, StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(report.degraded);
   EXPECT_LE(report.telemetry.wall_ms, kMaxWallMs);
-  std::ostringstream json;
-  WriteReportJson(json, report);
-  EXPECT_NE(json.str().find("\"status\": \"deadline-exceeded\""), std::string::npos)
-      << json.str();
-  EXPECT_NE(json.str().find("\"degraded\": true"), std::string::npos);
+  std::string json;
+  AppendReportJson(json, report);
+  EXPECT_NE(json.find("\"status\": \"deadline-exceeded\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"degraded\": true"), std::string::npos);
 }
 
 TEST(SearchDeadlineTest, LearnStopsInsideTheGreedySearch) {

@@ -7,7 +7,7 @@ Usage:
   check_report_json.py --request FILE         # histkd NDJSON request lines
   check_report_json.py --stats FILE           # histkd stats payload object
 
-Report mode validates the structural contract of WriteReportJson
+Report mode validates the structural contract of AppendReportJson
 (src/engine/engine.cc): required top-level fields, the telemetry block, the
 resilience triple (status / degraded / retries — see src/engine/runtime.h),
 and the per-task payload. Degraded reports (deadline, cancellation, fault

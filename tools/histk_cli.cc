@@ -537,6 +537,14 @@ const Sampler& MaybeInjectFaults(const Args& args, const Sampler& inner,
   return *storage;
 }
 
+/// Prints a report on stdout as one JSON line.
+void PrintReportJson(const Report& report) {
+  std::string json;
+  AppendReportJson(json, report);
+  json += '\n';
+  std::cout << json;
+}
+
 /// Shared unhappy-path handling for the Engine-backed subcommands: invalid
 /// specs exit 2, rejected admission exits 5, exhausted budgets exit 4, and
 /// interrupted sessions (deadline/cancel/unavailable) exit 5 — each after
@@ -550,7 +558,7 @@ int ReportFailure(const Result<Report>& result, bool json) {
   }
   const Report& report = *result;
   if (report.outcome == TaskOutcome::kBudgetExhausted) {
-    if (json) WriteReportJson(std::cout, report);
+    if (json) PrintReportJson(report);
     std::fprintf(stderr,
                  "budget exhausted after %lld of %lld oracle draws; partial "
                  "telemetry in the report\n",
@@ -560,7 +568,7 @@ int ReportFailure(const Result<Report>& result, bool json) {
   }
   if (report.degraded) {
     if (json) {
-      WriteReportJson(std::cout, report);
+      PrintReportJson(report);
     } else if (report.reduced) {
       // Graceful degradation: the best-so-far tiling from the completed part
       // of the sample still goes to stdout, flagged on stderr.
@@ -595,7 +603,7 @@ int RunLearnOn(const Args& args, const Engine& engine, const std::string& source
   }
   const Report& report = *result;
   if (args.json) {
-    WriteReportJson(std::cout, report);
+    PrintReportJson(report);
     return kExitOk;
   }
   const TilingHistogram& out = args.reduce ? *report.reduced : report.learn->tiling;
@@ -635,7 +643,7 @@ int RunTestOn(const Args& args, const Engine& engine, const std::string& source_
   }
   const Report& report = *result;
   if (args.json) {
-    WriteReportJson(std::cout, report);
+    PrintReportJson(report);
     return report.test->accepted ? kExitOk : kExitReject;
   }
   std::fprintf(stderr, "%s\n", source_note.c_str());
@@ -678,7 +686,7 @@ int RunPropertyTest(const Args& args, const Ingested& in) {
   const Report& report = *result;
   const PropertyTestOutcome& out = *report.property_test;
   if (args.json) {
-    WriteReportJson(std::cout, report);
+    PrintReportJson(report);
     return out.accepted ? kExitOk : kExitReject;
   }
   std::fprintf(stderr, "stream: %lld items, %lld held\n",
@@ -732,7 +740,7 @@ int RunCloseness(const Args& args, const Ingested& in, const Ingested& other) {
   const Report& report = *result;
   const ClosenessOutcome& out = *report.closeness;
   if (args.json) {
-    WriteReportJson(std::cout, report);
+    PrintReportJson(report);
     return out.accepted ? kExitOk : kExitReject;
   }
   std::fprintf(stderr, "streams: %lld + %lld items over domain [0, %lld)\n",
@@ -770,7 +778,7 @@ int RunCompare(const Args& args, const Ingested& in) {
   }
   const Report& report = *result;
   if (args.json) {
-    WriteReportJson(std::cout, report);
+    PrintReportJson(report);
     return kExitOk;
   }
   std::fprintf(stderr, "stream: %lld items over domain [0, %lld)\n",
@@ -806,7 +814,7 @@ int RunEstimate(const Args& args, const Ingested& in) {
   }
   const Report& report = *result;
   if (args.json) {
-    WriteReportJson(std::cout, report);
+    PrintReportJson(report);
     return kExitOk;
   }
   std::fprintf(stderr, "%s\n", StreamNote(in).c_str());
@@ -1000,7 +1008,9 @@ int RunIngest(const Args& args) {
     WriteSnapshot(f, snap);
   }
   if (args.json) {
-    WriteSnapshotJson(std::cout, snap);
+    std::string json;
+    AppendSnapshotJson(json, snap);
+    std::cout << json;
   } else {
     auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
     std::printf("count %llu\n", u(snap.TotalCount()));

@@ -47,6 +47,14 @@ histk idioms the codebase relies on:
                    dispatch API in src/dist/simd/draw_kernels.h, so exactly
                    one directory needs -mavx2 handling, CPUID gating, and
                    scalar-parity review.
+  json-containment The double grammar of the JSON emitter (`%.*g` /
+                   `%.17g` format strings) and its `\\u%04x` control-
+                   character escape appear ONLY in src/api/json.cc
+                   (AppendJsonDouble / AppendJsonString, the one JSON
+                   writer) and src/dist/io.cc (the text formats' round-
+                   trip WriteDouble). A second snprintf-based emitter
+                   drifts from the first in digits or escapes; append
+                   through the api/json.h primitives instead.
   include-hygiene  No <bits/...> includes, no "../" relative includes, and
                    headers must carry a HISTK_<PATH>_H_ include guard.
   style            No tabs, no trailing whitespace, file ends with exactly
@@ -150,6 +158,11 @@ SIMD_INCLUDE_RE = re.compile(
 SIMD_TOKEN_RE = re.compile(
     r"\b(?:_mm\d*_\w+|__m(?:64|128|256|512)[di]?|__builtin_ia32_\w+)\b"
 )
+
+# json-containment: the emitter's format strings, matched inside string
+# literals (the literal's opening quote survives comment/string blanking).
+JSON_FORMAT_ALLOW = {"src/api/json.cc", "src/dist/io.cc"}
+JSON_FORMAT_RE = re.compile(r'"[^"\n]*(?:%\.\*g|%\.17g|\\\\u%04x)')
 
 INCLUDE_RE = re.compile(r'#include\s*[<"]([^>"]+)[">]')
 GUARD_RE = re.compile(r"#ifndef\s+(HISTK_[A-Z0-9_]+_H_)")
@@ -276,6 +289,19 @@ def lint_file(root, rel):
                     emit(idx, "engine-budget",
                          f"`{call}({arg}, ...)` draws from an unmetered "
                          "sampler — pass the session's BudgetedSampler")
+
+    # json-containment: a literal's quote sits at the same column in the
+    # raw and the blanked text; inside a comment it was blanked away.
+    if rel not in JSON_FORMAT_ALLOW:
+        for idx, (raw_line, code_line) in enumerate(
+                zip(raw_lines, code_lines), start=1):
+            for m in JSON_FORMAT_RE.finditer(raw_line):
+                if code_line[m.start():m.start() + 1] == '"':
+                    emit(idx, "json-containment",
+                         "JSON number/escape formatting outside "
+                         "src/api/json.cc — append through "
+                         "api::AppendJsonDouble / api::AppendJsonString")
+                    break
 
     # include-hygiene
     for idx, line in enumerate(code_lines, start=1):
