@@ -5,8 +5,8 @@
 //   1. alias ns/draw — the batched DrawManyInto kernel, dense (n = 2^20)
 //      and bucketed (n = 2^30, k = 1000), replay kernel (byte-identical
 //      to the PR 2/3 stream; must stay at or under the BENCH_e12 baseline
-//      of ~17-18 ns/draw), the opt-in packed kernel, and the simd kernel
-//      on both its dispatched backend and (bucket) the forced-scalar
+//      of ~17-18 ns/draw) and the opt-in simd kernel on both its
+//      dispatched backend and (bucket) the forced-scalar
 //      reference; full mode adds a w in {1,2,4,8} threads sweep over the
 //      sharded draw/count paths for the weekly multi-core runner.
 //   2. fused vs materialize — SampleSet::Draw (Sampler::DrawCounts through
@@ -111,13 +111,14 @@ double ShardedDrawSeconds(const AliasSampler& sampler, int64_t m, int workers) {
   return sec;
 }
 
-/// End-to-end seconds for the sharded fused path: DrawCountsSharded through
-/// SampleCounter's per-worker shards (lock-free Consume, merge at Build).
+/// End-to-end seconds for the sharded fused path: DrawCounts(threads >= 1)
+/// through SampleCounter's per-worker shards (lock-free Consume, merge at
+/// Build).
 double ShardedCountSeconds(const AliasSampler& sampler, int64_t m, int workers) {
   Rng rng(13);
   WallTimer timer;
   SampleCounter counter(sampler.n(), m);
-  sampler.DrawCountsSharded(m, rng, counter, workers);
+  sampler.DrawCounts(m, rng, counter, workers);
   const SampleSet s = counter.Build();
   int64_t got = s.m();
   const double sec = timer.ElapsedSeconds();
@@ -168,14 +169,12 @@ void RunExperiment() {
       "m = 10^7 (bucketed), with alias ns/draw at or under the e12 baseline",
       smoke ? "SMOKE mode: batches <= 10^6 draws, 10^8 rows skipped"
             : "dense n=2^20 (k=200) and bucketed n=2^30 (k=1000) random "
-              "k-histograms; replay kernel unless marked packed");
+              "k-histograms; replay kernel unless marked simd");
 
   const Distribution dense = DenseDist();
   const Distribution bucket = BucketDist();
   const AliasSampler dense_replay(dense);
-  const AliasSampler dense_packed(dense, AliasKernel::kPacked);
   const AliasSampler bucket_replay(bucket);
-  const AliasSampler bucket_packed(bucket, AliasKernel::kPacked);
   // kSimd resolves its backend at construction: one pair on live dispatch
   // (AVX2 where available) and one bucket sampler pinned to the scalar
   // reference so the fallback's cost is tracked on every runner.
@@ -203,10 +202,8 @@ void RunExperiment() {
       const AliasSampler* sampler;
     };
     const Row rows[] = {{"dense", "replay", &dense_replay},
-                        {"dense", "packed", &dense_packed},
                         {"dense", "simd", &dense_simd},
                         {"bucket", "replay", &bucket_replay},
-                        {"bucket", "packed", &bucket_packed},
                         {"bucket", "simd", &bucket_simd},
                         {"bucket", "simd_scalar", &bucket_simd_scalar}};
     for (const Row& row : rows) {
@@ -304,7 +301,7 @@ void RunExperiment() {
   sharded.Print(std::cout);
 
   // ---- 5. threads sweep (full mode only) -----------------------------
-  // w in {1,2,4,8} over DrawManySharded and DrawCountsSharded on the simd
+  // w in {1,2,4,8} over DrawManySharded and the sharded DrawCounts on the simd
   // bucket sampler: the sharded speedup curve the weekly bench-full run
   // measures on a multi-core runner (the dev container is 1-core, where
   // every w should sit near 1.0x — that flat curve is itself the record
@@ -387,8 +384,8 @@ void RunExperiment() {
       "\nshape check: the fused path never allocates the m-element draw\n"
       "vector, and on sparse domains it replaces the global sort with\n"
       "cache-resident partition sorts — that is where the speedup comes\n"
-      "from. The packed kernel trades byte-compatibility (one/two u64 per\n"
-      "draw, branchless multiply-shift) for raw throughput and is opt-in.\n");
+      "from. The simd kernel trades byte-compatibility (lane-parallel\n"
+      "xoshiro, multiply-shift picks) for raw throughput and is opt-in.\n");
 }
 
 void BM_E13(benchmark::State& state) {

@@ -21,13 +21,6 @@ DatasetSampler::DatasetSampler(int64_t n, std::vector<int64_t> items,
   }
 }
 
-int64_t DatasetSampler::Draw(Rng& rng) const {
-  if (kernel_ == AliasKernel::kReplay) return DrawImpl(rng);
-  int64_t v;
-  DrawManyInto(&v, 1, rng);
-  return v;
-}
-
 void DatasetSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
   HISTK_CHECK(m >= 0);
   if (kernel_ == AliasKernel::kSimd) {
@@ -40,18 +33,9 @@ void DatasetSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
     }
     return;
   }
-  if (kernel_ == AliasKernel::kPacked) {
-    // One NextU64 per draw, multiply-shift pick (same < size/2^64 bias
-    // bound as the alias kernels' column pick).
-    const int64_t* items = items_.data();
-    const uint64_t size = items_.size();
-    for (int64_t i = 0; i < m; ++i) {
-      const __uint128_t mm = static_cast<__uint128_t>(rng.NextU64()) * size;
-      out[i] = items[static_cast<size_t>(mm >> 64)];
-    }
-    return;
+  for (int64_t i = 0; i < m; ++i) {
+    out[i] = items_[static_cast<size_t>(rng.UniformInt(items_.size()))];
   }
-  for (int64_t i = 0; i < m; ++i) out[i] = DrawImpl(rng);
 }
 
 Distribution DatasetSampler::EmpiricalDist() const {

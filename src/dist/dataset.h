@@ -17,14 +17,13 @@
 
 namespace histk {
 
-/// Uniform-over-items sample oracle. Immutable; Draw is O(1).
+/// Uniform-over-items sample oracle. Immutable; O(1) per draw.
 class DatasetSampler : public Sampler {
  public:
   /// Takes ownership of the items. Aborts unless the data set is non-empty
   /// and every item lies in [0, n). `kernel` selects the batch draw loop,
   /// with the same stream contracts as AliasSampler: kReplay (default) is
-  /// the historical per-draw Lemire pick; kPacked spends exactly one
-  /// NextU64 per draw on a multiply-shift pick; kSimd runs the dispatched
+  /// the historical per-draw Lemire pick; kSimd runs the dispatched
   /// block-structured uniform kernel from src/dist/simd/ (one NextU64 per
   /// kShardChunk block; batch paths only — scalar Draw() is a one-block
   /// batch of its own).
@@ -33,7 +32,6 @@ class DatasetSampler : public Sampler {
 
   int64_t n() const override { return n_; }
   AliasKernel kernel() const { return kernel_; }
-  int64_t Draw(Rng& rng) const override;
   void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const override;
 
   /// Number of items |D|.
@@ -45,10 +43,6 @@ class DatasetSampler : public Sampler {
   Distribution EmpiricalDist() const;
 
  private:
-  int64_t DrawImpl(Rng& rng) const {
-    return items_[static_cast<size_t>(rng.UniformInt(items_.size()))];
-  }
-
   int64_t n_ = 0;
   AliasKernel kernel_ = AliasKernel::kReplay;
   std::vector<int64_t> items_;

@@ -63,58 +63,6 @@ void BuildVose(std::vector<long double> scaled, size_t heaviest,
   }
 }
 
-/// Shared chunk fan-out of the sharded paths: derives chunk c's Rng stream
-/// from (root, c) and hands (chunk_rng, lo, len) to a chunk callable on up
-/// to `num_threads` workers (0 = hardware concurrency). `make_chunk_fn` is
-/// invoked once per worker ON THE CALLING THREAD, before any worker starts
-/// — so it may acquire per-worker resources that need no synchronization
-/// (a CountSink shard, a reusable draw buffer) and capture them by value in
-/// the callable it returns. The chunk→stream map is a pure function of
-/// root, so results are worker-count invariant as long as the chunk work is
-/// (write to disjoint slices, or accumulate into per-worker state merged
-/// after the join).
-template <typename MakeChunkFn>
-void RunShardedChunks(int64_t m, uint64_t root, int num_threads,
-                      const MakeChunkFn& make_chunk_fn) {
-  if (m == 0) return;
-  const int64_t num_chunks =
-      (m + Sampler::kShardChunk - 1) / Sampler::kShardChunk;
-  if (num_threads <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    num_threads = hw == 0 ? 1 : static_cast<int>(hw);
-  }
-  num_threads = static_cast<int>(
-      std::min<int64_t>(static_cast<int64_t>(num_threads), num_chunks));
-
-  std::atomic<int64_t> next{0};
-  using ChunkFn = decltype(make_chunk_fn());
-  std::vector<ChunkFn> chunk_fns;
-  chunk_fns.reserve(static_cast<size_t>(num_threads));
-  for (int t = 0; t < num_threads; ++t) chunk_fns.push_back(make_chunk_fn());
-
-  auto worker = [&](ChunkFn& chunk_fn) {
-    for (int64_t c; (c = next.fetch_add(1, std::memory_order_relaxed)) < num_chunks;) {
-      uint64_t state =
-          root ^ (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(c) + 1));
-      Rng chunk_rng(SplitMix64(state));
-      const int64_t lo = c * Sampler::kShardChunk;
-      const int64_t len = std::min<int64_t>(Sampler::kShardChunk, m - lo);
-      chunk_fn(chunk_rng, lo, len);
-    }
-  };
-
-  if (num_threads <= 1) {
-    worker(chunk_fns.front());
-    return;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(num_threads));
-  for (int t = 0; t < num_threads; ++t) {
-    workers.emplace_back(worker, std::ref(chunk_fns[static_cast<size_t>(t)]));
-  }
-  for (auto& w : workers) w.join();
-}
-
 #if HISTK_CHECKS_ENABLED
 /// Invariant: the alias table conserves mass — each column's effective draw
 /// probability (its own acceptance mass plus the rejection mass every other
@@ -148,17 +96,64 @@ const char* AliasKernelName(AliasKernel kernel) {
   switch (kernel) {
     case AliasKernel::kReplay:
       return "replay";
-    case AliasKernel::kPacked:
-      return "packed";
     case AliasKernel::kSimd:
       return "simd";
   }
   return "unknown";
 }
 
-void Sampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
-  HISTK_CHECK(m >= 0);
-  for (int64_t i = 0; i < m; ++i) out[i] = Draw(rng);
+void Sampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
+                         int threads) const {
+  HISTK_CHECK(m >= 0 && threads >= 0);
+  const int64_t buf_len = std::min(m, kShardChunk);
+  if (threads == 0) {
+    std::vector<int64_t> buf(static_cast<size_t>(buf_len));
+    for (int64_t done = 0; done < m; done += kShardChunk) {
+      const int64_t len = std::min(kShardChunk, m - done);
+      DrawManyInto(buf.data(), len, rng);
+      sink.Consume(buf.data(), len, done);
+    }
+    return;
+  }
+  // One root value regardless of m or thread count: chunk c's stream is a
+  // function of (root, c) only, which is what makes the result invariant
+  // under the worker count.
+  const uint64_t root = rng.NextU64();
+  const int64_t num_chunks = (m + kShardChunk - 1) / kShardChunk;
+  std::atomic<int64_t> next{0};
+  auto work = [&](CountSink& shard) {
+    std::vector<int64_t> buf(static_cast<size_t>(buf_len));
+    for (int64_t c; (c = next.fetch_add(1, std::memory_order_relaxed)) < num_chunks;) {
+      uint64_t state =
+          root ^ (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(c) + 1));
+      Rng chunk_rng(SplitMix64(state));
+      const int64_t lo = c * kShardChunk;
+      const int64_t len = std::min(kShardChunk, m - lo);
+      DrawManyInto(buf.data(), len, chunk_rng);
+      shard.Consume(buf.data(), len, lo);
+    }
+  };
+  const int64_t workers = std::min<int64_t>(threads, num_chunks);
+  if (workers <= 1) {
+    work(sink);
+    return;
+  }
+  // One count shard per worker, acquired here before any worker starts, so
+  // workers never contend on the sink: counting parallelizes exactly like
+  // drawing, and the shards merge into the same multiset at any worker
+  // count.
+  std::vector<CountSink*> shards;
+  for (int64_t t = 0; t < workers; ++t) shards.push_back(&sink.AcquireShard());
+  std::vector<std::thread> pool;
+  pool.reserve(shards.size());
+  for (CountSink* shard : shards) pool.emplace_back(work, std::ref(*shard));
+  for (std::thread& w : pool) w.join();
+}
+
+int64_t Sampler::Draw(Rng& rng) const {
+  int64_t v = 0;
+  DrawManyInto(&v, 1, rng);
+  return v;
 }
 
 std::vector<int64_t> Sampler::DrawMany(int64_t m, Rng& rng) const {
@@ -171,48 +166,22 @@ std::vector<int64_t> Sampler::DrawMany(int64_t m, Rng& rng) const {
 std::vector<int64_t> Sampler::DrawManySharded(int64_t m, Rng& rng,
                                               int num_threads) const {
   HISTK_CHECK(m >= 0);
-  // One root value regardless of m or thread count: the chunk streams are
-  // functions of (root, chunk index) only, which is what makes the output
-  // invariant under the worker count.
-  const uint64_t root = rng.NextU64();
-  std::vector<int64_t> out(static_cast<size_t>(m));
-  RunShardedChunks(m, root, num_threads, [&]() {
-    return [&](Rng& chunk_rng, int64_t lo, int64_t len) {
-      // Straight into the output slice: no per-chunk vector, no copy.
-      DrawManyInto(out.data() + lo, len, chunk_rng);
-    };
-  });
-  return out;
-}
-
-void Sampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink) const {
-  HISTK_CHECK(m >= 0);
-  std::vector<int64_t> buf(static_cast<size_t>(std::min(m, kShardChunk)));
-  for (int64_t done = 0; done < m;) {
-    const int64_t len = std::min<int64_t>(kShardChunk, m - done);
-    DrawManyInto(buf.data(), len, rng);
-    sink.Consume(buf.data(), len);
-    done += len;
+  if (num_threads <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    num_threads = hw == 0 ? 1 : static_cast<int>(hw);
   }
-}
-
-void Sampler::DrawCountsSharded(int64_t m, Rng& rng, CountSink& sink,
-                                int num_threads) const {
-  HISTK_CHECK(m >= 0);
-  const uint64_t root = rng.NextU64();  // same stream derivation as DrawManySharded
-  const int64_t buf_len = std::min(m, kShardChunk);
-  RunShardedChunks(m, root, num_threads, [&]() {
-    // One draw buffer and one count shard per worker (the shard is acquired
-    // here, on the calling thread), so workers never contend on the sink:
-    // counting parallelizes exactly like drawing, and the shards merge into
-    // the same multiset at any worker count.
-    CountSink& shard = sink.AcquireShard();
-    return [this, &shard, buf = std::vector<int64_t>(static_cast<size_t>(buf_len))](
-               Rng& chunk_rng, int64_t, int64_t len) mutable {
-      DrawManyInto(buf.data(), len, chunk_rng);
-      shard.Consume(buf.data(), len);
-    };
-  });
+  // Chunks land in disjoint slices, so the default AcquireShard (*this) is
+  // safe to share across workers.
+  struct SliceWriter final : CountSink {
+    int64_t* out = nullptr;
+    void Consume(const int64_t* draws, int64_t len, int64_t offset) override {
+      std::copy(draws, draws + len, out + offset);
+    }
+  } writer;
+  std::vector<int64_t> out(static_cast<size_t>(m));
+  writer.out = out.data();
+  DrawCounts(m, rng, writer, num_threads);
+  return out;
 }
 
 AliasSampler::AliasSampler(const Distribution& dist, AliasKernel kernel)
@@ -347,57 +316,6 @@ void AliasSampler::ReplayBucketInto(int64_t* out, int64_t m, Rng& rng) const {
   }
 }
 
-void AliasSampler::PackedDenseInto(int64_t* out, int64_t m, Rng& rng) const {
-  const DenseCol* const cols = dense_cols_.data();
-  const uint64_t ncols = static_cast<uint64_t>(dense_cols_.size());
-  // One u64 per draw: the top of the 128-bit product picks the column, the
-  // low half is (conditionally) uniform inside it and becomes the accept
-  // variate. Branchless; unrolled 4-wide so the four independent table
-  // loads overlap the serial rng chain.
-  const auto pick = [cols, ncols](uint64_t x) {
-    const __uint128_t mm = static_cast<__uint128_t>(x) * ncols;
-    const auto c = static_cast<size_t>(mm >> 64);
-    const double u01 =
-        static_cast<double>(static_cast<uint64_t>(mm) >> 11) * 0x1.0p-53;
-    const DenseCol& col = cols[c];
-    return u01 < col.prob ? static_cast<int64_t>(c) : col.alias;
-  };
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const uint64_t x0 = rng.NextU64();
-    const uint64_t x1 = rng.NextU64();
-    const uint64_t x2 = rng.NextU64();
-    const uint64_t x3 = rng.NextU64();
-    out[i] = pick(x0);
-    out[i + 1] = pick(x1);
-    out[i + 2] = pick(x2);
-    out[i + 3] = pick(x3);
-  }
-  for (; i < m; ++i) out[i] = pick(rng.NextU64());
-}
-
-void AliasSampler::PackedBucketInto(int64_t* out, int64_t m, Rng& rng) const {
-  const BucketCol* const cols = bucket_cols_.data();
-  const uint64_t ncols = static_cast<uint64_t>(bucket_cols_.size());
-  // Exactly two u64 per draw (the offset draw is unconditional — a
-  // multiply-shift over len 1 is just 0), so the loop is fully branchless.
-  for (int64_t i = 0; i < m; ++i) {
-    const uint64_t x = rng.NextU64();
-    const __uint128_t mm = static_cast<__uint128_t>(x) * ncols;
-    const auto c = static_cast<size_t>(mm >> 64);
-    const double u01 =
-        static_cast<double>(static_cast<uint64_t>(mm) >> 11) * 0x1.0p-53;
-    const BucketCol& col = cols[c];
-    const bool self = u01 < col.prob;
-    const int64_t run_lo = self ? col.lo_self : col.lo_alias;
-    const int64_t run_len = self ? col.len_self : col.len_alias;
-    const uint64_t y = rng.NextU64();
-    const auto off = static_cast<int64_t>(
-        (static_cast<__uint128_t>(y) * static_cast<uint64_t>(run_len)) >> 64);
-    out[i] = run_lo + off;
-  }
-}
-
 void AliasSampler::SimdInto(int64_t* out, int64_t m, Rng& rng) const {
   // Fixed kShardChunk blocks, one NextU64 root per block, regardless of how
   // the caller batches: DrawMany(m) and DrawCounts(m) consume the rng
@@ -419,18 +337,10 @@ void AliasSampler::SimdInto(int64_t* out, int64_t m, Rng& rng) const {
   }
 }
 
-int64_t AliasSampler::Draw(Rng& rng) const {
-  int64_t v;
-  DrawManyInto(&v, 1, rng);
-  return v;
-}
-
 void AliasSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
   HISTK_CHECK(m >= 0);
   if (kernel_ == AliasKernel::kSimd) {
     SimdInto(out, m, rng);
-  } else if (kernel_ == AliasKernel::kPacked) {
-    bucketed_ ? PackedBucketInto(out, m, rng) : PackedDenseInto(out, m, rng);
   } else {
     bucketed_ ? ReplayBucketInto(out, m, rng) : ReplayDenseInto(out, m, rng);
   }
@@ -495,8 +405,6 @@ int64_t CdfSampler::DrawImpl(Rng& rng) const {
   off = std::min<int64_t>(std::max<int64_t>(off, 0), col_len_[j] - 1);
   return col_lo_[j] + off;
 }
-
-int64_t CdfSampler::Draw(Rng& rng) const { return DrawImpl(rng); }
 
 void CdfSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
   HISTK_CHECK(m >= 0);

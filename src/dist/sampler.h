@@ -3,34 +3,37 @@
 // histk:hot-path — no locks permitted in this file (tools/lint_histk.py).
 //
 // Every algorithm in histk sees the unknown distribution only through a
-// Sampler — the abstract i.i.d. sample oracle. Four draw paths exist:
+// Sampler — the abstract i.i.d. sample oracle. It has two virtual draw
+// functions, and every other draw path is a non-virtual wrapper over them:
 //
-//   * Draw(rng)                    — one sample.
-//   * DrawMany(m, rng)             — m samples as a vector; a thin wrapper
-//                                    over DrawManyInto.
-//   * DrawManyInto(out, m, rng)    — the batched kernel every other path
-//                                    bottoms out in: one virtual dispatch
-//                                    per batch, then a dispatch-free inner
-//                                    loop writing into caller-owned memory.
-//   * DrawCounts(m, rng, sink)     — the fused draw→count path: draws are
+//   * DrawManyInto(out, m, rng)    — the kernel: one virtual dispatch per
+//                                    batch, then a dispatch-free inner loop
+//                                    writing into caller-owned memory.
+//                                    Draw (one sample) and DrawMany (a
+//                                    vector) wrap it.
+//   * DrawCounts(m, rng, sink, threads)
+//                                  — the fused draw→count path: draws are
 //                                    produced in kShardChunk-sized chunks
 //                                    (cache-resident) and handed to a
 //                                    CountSink instead of being materialized
-//                                    as one m-element vector. At m = 10^8
-//                                    this skips gigabytes of memory traffic.
+//                                    as one m-element vector. threads = 0 is
+//                                    the sequential stream; threads >= 1 the
+//                                    sharded stream, fanned out over worker
+//                                    threads. DrawManySharded wraps it with a
+//                                    sink that writes each chunk at its
+//                                    offset.
 //
-// DrawManySharded / DrawCountsSharded split a batch into fixed-size chunks
-// on deterministically derived Rng streams and fan the chunks out over
-// worker threads; their results depend only on (sampler, m, rng state),
-// never on the thread count.
+// Decorators (engine/budget.h, engine/fault_injection.h) override exactly
+// these two, on the caller's thread: the sharded fan-out runs the inner
+// oracle's kernel, never a decorator's.
 //
 // Determinism invariant (relied on by the engine parity suites): for a given
 // sampler every sequential path — Draw loops, DrawMany, DrawManyInto,
-// DrawCounts — consumes the rng identically, so seeded runs replay
-// regardless of which path a caller uses; the sharded paths consume exactly
-// one NextU64 and replay at any worker count. AliasSampler's default kernel
-// is additionally byte-identical to the historical (PR 2/3) per-draw
-// sequence; the reordered fast kernel is opt-in (AliasKernel::kPacked).
+// DrawCounts(threads = 0) — consumes the rng identically, so seeded runs
+// replay regardless of which path a caller uses; the sharded paths consume
+// exactly one NextU64 and replay at any worker count. AliasSampler's default
+// kernel is additionally byte-identical to the historical (PR 2/3) per-draw
+// sequence; the reordered fast kernel is opt-in (AliasKernel::kSimd).
 //
 // Samplers are immutable after construction and hold no rng state, so one
 // sampler can serve many threads as long as each thread draws from its own
@@ -62,22 +65,26 @@
 namespace histk {
 
 /// Destination of the fused draw→count path. DrawCounts feeds it draws in
-/// chunks (each at most Sampler::kShardChunk long, values in [0, n)).
-/// Chunks may arrive in any order — implementations must be
-/// order-insensitive (counting is commutative, so any accumulator of
-/// per-value occurrence counts qualifies). DrawCountsSharded never calls
-/// Consume concurrently on the same sink object: it asks for one shard per
-/// worker via AcquireShard and each worker consumes into its own shard, so
-/// implementations that shard need no locks on the consume path.
-/// sample/counter.h provides the standard SampleSet-building implementation.
+/// chunks (each at most Sampler::kShardChunk long, values in [0, n)), each
+/// tagged with its offset: the position of the chunk's first draw in the
+/// request, which is its index in DrawManySharded's output. Chunks may
+/// arrive in any order — counting sinks ignore the offset (counting is
+/// commutative). A sharded DrawCounts that fans out to several workers
+/// never calls Consume concurrently on the same sink object: it asks for
+/// one shard per worker via AcquireShard and each worker consumes into its
+/// own shard, so implementations that shard need no locks on the consume
+/// path. A fan-out that resolves to one worker consumes into the sink
+/// itself. sample/counter.h provides the standard SampleSet-building
+/// implementation.
 class CountSink {
  public:
   virtual ~CountSink() = default;
 
-  /// Accumulates `len` draws. The buffer is owned by the caller and invalid
-  /// after return. Called from one thread at a time per sink object (the
-  /// object returned by AcquireShard counts as a distinct sink).
-  virtual void Consume(const int64_t* draws, int64_t len) = 0;
+  /// Accumulates `len` draws that start at position `offset` of the
+  /// request. The buffer is owned by the caller and invalid after return.
+  /// Called from one thread at a time per sink object (the object returned
+  /// by AcquireShard counts as a distinct sink).
+  virtual void Consume(const int64_t* draws, int64_t len, int64_t offset) = 0;
 
   /// Returns a sink a single worker thread may Consume into without
   /// synchronizing against other shards. Called only from the coordinating
@@ -97,51 +104,46 @@ class Sampler {
   /// Domain size.
   virtual int64_t n() const = 0;
 
-  /// One draw.
-  virtual int64_t Draw(Rng& rng) const = 0;
+  /// The draw kernel: writes `m` draws to `out` (caller-allocated, at least
+  /// m elements). Every draw path bottoms out here. Decorators
+  /// (engine/budget.h) override it to meter the batch.
+  virtual void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const = 0;
 
-  /// The batched kernel: writes `m` draws to `out` (caller-allocated, at
-  /// least m elements). The default loops Draw; implementations override
-  /// with a dispatch-free batch loop consuming the rng identically, so
-  /// seeded runs replay regardless of which path a caller uses. Decorators
-  /// (engine/budget.h) override to meter the batch.
-  virtual void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const;
+  /// Fused draw→count: feeds `m` draws to `sink` in kShardChunk-sized
+  /// chunks from reused buffers, never materializing the batch.
+  ///
+  /// threads = 0 is the sequential stream: chunks are drawn in order from
+  /// `rng`, which is consumed identically to DrawMany(m), so the two paths
+  /// are interchangeable under a fixed seed.
+  ///
+  /// threads >= 1 is the sharded stream: chunk c is drawn from its own Rng
+  /// stream derived from one NextU64() of `rng` (consumed even for m = 0)
+  /// and c, and the chunks are processed by up to `threads` workers, each
+  /// consuming into its own CountSink::AcquireShard shard (a single worker
+  /// runs on the calling thread and consumes into `sink`). The multiset of
+  /// draws, and each chunk's offset and content, depend only on (sampler,
+  /// m, rng state) — not on the thread count — so seeded runs replay at any
+  /// parallelism. The stream is distinct from the sequential one.
+  ///
+  /// Decorators override it to meter or fault the request whole on the
+  /// caller's thread, then delegate; overrides must keep both contracts.
+  virtual void DrawCounts(int64_t m, Rng& rng, CountSink& sink,
+                          int threads = 0) const;
+
+  /// One draw: a one-element DrawManyInto.
+  int64_t Draw(Rng& rng) const;
 
   /// `m` draws as a vector: allocates and delegates to DrawManyInto.
   std::vector<int64_t> DrawMany(int64_t m, Rng& rng) const;
 
-  /// `m` draws, sharded: the batch is split into kShardChunk-sized chunks,
-  /// chunk c drawn from its own Rng stream derived deterministically from
-  /// one NextU64() of `rng` and c, and chunks are processed by up to
-  /// `num_threads` workers (0 = hardware concurrency). The output depends
-  /// only on (sampler, m, rng state) — NOT on the thread count — so seeded
-  /// runs replay byte-identically at any parallelism. Exactly one NextU64()
-  /// is consumed from `rng` regardless of m; the resulting sample stream is
-  /// distinct from DrawMany's. Virtual so decorators (engine/budget.h) can
-  /// account for the whole batch on the caller's thread before fan-out;
-  /// overrides must preserve the thread-count invariance.
-  virtual std::vector<int64_t> DrawManySharded(int64_t m, Rng& rng,
-                                               int num_threads = 0) const;
+  /// `m` draws on the sharded stream of DrawCounts(m, rng, sink,
+  /// num_threads), materialized: each chunk is written at its offset, so
+  /// the output is byte-identical at any worker count. `num_threads` = 0
+  /// means hardware concurrency.
+  std::vector<int64_t> DrawManySharded(int64_t m, Rng& rng,
+                                       int num_threads = 0) const;
 
-  /// Fused draw→count: feeds `m` draws to `sink` in kShardChunk-sized
-  /// chunks from one reused buffer, never materializing the batch. Consumes
-  /// the rng identically to DrawMany(m), so the two paths are
-  /// interchangeable under a fixed seed. Virtual only so decorators can
-  /// meter the batch whole (all-or-nothing); the draw kernel itself is
-  /// always DrawManyInto.
-  virtual void DrawCounts(int64_t m, Rng& rng, CountSink& sink) const;
-
-  /// Sharded fused draw→count: the chunk/stream structure of
-  /// DrawManySharded (same derived Rng streams, one NextU64 consumed, same
-  /// multiset of draws at any worker count) with each chunk handed to a
-  /// per-worker shard of `sink` (CountSink::AcquireShard, acquired on the
-  /// calling thread before fan-out) instead of written to a shared vector.
-  /// Chunks arrive in any order, but no shard sees concurrent Consume
-  /// calls, so the counting half of the pipeline scales with cores.
-  virtual void DrawCountsSharded(int64_t m, Rng& rng, CountSink& sink,
-                                 int num_threads = 0) const;
-
-  /// Draws per derived stream in the sharded paths.
+  /// Draws per chunk of DrawCounts (and per derived stream when sharded).
   static constexpr int64_t kShardChunk = int64_t{1} << 16;
 };
 
@@ -151,15 +153,6 @@ enum class AliasKernel {
   /// sampler (UniformInt(columns), NextDouble, and — bucket mode, length
   /// > 1 only — UniformInt(len)). Every seeded experiment replays.
   kReplay,
-  /// Opt-in fast path with a REORDERED rng stream: one NextU64 per draw
-  /// (dense) or exactly two (bucket mode, even for singleton runs), with
-  /// column and offset picked by 128-bit multiply-shift instead of
-  /// rejection. Fully branchless. Still deterministic per seed and
-  /// thread-count invariant, but NOT byte-compatible with kReplay streams.
-  /// The multiply-shift pick carries a relative bias below columns/2^64
-  /// (< 2^-40 for any realistic table) — far under sampling noise, but not
-  /// the exactly-unbiased Lemire pick, which is why this is opt-in.
-  kPacked,
   /// Opt-in vectorized path (src/dist/simd/): kSimdLanes independent
   /// xoshiro lanes per step, alias lookups by AVX2 gather when the build
   /// (HISTK_SIMD) and the CPU (runtime CPUID, resolved once at sampler
@@ -170,14 +163,17 @@ enum class AliasKernel {
   /// so DrawMany / DrawCounts / the sharded paths all agree and stay
   /// thread-count invariant. Scalar Draw() loops therefore do NOT match
   /// DrawMany draw-for-draw (each Draw is its own one-block batch);
-  /// batch-path parity is what the engine suites pin. Same multiply-shift
-  /// pick (and bias bound) as kPacked; accept tests are integer thresholds
+  /// batch-path parity is what the engine suites pin. Column and offset
+  /// are picked by 128-bit multiply-shift instead of rejection, with a
+  /// relative bias below columns/2^64 (< 2^-40 for any realistic table) —
+  /// far under sampling noise, but not the exactly-unbiased Lemire pick,
+  /// which is why this is opt-in. Accept tests are integer thresholds
   /// (simd::AcceptThreshold), exact to 2^-53. NOT byte-compatible with
-  /// kReplay or kPacked streams.
+  /// kReplay streams.
   kSimd,
 };
 
-/// Human-readable kernel name ("replay" / "packed" / "simd") for CLI and
+/// Human-readable kernel name ("replay" / "simd") for CLI and
 /// bench labels.
 const char* AliasKernelName(AliasKernel kernel);
 
@@ -192,7 +188,6 @@ class AliasSampler : public Sampler {
 
   int64_t n() const override { return n_; }
   AliasKernel kernel() const { return kernel_; }
-  int64_t Draw(Rng& rng) const override;
   void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const override;
 
  private:
@@ -217,8 +212,6 @@ class AliasSampler : public Sampler {
 
   void ReplayDenseInto(int64_t* out, int64_t m, Rng& rng) const;
   void ReplayBucketInto(int64_t* out, int64_t m, Rng& rng) const;
-  void PackedDenseInto(int64_t* out, int64_t m, Rng& rng) const;
-  void PackedBucketInto(int64_t* out, int64_t m, Rng& rng) const;
   /// kSimd batch loop: cuts m into kShardChunk blocks, spends one NextU64
   /// per block as the lane root, and runs the dispatched kernel on each.
   void SimdInto(int64_t* out, int64_t m, Rng& rng) const;
@@ -231,7 +224,7 @@ class AliasSampler : public Sampler {
   /// kSimd only: the gather-friendly all-integer table (dense: kDenseStride
   /// u64 per column; bucket: kBucketStride), thresholds precomputed by
   /// simd::AcceptThreshold, plus the kernel chosen at construction. The
-  /// replay/packed column vectors stay empty in this mode.
+  /// replay column vectors stay empty in this mode.
   std::vector<uint64_t> simd_cells_;
   uint64_t simd_ncols_ = 0;
   simd::DenseDrawFn simd_dense_fn_ = nullptr;
@@ -246,7 +239,6 @@ class CdfSampler : public Sampler {
   explicit CdfSampler(const Distribution& dist);
 
   int64_t n() const override { return n_; }
-  int64_t Draw(Rng& rng) const override;
   void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const override;
 
  private:

@@ -21,7 +21,7 @@
 //     (tests/simd_kernel_test.cc enforces this on AVX2 hosts).
 //
 // Why byte-parity is structural rather than hoped-for: the kernels use no
-// floating point at all. The accept test `u01 < prob` of the replay/packed
+// floating point at all. The accept test `u01 < prob` of the replay
 // kernels becomes the integer test `(lo >> 11) < thresh` with
 // thresh = ceil(prob * 2^53) precomputed per column (exact: prob is a
 // double, scaling by 2^53 is a power-of-two shift, and ceil of an exactly

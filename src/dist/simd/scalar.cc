@@ -24,9 +24,8 @@ namespace internal {
 
 namespace {
 
-/// hi 64 bits of a 64x64 multiply — the unbiased range-map idiom shared
-/// with the packed kernels (sampler.cc) and spelled out limb-wise in
-/// avx2.cc's Mul64Wide.
+/// hi 64 bits of a 64x64 multiply — the range-map idiom spelled out
+/// limb-wise in avx2.cc's Mul64Wide.
 inline uint64_t MulHi64(uint64_t a, uint64_t b) {
   return static_cast<uint64_t>(
       (static_cast<__uint128_t>(a) * b) >> 64);

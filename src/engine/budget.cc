@@ -106,23 +106,10 @@ void BudgetedSampler::ServeWithRetry(const ServeFn& serve) const {
   }
 }
 
-int64_t BudgetedSampler::Draw(Rng& rng) const {
-  if (!hardened()) {
-    Charge(1);
-    return inner_.Draw(rng);
-  }
-  CheckRuntime(1);
-  AdmitWindow(1);
-  int64_t value = 0;
-  ServeWithRetry([&] { value = inner_.Draw(rng); });
-  Account(1);
-  return value;
-}
-
 void BudgetedSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
   if (!hardened()) {
-    // Every batched entry point (DrawMany included — the base class routes
-    // it here) admits the batch whole before the first sample exists.
+    // Every materializing path (Draw and DrawMany route here) admits the
+    // batch whole before the first sample exists.
     Charge(m);
     inner_.DrawManyInto(out, m, rng);
     return;
@@ -143,75 +130,39 @@ void BudgetedSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
   } while (done < m);
 }
 
-std::vector<int64_t> BudgetedSampler::DrawManySharded(int64_t m, Rng& rng,
-                                                      int num_threads) const {
+void BudgetedSampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
+                                 int threads) const {
   if (!hardened()) {
-    // Whole-batch admission on the caller's thread, then the inner
-    // sampler's thread-invariant fan-out: the exception can never cross a
-    // worker.
+    // All-or-nothing on the caller's thread, before any inner fan-out: the
+    // base implementation would charge chunk by chunk and could reject
+    // mid-batch with part of the draws already consumed.
     Charge(m);
-    return inner_.DrawManySharded(m, rng, num_threads);
-  }
-  // Hardened sharded requests are served as a sequence of sharded
-  // sub-batches. Each sub-call consumes exactly one NextU64 and is itself
-  // thread-count invariant, so the session stream is deterministic and
-  // byte-identical at any worker count — but distinct from the unhardened
-  // stream (armed sessions are a new stream, pinned by the runtime suites).
-  AdmitWindow(m);
-  std::vector<int64_t> out(static_cast<size_t>(m));
-  int64_t done = 0;
-  do {
-    const int64_t len = std::min(Sampler::kShardChunk, m - done);
-    CheckRuntime(len);
-    ServeWithRetry([&] {
-      const std::vector<int64_t> part = inner_.DrawManySharded(len, rng, num_threads);
-      std::copy(part.begin(), part.end(),
-                out.begin() + static_cast<size_t>(done));
-    });
-    Account(len);
-    done += len;
-  } while (done < m);
-  return out;
-}
-
-void BudgetedSampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink) const {
-  if (!hardened()) {
-    // All-or-nothing: the base implementation would charge chunk by chunk
-    // and could reject mid-batch with part of the draws already consumed.
-    Charge(m);
-    inner_.DrawCounts(m, rng, sink);
+    inner_.DrawCounts(m, rng, sink, threads);
     return;
   }
-  // Retrying a sink-fed chunk is safe only because fault injectors never
-  // short-batch sink paths (fault_injection.h): a transient fault is thrown
-  // before anything reaches the sink.
+  // Hardened: one inner request per 2^16-draw chunk. A sharded one-chunk
+  // request consumes one NextU64 and resolves to a single worker on this
+  // thread, consuming straight into `sink` (no per-chunk shard), so the
+  // session stream is byte-identical at any worker count. Each inner
+  // request starts at offset 0; `part` moves its chunk to where it sits in
+  // this request. Retrying a sink-fed chunk is safe only because fault
+  // injectors never short-batch sink paths (fault_injection.h): a transient
+  // fault is thrown before anything reaches the sink.
+  struct OffsetSink final : CountSink {
+    CountSink* sink = nullptr;
+    int64_t base = 0;
+    void Consume(const int64_t* draws, int64_t len, int64_t offset) override {
+      sink->Consume(draws, len, base + offset);
+    }
+  } part;
+  part.sink = &sink;
   AdmitWindow(m);
   int64_t done = 0;
   do {
     const int64_t len = std::min(Sampler::kShardChunk, m - done);
     CheckRuntime(len);
-    ServeWithRetry([&] { inner_.DrawCounts(len, rng, sink); });
-    Account(len);
-    done += len;
-  } while (done < m);
-}
-
-void BudgetedSampler::DrawCountsSharded(int64_t m, Rng& rng, CountSink& sink,
-                                        int num_threads) const {
-  if (!hardened()) {
-    Charge(m);
-    inner_.DrawCountsSharded(m, rng, sink, num_threads);
-    return;
-  }
-  // Sub-batches acquire fresh sink shards per call; shard merging is
-  // commutative (see sample/counter.h), so the result is still
-  // byte-identical at any worker count.
-  AdmitWindow(m);
-  int64_t done = 0;
-  do {
-    const int64_t len = std::min(Sampler::kShardChunk, m - done);
-    CheckRuntime(len);
-    ServeWithRetry([&] { inner_.DrawCountsSharded(len, rng, sink, num_threads); });
+    part.base = done;
+    ServeWithRetry([&] { inner_.DrawCounts(len, rng, part, threads); });
     Account(len);
     done += len;
   } while (done < m);

@@ -5,9 +5,10 @@
 // oracle access a first-class, auditable resource. BudgetedSampler wraps
 // any Sampler and
 //
-//   * meters every draw (single, batched, sharded, and the fused
-//     draw→count paths), attributed to the phase the engine is currently
-//     in ("learn-main", "test-draw", ...),
+//   * meters every draw, attributed to the phase the engine is currently
+//     in ("learn-main", "test-draw", ...). It overrides the two virtual
+//     draw functions, DrawManyInto and DrawCounts; every other draw path
+//     (Draw, DrawMany, DrawManySharded, SampleSet::Draw) wraps one of them,
 //   * enforces a hard cap: a draw request that would exceed the budget is
 //     rejected whole by throwing BudgetExhaustedError BEFORE any sample is
 //     drawn, so samples_drawn() never exceeds the budget.
@@ -20,8 +21,8 @@
 // to budgets; unwinding out of them is safe because they hold no state
 // beyond their local sample vectors.
 //
-// Metering is caller-thread only: DrawManySharded charges the whole batch
-// up front and then delegates to the inner sampler's thread-invariant
+// Metering is caller-thread only: a sharded DrawCounts charges the whole
+// batch up front and then delegates to the inner sampler's thread-invariant
 // fan-out, so the counters need no synchronization and budget rejection
 // never unwinds across a worker thread.
 //
@@ -36,7 +37,8 @@
 //     deadline or cancel fires mid-batch instead of after a 10^8-draw
 //     request completes (sequential chunking is stream-identical; armed
 //     sharded sessions get a new-but-deterministic stream that is still
-//     byte-identical at any worker count),
+//     byte-identical at any worker count: each chunk is a one-chunk sharded
+//     request, served on the caller's thread straight into the sink),
 //   * retry chunks whose inner oracle throws TransientUnavailableError,
 //     under the policy's bounded-backoff RetryPolicy. A faulted chunk is
 //     accounted only once served, so samples_drawn counts delivered
@@ -100,13 +102,9 @@ class BudgetedSampler : public Sampler {
                            const RunPolicy* policy = nullptr);
 
   int64_t n() const override { return inner_.n(); }
-  int64_t Draw(Rng& rng) const override;
   void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const override;
-  std::vector<int64_t> DrawManySharded(int64_t m, Rng& rng,
-                                       int num_threads = 0) const override;
-  void DrawCounts(int64_t m, Rng& rng, CountSink& sink) const override;
-  void DrawCountsSharded(int64_t m, Rng& rng, CountSink& sink,
-                         int num_threads = 0) const override;
+  void DrawCounts(int64_t m, Rng& rng, CountSink& sink,
+                  int threads = 0) const override;
 
   /// Starts attributing subsequent draws to `name`. Phases are recorded in
   /// call order; a phase with zero draws is kept (it documents that the

@@ -20,22 +20,6 @@ namespace histk {
 
 namespace {
 
-/// One sample set under the session's draw policy: the sequential path
-/// (threads = 0, rng-identical to the legacy free functions) or the sharded
-/// path (threads >= 1, identical at any worker count). Both ride the fused
-/// draw→count pipeline — no session ever materializes a draw vector — and
-/// BudgetedSampler meters the batch whole before the first sample exists.
-SampleSet DrawSessionSet(const BudgetedSampler& bs, int64_t m, Rng& rng, int threads) {
-  if (threads <= 0) return SampleSet::Draw(bs, m, rng);
-  return SampleSet::DrawSharded(bs, m, rng, threads);
-}
-
-SampleSetGroup DrawSessionGroup(const BudgetedSampler& bs, int64_t r, int64_t m,
-                                Rng& rng, int threads) {
-  if (threads <= 0) return SampleSetGroup::Draw(bs, r, m, rng);
-  return SampleSetGroup::DrawSharded(bs, r, m, rng, threads);
-}
-
 /// Best-so-far state a hardened learn session snapshots as it goes, so an
 /// interruption can degrade to a coarse answer instead of nothing.
 struct LearnProgress {
@@ -57,10 +41,10 @@ LearnResult LearnOnSession(const BudgetedSampler& bs, const LearnOptions& option
                            LearnProgress* progress = nullptr) {
   const GreedyParams params = ComputeLearnParams(bs.n(), options);
   bs.BeginPhase(main_phase);
-  SampleSet main = DrawSessionSet(bs, params.l, rng, threads);
+  SampleSet main = SampleSet::Draw(bs, params.l, rng, threads);
   if (progress != nullptr) progress->main = main;
   bs.BeginPhase(collisions_phase);
-  SampleSetGroup group = DrawSessionGroup(bs, params.r, params.m, rng, threads);
+  SampleSetGroup group = SampleSetGroup::Draw(bs, params.r, params.m, rng, threads);
   const GreedyEstimator estimator(std::move(main), std::move(group));
   return LearnHistogramWithEstimator(estimator, options, params,
                                      [&bs] { bs.PollRuntime(); });
@@ -317,7 +301,7 @@ Result<Report> Engine::RunTest(const TestSpec& spec) const {
     const TesterParams params = ComputeTesterParams(bs.n(), config);
     bs.BeginPhase("test-draw");
     const SampleSetGroup group =
-        DrawSessionGroup(bs, params.r, params.m, rng, spec.draw_threads);
+        SampleSetGroup::Draw(bs, params.r, params.m, rng, spec.draw_threads);
     TestOutcome outcome = TestKHistogramOnGroup(group, config);
     outcome.params = params;
     report.outcome = outcome.accepted ? TaskOutcome::kAccepted : TaskOutcome::kRejected;
@@ -379,7 +363,7 @@ Result<Report> Engine::RunCompare(const CompareSpec& spec) const {
     // learner consumed — the E7 apples-to-apples protocol.
     bs.BeginPhase("baselines");
     const SampleSet baseline_sample =
-        DrawSessionSet(bs, result.total_samples, rng, spec.draw_threads);
+        SampleSet::Draw(bs, result.total_samples, rng, spec.draw_threads);
     row("equi-width", EquiWidthFromSamples(spec.k, baseline_sample),
         baseline_sample.m());
     row("equi-depth", EquiDepthFromSamples(spec.k, baseline_sample),
@@ -502,7 +486,7 @@ Result<Report> Engine::RunPropertyTest(const PropertyTestSpec& spec) const {
     // Phase 2: fresh verification group.
     bs.BeginPhase("ptest-verify");
     const SampleSetGroup group =
-        DrawSessionGroup(bs, params.verify_r, params.verify_m, rng, spec.draw_threads);
+        SampleSetGroup::Draw(bs, params.verify_r, params.verify_m, rng, spec.draw_threads);
     PropertyTestOutcome outcome = DecidePropertyTest(plan, group);
     outcome.params = params;
     outcome.total_samples = bs.samples_drawn();
@@ -553,7 +537,7 @@ Result<Report> Engine::RunCloseness(const ClosenessSpec& spec) const {
     TilingHistogram candidate_p = ReduceToKPieces(learned_p.tiling, config.k_p);
     bs_p.BeginPhase("close-verify-p");
     const SampleSetGroup group_p =
-        DrawSessionGroup(bs_p, params.verify_r, params.verify_m, rng, spec.draw_threads);
+        SampleSetGroup::Draw(bs_p, params.verify_r, params.verify_m, rng, spec.draw_threads);
 
     const BudgetedSampler bs_q(
         *spec.other, bs_p.unlimited() ? BudgetedSampler::kUnlimited : bs_p.remaining(),
@@ -566,8 +550,8 @@ Result<Report> Engine::RunCloseness(const ClosenessSpec& spec) const {
       TilingHistogram candidate_q = ReduceToKPieces(learned_q.tiling, config.k_q);
       bs_q.BeginPhase("close-verify-q");
       const SampleSetGroup group_q =
-          DrawSessionGroup(bs_q, params.verify_r, params.verify_m, rng,
-                           spec.draw_threads);
+          SampleSetGroup::Draw(bs_q, params.verify_r, params.verify_m, rng,
+                               spec.draw_threads);
 
       const std::vector<Interval> parts = CommonRefinement(candidate_p, candidate_q);
       ClosenessOutcome outcome = DecideCloseness(parts, group_p, group_q, config);

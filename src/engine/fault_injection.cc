@@ -72,22 +72,10 @@ int64_t FaultInjectingSampler::ShortLength(int64_t m) const {
   return static_cast<int64_t>(SplitMix64(state) % static_cast<uint64_t>(m));
 }
 
-int64_t FaultInjectingSampler::Draw(Rng& rng) const {
-  switch (NextFault(/*can_short_batch=*/false)) {
-    case Fault::kTransient:
-      throw TransientUnavailableError("injected transient fault");
-    case Fault::kLatency:
-      SleepMs(schedule_.latency_spike_ms);
-      break;
-    default:
-      break;
-  }
-  return inner_.Draw(rng);
-}
-
 void FaultInjectingSampler::DrawManyInto(int64_t* out, int64_t m,
                                          Rng& rng) const {
-  switch (NextFault(/*can_short_batch=*/m > 0)) {
+  // One-draw requests (Draw) cannot short-batch: their prefix is empty.
+  switch (NextFault(/*can_short_batch=*/m > 1)) {
     case Fault::kTransient:
       throw TransientUnavailableError("injected transient fault");
     case Fault::kLatency:
@@ -109,32 +97,8 @@ void FaultInjectingSampler::DrawManyInto(int64_t* out, int64_t m,
   inner_.DrawManyInto(out, m, rng);
 }
 
-std::vector<int64_t> FaultInjectingSampler::DrawManySharded(
-    int64_t m, Rng& rng, int num_threads) const {
-  switch (NextFault(/*can_short_batch=*/m > 0)) {
-    case Fault::kTransient:
-      throw TransientUnavailableError("injected transient fault");
-    case Fault::kLatency:
-      SleepMs(schedule_.latency_spike_ms);
-      break;
-    case Fault::kShortBatch: {
-      // The prefix draw consumes exactly one NextU64 (the sharded-path
-      // contract), same as the full request would — then the request
-      // fails and the local vector is discarded.
-      const int64_t served = ShortLength(m);
-      if (served > 0) inner_.DrawManySharded(served, rng, num_threads);
-      throw TransientUnavailableError("injected short batch (" +
-                                      std::to_string(served) + " of " +
-                                      std::to_string(m) + " served)");
-    }
-    default:
-      break;
-  }
-  return inner_.DrawManySharded(m, rng, num_threads);
-}
-
-void FaultInjectingSampler::DrawCounts(int64_t m, Rng& rng,
-                                       CountSink& sink) const {
+void FaultInjectingSampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
+                                       int threads) const {
   // can_short_batch=false: a prefix fed to the sink could not be taken
   // back, and a retry would double-count it.
   switch (NextFault(/*can_short_batch=*/false)) {
@@ -146,22 +110,7 @@ void FaultInjectingSampler::DrawCounts(int64_t m, Rng& rng,
     default:
       break;
   }
-  inner_.DrawCounts(m, rng, sink);
-}
-
-void FaultInjectingSampler::DrawCountsSharded(int64_t m, Rng& rng,
-                                              CountSink& sink,
-                                              int num_threads) const {
-  switch (NextFault(/*can_short_batch=*/false)) {
-    case Fault::kTransient:
-      throw TransientUnavailableError("injected transient fault");
-    case Fault::kLatency:
-      SleepMs(schedule_.latency_spike_ms);
-      break;
-    default:
-      break;
-  }
-  inner_.DrawCountsSharded(m, rng, sink, num_threads);
+  inner_.DrawCounts(m, rng, sink, threads);
 }
 
 }  // namespace histk

@@ -7,6 +7,9 @@
 // sequence of draw requests, the exact same requests fault in the exact
 // same way — byte-for-byte, at any draw_threads count (the fault decision
 // is made once per request on the caller's thread, before any fan-out).
+// A request is one call of either virtual draw function, DrawManyInto or
+// DrawCounts; Draw, DrawMany and DrawManySharded reach the schedule
+// through them.
 //
 // Three fault kinds:
 //
@@ -15,14 +18,16 @@
 //     BudgetedSampler retries it under the session RetryPolicy.
 //   * latency spike — the request sleeps spike_ms, then serves normally.
 //     Exercises deadline expiry without corrupting any sample stream.
-//   * short batch — a batched request serves a prefix of the batch
-//     (consuming rng for it), then throws TransientUnavailableError. The
-//     retry redraws the WHOLE batch into the same caller-owned buffer, so
-//     the partial prefix is overwritten and the final stream is
-//     deterministic. On the fused draw→count paths a partial prefix would
-//     already be accumulated in the sink and a retry would double-count
-//     it, so there short batches are demoted to transient faults (thrown
-//     before anything is consumed) — no silent wrong answers, ever.
+//   * short batch — a DrawManyInto request of m >= 2 draws serves a prefix
+//     of the batch (consuming rng for it), then throws
+//     TransientUnavailableError. The retry redraws the WHOLE batch into the
+//     same caller-owned buffer, so the partial prefix is overwritten and
+//     the final stream is deterministic. On DrawCounts a partial prefix
+//     would already be accumulated in the sink and a retry would
+//     double-count it, so there short batches are demoted to transient
+//     faults (thrown before anything is consumed) — no silent wrong
+//     answers, ever. So are one-draw requests (a single Draw), whose
+//     prefix would always be empty.
 //
 // The decorator sits UNDER the budget meter:
 //
@@ -66,13 +71,9 @@ class FaultInjectingSampler : public Sampler {
   FaultInjectingSampler(const Sampler& inner, FaultSchedule schedule);
 
   int64_t n() const override { return inner_.n(); }
-  int64_t Draw(Rng& rng) const override;
   void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const override;
-  std::vector<int64_t> DrawManySharded(int64_t m, Rng& rng,
-                                       int num_threads = 0) const override;
-  void DrawCounts(int64_t m, Rng& rng, CountSink& sink) const override;
-  void DrawCountsSharded(int64_t m, Rng& rng, CountSink& sink,
-                         int num_threads = 0) const override;
+  void DrawCounts(int64_t m, Rng& rng, CountSink& sink,
+                  int threads = 0) const override;
 
   const FaultSchedule& schedule() const { return schedule_; }
   /// Draw requests seen (each batch = 1; retries count again).

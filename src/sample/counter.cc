@@ -121,11 +121,13 @@ void SampleCounter::ConsumeInto(State& state, const int64_t* draws,
   state.total += len;
 }
 
-void SampleCounter::Consume(const int64_t* draws, int64_t len) {
+void SampleCounter::Consume(const int64_t* draws, int64_t len,
+                            int64_t /*offset*/) {
   ConsumeInto(primary_, draws, len);
 }
 
-void SampleCounter::ShardSink::Consume(const int64_t* draws, int64_t len) {
+void SampleCounter::ShardSink::Consume(const int64_t* draws, int64_t len,
+                                       int64_t /*offset*/) {
   owner_->ConsumeInto(state_, draws, len);
 }
 

@@ -5,7 +5,7 @@
 // The historical pipeline materialized every batch twice: DrawMany built an
 // m-element vector, and SampleSet::FromDraws re-scanned it (and, for sparse
 // domains, copied AND globally sorted it). SampleCounter instead accumulates
-// the chunks Sampler::DrawCounts / DrawCountsSharded hands it:
+// the chunks Sampler::DrawCounts hands it (offsets ignored):
 //
 //   * dense domains (n <= SampleSet::kDenseDomainLimit): straight into a
 //     per-element count array — no draw vector exists at any point, and the
@@ -19,8 +19,9 @@
 //
 // Concurrency model (the de-mutexed design): Consume is single-writer and
 // lock-free — it feeds the primary accumulator with no synchronization, so
-// the sequential DrawCounts path pays nothing. Parallel callers do NOT share
-// it: DrawCountsSharded asks for one shard per worker via AcquireShard()
+// the sequential DrawCounts path (and a sharded one that resolves to one
+// worker) pays nothing. Parallel callers do NOT share it: a sharded
+// DrawCounts asks for one shard per worker via AcquireShard()
 // (called only from the coordinating thread, before the workers start), each
 // worker consumes into its own shard with no shared mutable state, and
 // Build() merges primary + shards once after the workers have joined.
@@ -55,7 +56,7 @@ class SampleCounter : public CountSink {
   /// Single-writer, lock-free; draws must lie in [0, n). Concurrent callers
   /// must each consume into their own shard (AcquireShard), never into the
   /// same sink object.
-  void Consume(const int64_t* draws, int64_t len) override;
+  void Consume(const int64_t* draws, int64_t len, int64_t offset) override;
 
   /// One independent accumulator per worker. Coordinator-thread only (see
   /// CountSink::AcquireShard); shard addresses stay stable until Build().
@@ -85,7 +86,7 @@ class SampleCounter : public CountSink {
   class ShardSink : public CountSink {
    public:
     explicit ShardSink(const SampleCounter* owner) : owner_(owner) {}
-    void Consume(const int64_t* draws, int64_t len) override;
+    void Consume(const int64_t* draws, int64_t len, int64_t offset) override;
 
    private:
     friend class SampleCounter;

@@ -112,16 +112,10 @@ SampleSet SampleSet::FromCounts(int64_t n, const std::vector<int64_t>& counts) {
   return s;
 }
 
-SampleSet SampleSet::Draw(const Sampler& sampler, int64_t m, Rng& rng) {
+SampleSet SampleSet::Draw(const Sampler& sampler, int64_t m, Rng& rng,
+                          int threads) {
   SampleCounter counter(sampler.n(), m);
-  sampler.DrawCounts(m, rng, counter);
-  return counter.Build();
-}
-
-SampleSet SampleSet::DrawSharded(const Sampler& sampler, int64_t m, Rng& rng,
-                                 int num_threads) {
-  SampleCounter counter(sampler.n(), m);
-  sampler.DrawCountsSharded(m, rng, counter, num_threads);
+  sampler.DrawCounts(m, rng, counter, threads);
   return counter.Build();
 }
 
@@ -167,21 +161,12 @@ std::optional<double> SampleSet::CondCollisionRate(Interval I) const {
 }
 
 SampleSetGroup SampleSetGroup::Draw(const Sampler& sampler, int64_t r, int64_t m,
-                                    Rng& rng) {
-  HISTK_CHECK(r >= 1 && m >= 2);
-  std::vector<SampleSet> sets;
-  sets.reserve(static_cast<size_t>(r));
-  for (int64_t i = 0; i < r; ++i) sets.push_back(SampleSet::Draw(sampler, m, rng));
-  return SampleSetGroup(std::move(sets));
-}
-
-SampleSetGroup SampleSetGroup::DrawSharded(const Sampler& sampler, int64_t r,
-                                           int64_t m, Rng& rng, int num_threads) {
+                                    Rng& rng, int threads) {
   HISTK_CHECK(r >= 1 && m >= 2);
   std::vector<SampleSet> sets;
   sets.reserve(static_cast<size_t>(r));
   for (int64_t i = 0; i < r; ++i) {
-    sets.push_back(SampleSet::DrawSharded(sampler, m, rng, num_threads));
+    sets.push_back(SampleSet::Draw(sampler, m, rng, threads));
   }
   return SampleSetGroup(std::move(sets));
 }

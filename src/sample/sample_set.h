@@ -11,7 +11,7 @@
 // sum over the domain answers any interval in O(1) (dense backend) or
 // O(log #distinct) (sparse backend, for domains too large for dense arrays).
 //
-// Construction is fused with sampling: Draw/DrawSharded accumulate oracle
+// Construction is fused with sampling: Draw accumulates oracle
 // chunks through SampleCounter (sample/counter.h) instead of materializing
 // an m-element draw vector, while FromDraws/FromCounts/FromRuns build from
 // data the caller already holds. All construction paths yield the same
@@ -55,16 +55,12 @@ class SampleSet {
 
   /// Draws `m` samples from the oracle and builds the set — via the fused
   /// draw→count path (Sampler::DrawCounts + SampleCounter), so the batch is
-  /// never materialized. Consumes the rng identically to DrawMany(m) and
-  /// returns exactly the set FromDraws(n, DrawMany(m)) would.
-  static SampleSet Draw(const Sampler& sampler, int64_t m, Rng& rng);
-
-  /// Sharded fused variant: same SampleSet as
-  /// FromDraws(n, DrawManySharded(m, rng, num_threads)) — thread-count
-  /// invariant, one NextU64 consumed — with per-chunk accumulation instead
-  /// of a shared m-element vector.
-  static SampleSet DrawSharded(const Sampler& sampler, int64_t m, Rng& rng,
-                               int num_threads);
+  /// never materialized. threads = 0 consumes the rng identically to
+  /// DrawMany(m) and returns exactly the set FromDraws(n, DrawMany(m))
+  /// would; threads >= 1 returns FromDraws(n, DrawManySharded(m, rng,
+  /// threads)) — thread-count invariant, one NextU64 consumed.
+  static SampleSet Draw(const Sampler& sampler, int64_t m, Rng& rng,
+                        int threads = 0);
 
   int64_t n() const { return n_; }
 
@@ -109,13 +105,10 @@ class SampleSet {
 /// the median-of-r combiners used for z_I.
 class SampleSetGroup {
  public:
-  /// Draws r sets of m samples each (fused path per set; see
-  /// SampleSet::Draw).
-  static SampleSetGroup Draw(const Sampler& sampler, int64_t r, int64_t m, Rng& rng);
-
-  /// Sharded fused variant of Draw; see SampleSet::DrawSharded.
-  static SampleSetGroup DrawSharded(const Sampler& sampler, int64_t r, int64_t m,
-                                    Rng& rng, int num_threads);
+  /// Draws r sets of m samples each (fused path per set, sequential or
+  /// sharded by `threads`; see SampleSet::Draw).
+  static SampleSetGroup Draw(const Sampler& sampler, int64_t r, int64_t m,
+                             Rng& rng, int threads = 0);
 
   /// Wraps existing sets (all with the same n).
   explicit SampleSetGroup(std::vector<SampleSet> sets);

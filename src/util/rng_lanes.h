@@ -42,8 +42,9 @@ struct RngLanes {
 
   /// Derives every lane's state from one 64-bit root. Lane l seeds a
   /// splitmix64 stream from root ^ (0x9E3779B97F4A7C15 * (l + 1)) — the
-  /// same per-index perturbation RunShardedChunks applies to chunk streams
-  /// — then fills its four state words exactly like Rng(seed) does.
+  /// same per-index perturbation a sharded Sampler::DrawCounts applies to
+  /// chunk streams — then fills its four state words exactly like
+  /// Rng(seed) does.
   explicit RngLanes(uint64_t root);
 
   /// One xoshiro256** step on every lane; out[l] is lane l's output. The

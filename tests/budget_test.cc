@@ -5,6 +5,9 @@
 // abort) for the property-test and closeness tasks.
 #include "engine/budget.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "dist/distribution.h"
@@ -128,7 +131,7 @@ TEST(BudgetedSamplerTest, MetersFusedCountPaths) {
   // A sink that records how many draws actually happened.
   struct TallySink : CountSink {
     int64_t seen = 0;
-    void Consume(const int64_t*, int64_t len) override { seen += len; }
+    void Consume(const int64_t*, int64_t len, int64_t) override { seen += len; }
   };
 
   Rng rng(1);
@@ -136,7 +139,7 @@ TEST(BudgetedSamplerTest, MetersFusedCountPaths) {
   bs.DrawCounts(200, rng, sink);
   EXPECT_EQ(bs.samples_drawn(), 200);
   EXPECT_EQ(sink.seen, 200);
-  bs.DrawCountsSharded(300, rng, sink, 2);
+  bs.DrawCounts(300, rng, sink, 2);
   EXPECT_EQ(bs.samples_drawn(), 500);
   EXPECT_EQ(sink.seen, 500);
   // DrawManyInto is itself a metered entry point.
@@ -154,28 +157,28 @@ TEST(BudgetedSamplerTest, FusedRequestBeyondBudgetDrawsNothing) {
   const BudgetedSampler bs(inner, /*budget=*/100000);
   struct TallySink : CountSink {
     int64_t seen = 0;
-    void Consume(const int64_t*, int64_t len) override { seen += len; }
+    void Consume(const int64_t*, int64_t len, int64_t) override { seen += len; }
   };
   Rng rng(1);
   TallySink sink;
   EXPECT_THROW(bs.DrawCounts(3 * Sampler::kShardChunk, rng, sink),
                BudgetExhaustedError);
-  EXPECT_THROW(bs.DrawCountsSharded(3 * Sampler::kShardChunk, rng, sink, 4),
+  EXPECT_THROW(bs.DrawCounts(3 * Sampler::kShardChunk, rng, sink, 4),
                BudgetExhaustedError);
   EXPECT_EQ(sink.seen, 0);
   EXPECT_EQ(bs.samples_drawn(), 0);
 }
 
 TEST(BudgetedSamplerTest, MetersSimdFusedCountPaths) {
-  // The decorator meters by overriding DrawManyInto/DrawCounts/
-  // DrawCountsSharded, so the kSimd kernel rides the same accounting: every
+  // The decorator meters by overriding DrawManyInto and DrawCounts, so the
+  // kSimd kernel rides the same accounting: every
   // fused draw is counted, over-budget fused requests are rejected whole,
   // and the sharded path stays thread-count invariant.
   const Distribution d = TestDist();
   const AliasSampler inner(d, AliasKernel::kSimd);
   struct TallySink : CountSink {
     int64_t seen = 0;
-    void Consume(const int64_t*, int64_t len) override { seen += len; }
+    void Consume(const int64_t*, int64_t len, int64_t) override { seen += len; }
   };
 
   {
@@ -185,7 +188,7 @@ TEST(BudgetedSamplerTest, MetersSimdFusedCountPaths) {
     bs.DrawCounts(200, rng, sink);
     EXPECT_EQ(bs.samples_drawn(), 200);
     EXPECT_EQ(sink.seen, 200);
-    bs.DrawCountsSharded(300, rng, sink, 2);
+    bs.DrawCounts(300, rng, sink, 2);
     EXPECT_EQ(bs.samples_drawn(), 500);
     EXPECT_EQ(sink.seen, 500);
   }
@@ -195,7 +198,7 @@ TEST(BudgetedSamplerTest, MetersSimdFusedCountPaths) {
     TallySink sink;
     EXPECT_THROW(bs.DrawCounts(3 * Sampler::kShardChunk, rng, sink),
                  BudgetExhaustedError);
-    EXPECT_THROW(bs.DrawCountsSharded(3 * Sampler::kShardChunk, rng, sink, 4),
+    EXPECT_THROW(bs.DrawCounts(3 * Sampler::kShardChunk, rng, sink, 4),
                  BudgetExhaustedError);
     EXPECT_EQ(sink.seen, 0);
     EXPECT_EQ(bs.samples_drawn(), 0);
@@ -338,6 +341,53 @@ TEST(BudgetedSamplerTest, ArmedSequentialChunkingPreservesTheStream) {
   Rng rng_h(31), rng_p(31);
   EXPECT_EQ(hardened.DrawMany(m, rng_h), plain.DrawMany(m, rng_p));
   EXPECT_EQ(hardened.samples_drawn(), m);
+}
+
+TEST(BudgetedSamplerTest, ArmedShardedCountsConsumeIntoTheSinkItself) {
+  // An armed session serves a sharded request as one-chunk sub-requests.
+  // Each resolves to one worker on the caller's thread, so it consumes into
+  // the sink itself: a shard per chunk would be a fresh n-element count
+  // state in SampleCounter for every 2^16 draws.
+  const Distribution d = TestDist();
+  const AliasSampler inner(d);
+  RunPolicy armed;
+  armed.deadline = Deadline::AfterMillis(int64_t{1} << 40);
+  const BudgetedSampler bs(inner, BudgetedSampler::kUnlimited, &armed);
+
+  struct ShardCountingSink : CountSink {
+    int64_t seen = 0;
+    int64_t acquired = 0;
+    std::vector<int64_t> offsets;
+    void Consume(const int64_t*, int64_t len, int64_t offset) override {
+      seen += len;
+      offsets.push_back(offset);
+    }
+    CountSink& AcquireShard() override {
+      ++acquired;
+      return *this;
+    }
+  };
+  const int threads = 2;
+  Rng rng(37);
+  ShardCountingSink sink;
+  bs.DrawCounts(3 * Sampler::kShardChunk, rng, sink, threads);
+  EXPECT_LE(sink.acquired, threads);
+  EXPECT_EQ(sink.seen, 3 * Sampler::kShardChunk);
+  EXPECT_EQ(sink.offsets, (std::vector<int64_t>{0, Sampler::kShardChunk,
+                                                2 * Sampler::kShardChunk}));
+  EXPECT_EQ(bs.samples_drawn(), 3 * Sampler::kShardChunk);
+
+  // Materialized, the armed stream is its one-chunk sharded requests laid
+  // end to end.
+  const int64_t m = 2 * Sampler::kShardChunk + 99;
+  Rng rng_armed(38), rng_chunks(38);
+  std::vector<int64_t> chunks;
+  for (int64_t done = 0; done < m; done += Sampler::kShardChunk) {
+    const std::vector<int64_t> part = inner.DrawManySharded(
+        std::min(Sampler::kShardChunk, m - done), rng_chunks, 1);
+    chunks.insert(chunks.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(bs.DrawManySharded(m, rng_armed, threads), chunks);
 }
 
 TEST(BudgetedSamplerTest, InertPolicyIsByteIdenticalToNoPolicy) {

@@ -3,8 +3,8 @@
 // under the `tsan` preset (-fsanitize=thread), where they hammer the
 // lock-free paths this PR introduced:
 //
-//   1. A shared const sampler serves DrawManySharded / DrawCountsSharded /
-//      SampleSetGroup::DrawSharded from many OS threads at once — the alias
+//   1. A shared const sampler serves DrawManySharded / sharded DrawCounts /
+//      sharded SampleSetGroup::Draw from many OS threads at once — the alias
 //      tables must be safely readable concurrently, and every caller's
 //      result must stay byte-identical to a sequential reference.
 //   2. SampleCounter's per-worker shard design (CountSink::AcquireShard)
@@ -81,7 +81,7 @@ TEST(ConcurrencyStressTest, ConcurrentDrawManyShardedOnSharedSampler) {
   std::vector<std::vector<int64_t>> expected(kOuterThreads);
   for (int t = 0; t < kOuterThreads; ++t) {
     Rng rng(1000 + t);
-    expected[t] = sampler.DrawManySharded(kDraws, rng, /*num_threads=*/1);
+    expected[t] = sampler.DrawManySharded(kDraws, rng, /*threads=*/1);
   }
 
   std::vector<std::vector<int64_t>> got(kOuterThreads);
@@ -90,7 +90,7 @@ TEST(ConcurrencyStressTest, ConcurrentDrawManyShardedOnSharedSampler) {
   for (int t = 0; t < kOuterThreads; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(1000 + t);
-      got[t] = sampler.DrawManySharded(kDraws, rng, /*num_threads=*/4);
+      got[t] = sampler.DrawManySharded(kDraws, rng, /*threads=*/4);
     });
   }
   for (std::thread& th : threads) th.join();
@@ -99,9 +99,9 @@ TEST(ConcurrencyStressTest, ConcurrentDrawManyShardedOnSharedSampler) {
 }
 
 // The fused draw->count path under the same regime: concurrent
-// SampleSet::DrawSharded callers over one sampler, inner worker counts
+// sharded SampleSet::Draw callers over one sampler, inner worker counts
 // varying per caller. Byte-identical sets regardless.
-TEST(ConcurrencyStressTest, ConcurrentDrawCountsShardedOnSharedSampler) {
+TEST(ConcurrencyStressTest, ConcurrentShardedDrawCountsOnSharedSampler) {
   for (const Distribution& d : {DenseSkewed(), BucketHuge()}) {
     const AliasSampler sampler(d);
 
@@ -109,7 +109,7 @@ TEST(ConcurrencyStressTest, ConcurrentDrawCountsShardedOnSharedSampler) {
     for (int t = 0; t < kOuterThreads; ++t) {
       Rng rng(2000 + t);
       expected.push_back(
-          SampleSet::DrawSharded(sampler, kDraws, rng, /*num_threads=*/1));
+          SampleSet::Draw(sampler, kDraws, rng, /*threads=*/1));
     }
 
     std::vector<std::optional<SampleSet>> got(kOuterThreads);
@@ -118,8 +118,7 @@ TEST(ConcurrencyStressTest, ConcurrentDrawCountsShardedOnSharedSampler) {
     for (int t = 0; t < kOuterThreads; ++t) {
       threads.emplace_back([&, t] {
         Rng rng(2000 + t);
-        got[t] = SampleSet::DrawSharded(sampler, kDraws, rng,
-                                        /*num_threads=*/1 + t % 4);
+        got[t] = SampleSet::Draw(sampler, kDraws, rng, /*threads=*/1 + t % 4);
       });
     }
     for (std::thread& th : threads) th.join();
@@ -131,7 +130,7 @@ TEST(ConcurrencyStressTest, ConcurrentDrawCountsShardedOnSharedSampler) {
   }
 }
 
-// SampleSetGroup::DrawSharded (r sets, each fused+sharded) from many
+// Sharded SampleSetGroup::Draw (r sets, each fused+sharded) from many
 // threads at once against one sampler.
 TEST(ConcurrencyStressTest, ConcurrentGroupDrawShardedOnSharedSampler) {
   const Distribution d = DenseSkewed();
@@ -141,7 +140,7 @@ TEST(ConcurrencyStressTest, ConcurrentGroupDrawShardedOnSharedSampler) {
 
   Rng ref_rng(42);
   const SampleSetGroup reference =
-      SampleSetGroup::DrawSharded(sampler, r, m, ref_rng, /*num_threads=*/1);
+      SampleSetGroup::Draw(sampler, r, m, ref_rng, /*threads=*/1);
 
   std::vector<std::thread> threads;
   std::vector<int> failures(kOuterThreads, 0);
@@ -150,8 +149,7 @@ TEST(ConcurrencyStressTest, ConcurrentGroupDrawShardedOnSharedSampler) {
     threads.emplace_back([&, t] {
       Rng rng(42);
       const SampleSetGroup g =
-          SampleSetGroup::DrawSharded(sampler, r, m, rng,
-                                      /*num_threads=*/2 + t % 3);
+          SampleSetGroup::Draw(sampler, r, m, rng, /*threads=*/2 + t % 3);
       if (g.r() != reference.r() || g.n() != reference.n()) {
         failures[t] = 1;
         return;
@@ -181,7 +179,7 @@ TEST(ConcurrencyStressTest, ShardMergeByteIdenticalAcrossWorkerCounts) {
 
     Rng ref_rng(7);
     SampleCounter ref_counter(sampler.n(), kDraws);
-    sampler.DrawCountsSharded(kDraws, ref_rng, ref_counter, 1);
+    sampler.DrawCounts(kDraws, ref_rng, ref_counter, 1);
     ASSERT_EQ(ref_counter.total(), kDraws);
     const SampleSet reference = ref_counter.Build();
     Rng ref_probe = ref_rng;  // post-draw rng state fingerprint
@@ -190,7 +188,7 @@ TEST(ConcurrencyStressTest, ShardMergeByteIdenticalAcrossWorkerCounts) {
     for (int workers : {2, 3, 4, 8, 16}) {
       Rng rng(7);
       SampleCounter counter(sampler.n(), kDraws);
-      sampler.DrawCountsSharded(kDraws, rng, counter, workers);
+      sampler.DrawCounts(kDraws, rng, counter, workers);
       EXPECT_EQ(counter.total(), kDraws) << "workers=" << workers;
       ExpectSameSampleSet(counter.Build(), reference);
       EXPECT_EQ(rng.NextU64(), expect_next) << "workers=" << workers;

@@ -27,7 +27,7 @@ class VectorSink : public CountSink {
  public:
   explicit VectorSink(int64_t n) : counts_(static_cast<size_t>(n), 0) {}
 
-  void Consume(const int64_t* draws, int64_t len) override {
+  void Consume(const int64_t* draws, int64_t len, int64_t) override {
     for (int64_t i = 0; i < len; ++i) ++counts_[static_cast<size_t>(draws[i])];
     total_ += len;
   }
@@ -76,6 +76,24 @@ TEST(FaultInjectionTest, ScheduleIsDeterministicPerRequestIndex) {
   EXPECT_EQ(a.faults_injected(), b.faults_injected());
   EXPECT_EQ(a.transient_faults(), b.transient_faults());
   EXPECT_EQ(a.short_batch_faults(), b.short_batch_faults());
+
+  // Single draws ride the same schedule. A one-draw prefix is always
+  // empty, so Draw's short-batch slots fault as transient instead: the
+  // same request indices fail, and none counts as a short batch.
+  const FaultInjectingSampler single(inner, FaultSchedule::FromSeed(3));
+  std::vector<int> faulted_single;
+  Rng rng(17);
+  for (int req = 0; req < 200; ++req) {
+    try {
+      (void)single.Draw(rng);
+    } catch (const TransientUnavailableError&) {
+      faulted_single.push_back(req);
+    }
+  }
+  EXPECT_EQ(faulted_single, faulted_a);
+  EXPECT_EQ(single.short_batch_faults(), 0);
+  EXPECT_EQ(single.transient_faults(),
+            a.transient_faults() + a.short_batch_faults());
 }
 
 TEST(FaultInjectionTest, TransientFaultServesNothing) {
@@ -145,7 +163,8 @@ TEST(FaultInjectionTest, SinkFedPathsDemoteShortBatchesToTransient) {
   VectorSink sink(d.n());
   Rng rng(9);
   EXPECT_THROW(faulty.DrawCounts(100, rng, sink), TransientUnavailableError);
-  EXPECT_THROW(faulty.DrawCountsSharded(100, rng, sink), TransientUnavailableError);
+  EXPECT_THROW(faulty.DrawCounts(100, rng, sink, /*threads=*/2),
+               TransientUnavailableError);
   EXPECT_EQ(sink.total(), 0);
   EXPECT_EQ(faulty.short_batch_faults(), 0);
   EXPECT_EQ(faulty.transient_faults(), 2);

@@ -115,7 +115,7 @@ TEST(SimdKernelTest, FusedCountsConsumeRngLikeDrawMany) {
       std::vector<int64_t> replayed;
       struct Collect : CountSink {
         std::vector<int64_t>* out;
-        void Consume(const int64_t* d, int64_t len) override {
+        void Consume(const int64_t* d, int64_t len, int64_t) override {
           out->insert(out->end(), d, d + len);
         }
       } sink;
@@ -316,7 +316,6 @@ TEST(SimdKernelTest, BackendNamesAreStable) {
   EXPECT_STREQ(simd::SimdBackendName(simd::SimdBackend::kScalar), "scalar");
   EXPECT_STREQ(simd::SimdBackendName(simd::SimdBackend::kAvx2), "avx2");
   EXPECT_STREQ(AliasKernelName(AliasKernel::kReplay), "replay");
-  EXPECT_STREQ(AliasKernelName(AliasKernel::kPacked), "packed");
   EXPECT_STREQ(AliasKernelName(AliasKernel::kSimd), "simd");
 }
 

@@ -102,13 +102,13 @@
 // `gen --n $((1<<30))` is cheap; sample emission uses the sharded DrawMany
 // path, whose output depends on --seed but not on --threads.
 //
-// --kernel replay|packed|simd selects the oracle's draw kernel everywhere a
+// --kernel replay|simd selects the oracle's draw kernel everywhere a
 // sampler is built: gen/compare (AliasSampler over the pmf) and
 // learn/test/property-test/closeness (DatasetSampler over the held items).
-// replay (default) preserves the historical byte streams; packed and simd
-// are the faster reordered kernels (simd additionally runtime-dispatches to
-// AVX2 when available, with a byte-identical scalar fallback). Unknown
-// values exit 2 per the strict-parse convention.
+// replay (default) preserves the historical byte streams; simd is the
+// faster reordered kernel (it runtime-dispatches to AVX2 when available,
+// with a byte-identical scalar fallback). Unknown values exit 2 per the
+// strict-parse convention.
 #include <algorithm>
 #include <cerrno>
 #include <climits>
@@ -210,7 +210,7 @@ void Usage() {
       "                 (quantile summary in text mode; --json prints the\n"
       "                 snapshot object; learn/test --from-sketch consume\n"
       "                 the --sketch-out file)\n"
-      "       all sampling commands also take --kernel replay|packed|simd\n"
+      "       all sampling commands also take --kernel replay|simd\n"
       "                 (oracle draw kernel; default replay)\n"
       "       engine subcommands also take --deadline-ms D --max-retries R\n"
       "                 --inject-faults SEED --draw-threads T (resilient\n"
@@ -309,8 +309,6 @@ bool Parse(int argc, char** argv, Args& args) {
       // with a different rng stream — seeded runs would replay differently.
       if (std::strcmp(v, "replay") == 0) {
         args.kernel = AliasKernel::kReplay;
-      } else if (std::strcmp(v, "packed") == 0) {
-        args.kernel = AliasKernel::kPacked;
       } else if (std::strcmp(v, "simd") == 0) {
         args.kernel = AliasKernel::kSimd;
       } else {

@@ -2,7 +2,7 @@
 //
 //   histkd [--workers W] [--max-sessions S] [--max-outstanding-budget B]
 //          [--retry-after-ms MS] [--queue-limit Q] [--cache-entries C]
-//          [--max-datasets D] [--kernel replay|packed|simd]
+//          [--max-datasets D] [--kernel replay|simd]
 //          [--socket PATH]
 //
 // Speaks the newline-delimited JSON request protocol of src/api/request.h
@@ -67,7 +67,7 @@ void Usage() {
       "usage: histkd [--workers W] [--max-sessions S]\n"
       "              [--max-outstanding-budget B] [--retry-after-ms MS]\n"
       "              [--queue-limit Q] [--cache-entries C] [--max-datasets D]\n"
-      "              [--kernel replay|packed|simd] [--socket PATH]\n"
+      "              [--kernel replay|simd] [--socket PATH]\n"
       "              [--data-root DIR]\n"
       "\n"
       "Serves newline-delimited JSON requests (src/api/request.h schema)\n"
@@ -136,8 +136,6 @@ bool Parse(int argc, char** argv, DaemonArgs& args) {
       const std::string name = v;
       if (name == "replay") {
         args.serve.kernel = AliasKernel::kReplay;
-      } else if (name == "packed") {
-        args.serve.kernel = AliasKernel::kPacked;
       } else if (name == "simd") {
         args.serve.kernel = AliasKernel::kSimd;
       } else {

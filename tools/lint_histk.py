@@ -55,6 +55,15 @@ histk idioms the codebase relies on:
                    trip WriteDouble). A second snprintf-based emitter
                    drifts from the first in digits or escapes; append
                    through the api/json.h primitives instead.
+  draw-surface     Under src/, a class deriving from Sampler may override
+                   only n, DrawManyInto and DrawCounts. Those are the
+                   oracle's only virtual functions besides the destructor:
+                   the kernel and the sink-fed count path. Draw, DrawMany
+                   and DrawManySharded are non-virtual wrappers over them,
+                   so a decorator (BudgetedSampler, FaultInjectingSampler)
+                   meters and faults every path by overriding exactly those
+                   two, on the caller's thread. A new draw entry point goes
+                   on Sampler as a wrapper, not as a virtual.
   include-hygiene  No <bits/...> includes, no "../" relative includes, and
                    headers must carry a HISTK_<PATH>_H_ include guard.
   style            No tabs, no trailing whitespace, file ends with exactly
@@ -113,7 +122,7 @@ MUTEX_RE = re.compile(
 HOT_ATOMICS_ALLOW = {
     "src/stream/concurrent_histogram.h",
     "src/stream/concurrent_histogram.cc",
-    "src/dist/sampler.cc",       # sharded DrawMany chunk dispenser
+    "src/dist/sampler.cc",       # sharded DrawCounts chunk dispenser
     "src/dist/simd/dispatch.cc",  # runtime backend override knob
     "src/engine/runtime.h",      # CancelToken's shared cancellation flag
     "src/engine/runtime.cc",
@@ -163,6 +172,16 @@ SIMD_TOKEN_RE = re.compile(
 # literals (the literal's opening quote survives comment/string blanking).
 JSON_FORMAT_ALLOW = {"src/api/json.cc", "src/dist/io.cc"}
 JSON_FORMAT_RE = re.compile(r'"[^"\n]*(?:%\.\*g|%\.17g|\\\\u%04x)')
+
+# draw-surface: the virtual draw surface of Sampler subclasses under src/.
+DRAW_SURFACE = {"n", "DrawManyInto", "DrawCounts"}
+SAMPLER_CLASS_RE = re.compile(
+    r"\bclass\s+(\w+)\s*(?:final\s*)?:\s*public\s+(?:histk::)?Sampler\b[^{;]*\{"
+)
+OVERRIDE_RE = re.compile(
+    r"\b(\w+)\s*\((?:[^()]|\([^()]*\))*\)\s*(?:const\s*)?(?:noexcept\s*)?"
+    r"override\b"
+)
 
 INCLUDE_RE = re.compile(r'#include\s*[<"]([^>"]+)[">]')
 GUARD_RE = re.compile(r"#ifndef\s+(HISTK_[A-Z0-9_]+_H_)")
@@ -302,6 +321,21 @@ def lint_file(root, rel):
                          "src/api/json.cc — append through "
                          "api::AppendJsonDouble / api::AppendJsonString")
                     break
+
+    # draw-surface: scan each Sampler subclass body (brace-matched on the
+    # blanked text) for overrides outside the two draw functions and n().
+    if rel.startswith("src/"):
+        for cls in SAMPLER_CLASS_RE.finditer(code):
+            depth, end = 1, cls.end()
+            while end < len(code) and depth > 0:
+                depth += {"{": 1, "}": -1}.get(code[end], 0)
+                end += 1
+            for m in OVERRIDE_RE.finditer(code, cls.end(), end):
+                if m.group(1) not in DRAW_SURFACE:
+                    emit(code.count("\n", 0, m.start()) + 1, "draw-surface",
+                         f"{cls.group(1)} overrides {m.group(1)}() — a Sampler "
+                         "subclass may override only n, DrawManyInto and "
+                         "DrawCounts; make other draw paths wrappers")
 
     # include-hygiene
     for idx, line in enumerate(code_lines, start=1):
