@@ -15,8 +15,14 @@
 //      globally sorts it). Reported per variant and as a speedup ratio;
 //      the acceptance bar is >= 2x at m = 10^7 on the bucketed backend.
 //   3. scaling — the bucketed pipeline comparison at m = 10^6..10^8.
+//   4. the count kernel (AliasKernel::kCounts) — SampleSet::Draw over a
+//      dense, a bucketed and a dataset oracle at n = 256, in ns per
+//      requested draw at m = 2^16, 2^20 and 2^22, plus the same-run
+//      replay/counts time ratio on the dataset oracle (the histkd case).
+//      These rows run at full size in smoke mode too: a block costs
+//      O(support) binomials, so even m = 2^22 takes about a millisecond.
 //
-// HISTK_E13_SMOKE=1 shrinks every batch to <= 10^6 draws and skips the
+// HISTK_E13_SMOKE=1 shrinks every other batch to <= 10^6 draws and skips the
 // 10^8 rows so CI can run the experiment in seconds; the emitted
 // BENCH_e13.json then matches the checked-in bench/baselines/BENCH_e13.json
 // record-for-record, which tools/perf_diff.py compares against.
@@ -153,6 +159,16 @@ double GovernedDrawSeconds(const AliasSampler& sampler, int64_t m,
   permit->Release();
   const double sec = timer.ElapsedSeconds();
   benchmark::DoNotOptimize(draws.data());
+  return sec;
+}
+
+/// Seconds for one SampleSet::Draw of m draws (the engine's draw path).
+double SampleSetDrawSeconds(const Sampler& sampler, int64_t m) {
+  Rng rng(29);
+  WallTimer timer;
+  const SampleSet s = SampleSet::Draw(sampler, m, rng);
+  const double sec = timer.ElapsedSeconds();
+  benchmark::DoNotOptimize(s.m());
   return sec;
 }
 
@@ -378,6 +394,60 @@ void RunExperiment() {
                                    "%"});
     }
     runtime.Print(std::cout);
+  }
+
+  // ---- 7. count kernel at n = 256 ------------------------------------
+  // kCounts draws each 2^16-draw block as a count vector: 256 conditional
+  // binomials (dense and dataset) or 8 plus the in-bucket splits (bucket)
+  // per block instead of 65536 alias draws. The dataset oracle is the
+  // histkd shape: 20,000 items over n = 256.
+  {
+    Rng gen(0xE13C);
+    const HistogramSpec small = MakeRandomKHistogram(256, 4, gen, 25.0);
+    std::vector<int64_t> items(20000);
+    {
+      const AliasSampler item_source(small.dist);
+      items = item_source.DrawMany(20000, gen);
+    }
+    const Distribution small_bucket = Distribution::FromBucketWeights(
+        256, {31, 63, 95, 127, 159, 191, 223, 255},
+        {1.0, 3.0, 2.0, 5.0, 4.0, 1.0, 2.0, 6.0});
+    const AliasSampler dense_counts(small.dist, AliasKernel::kCounts);
+    const AliasSampler bucket_counts(small_bucket, AliasKernel::kCounts);
+    const DatasetSampler dataset_counts(256, items, AliasKernel::kCounts);
+    const DatasetSampler dataset_replay(256, items, AliasKernel::kReplay);
+    struct Oracle {
+      const char* name;
+      const Sampler* sampler;
+    };
+    const Oracle oracles[] = {{"dense", &dense_counts},
+                              {"bucket", &bucket_counts},
+                              {"dataset", &dataset_counts}};
+    Table counts({"oracle", "m", "ns/draw", "Mdraws/s"});
+    for (const Oracle& o : oracles) {
+      for (const int64_t m : {int64_t{1} << 16, int64_t{1} << 20, int64_t{1} << 22}) {
+        NextBenchLabel(std::string("counts_") + o.name + "_m" + std::to_string(m) +
+                       "_ns_per_draw");
+        const ScalarStats s = MeasureScalar(trials, [&](int64_t) {
+          return SampleSetDrawSeconds(*o.sampler, m) / static_cast<double>(m) * 1e9;
+        });
+        counts.AddRow({o.name, std::to_string(m), FmtF(s.mean, 2),
+                       FmtF(1000.0 / s.mean, 0)});
+      }
+    }
+    // Same-run ratio, interleaved so host drift hits both sides alike.
+    const int64_t ratio_m = int64_t{1} << 20;
+    double replay_s = 0.0;
+    double counts_s = 0.0;
+    for (int64_t t = 0; t < trials; ++t) {
+      replay_s += SampleSetDrawSeconds(dataset_replay, ratio_m);
+      counts_s += SampleSetDrawSeconds(dataset_counts, ratio_m);
+    }
+    NextBenchLabel("counts_vs_replay_dataset_m" + std::to_string(ratio_m) + "_x");
+    MeasureScalar(1, [&](int64_t) { return replay_s / counts_s; });
+    counts.AddRow({"dataset replay/counts", std::to_string(ratio_m),
+                   FmtF(replay_s / counts_s, 1) + "x", "--"});
+    counts.Print(std::cout);
   }
 
   std::printf(

@@ -19,6 +19,31 @@ DatasetSampler::DatasetSampler(int64_t n, std::vector<int64_t> items,
   if (kernel_ == AliasKernel::kSimd) {
     simd_uniform_fn_ = simd::SelectUniformDrawFn();
   }
+  if (kernel_ == AliasKernel::kCounts) counts_ = CountKernel(DistinctRuns());
+}
+
+std::vector<CountKernel::Run> DatasetSampler::DistinctRuns() const {
+  std::vector<CountKernel::Run> runs;
+  // A count array when the domain is not much larger than the data set,
+  // else one sort of a copy.
+  if (n_ <= 8 * size()) {
+    std::vector<int64_t> occ(static_cast<size_t>(n_), 0);
+    for (int64_t item : items_) ++occ[static_cast<size_t>(item)];
+    for (int64_t v = 0; v < n_; ++v) {
+      const int64_t c = occ[static_cast<size_t>(v)];
+      if (c > 0) runs.push_back({v, 1, static_cast<long double>(c)});
+    }
+    return runs;
+  }
+  std::vector<int64_t> sorted = items_;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < sorted.size();) {
+    size_t j = i;
+    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+    runs.push_back({sorted[i], 1, static_cast<long double>(j - i)});
+    i = j;
+  }
+  return runs;
 }
 
 void DatasetSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
@@ -36,6 +61,11 @@ void DatasetSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
   for (int64_t i = 0; i < m; ++i) {
     out[i] = items_[static_cast<size_t>(rng.UniformInt(items_.size()))];
   }
+}
+
+void DatasetSampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
+                                int threads) const {
+  counts_.DrawCounts(*this, m, rng, sink, threads);
 }
 
 Distribution DatasetSampler::EmpiricalDist() const {

@@ -26,13 +26,17 @@ class DatasetSampler : public Sampler {
   /// the historical per-draw Lemire pick; kSimd runs the dispatched
   /// block-structured uniform kernel from src/dist/simd/ (one NextU64 per
   /// kShardChunk block; batch paths only — scalar Draw() is a one-block
-  /// batch of its own).
+  /// batch of its own); kCounts draws order-free DrawCounts blocks as count
+  /// vectors over the distinct items, weighted by their occurrence counts,
+  /// and runs the replay pick everywhere else.
   DatasetSampler(int64_t n, std::vector<int64_t> items,
                  AliasKernel kernel = AliasKernel::kReplay);
 
   int64_t n() const override { return n_; }
   AliasKernel kernel() const { return kernel_; }
   void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const override;
+  void DrawCounts(int64_t m, Rng& rng, CountSink& sink,
+                  int threads = 0) const override;
 
   /// Number of items |D|.
   int64_t size() const { return static_cast<int64_t>(items_.size()); }
@@ -43,10 +47,15 @@ class DatasetSampler : public Sampler {
   Distribution EmpiricalDist() const;
 
  private:
+  /// The distinct items in ascending order, each weighted by its
+  /// occurrence count: the kCounts support.
+  std::vector<CountKernel::Run> DistinctRuns() const;
+
   int64_t n_ = 0;
   AliasKernel kernel_ = AliasKernel::kReplay;
   std::vector<int64_t> items_;
   simd::UniformDrawFn simd_uniform_fn_ = nullptr;  // kSimd only
+  CountKernel counts_;  // kCounts only; empty otherwise
 };
 
 }  // namespace histk

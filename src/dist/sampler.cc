@@ -96,22 +96,36 @@ const char* AliasKernelName(AliasKernel kernel) {
   switch (kernel) {
     case AliasKernel::kReplay:
       return "replay";
+    case AliasKernel::kCounts:
+      return "counts";
     case AliasKernel::kSimd:
       return "simd";
   }
   return "unknown";
 }
 
-void Sampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
-                         int threads) const {
+std::optional<AliasKernel> ParseAliasKernel(std::string_view name) {
+  for (AliasKernel kernel :
+       {AliasKernel::kReplay, AliasKernel::kCounts, AliasKernel::kSimd}) {
+    if (name == AliasKernelName(kernel)) return kernel;
+  }
+  return std::nullopt;
+}
+
+void CountSink::ConsumeRuns(const int64_t* /*values*/,
+                            const int64_t* /*counts*/, int64_t /*len*/,
+                            int64_t /*offset*/) {
+  HISTK_CHECK_MSG(false, "ConsumeRuns on a sink that is not order-free");
+}
+
+void RunDrawBlocks(int64_t m, Rng& rng, CountSink& sink, int threads,
+                   const DrawBlockFn& draw_block) {
   HISTK_CHECK(m >= 0 && threads >= 0);
-  const int64_t buf_len = std::min(m, kShardChunk);
+  constexpr int64_t kBlock = Sampler::kShardChunk;
   if (threads == 0) {
-    std::vector<int64_t> buf(static_cast<size_t>(buf_len));
-    for (int64_t done = 0; done < m; done += kShardChunk) {
-      const int64_t len = std::min(kShardChunk, m - done);
-      DrawManyInto(buf.data(), len, rng);
-      sink.Consume(buf.data(), len, done);
+    DrawBlockBuffers buffers;
+    for (int64_t done = 0; done < m; done += kBlock) {
+      draw_block(done, std::min(kBlock, m - done), rng, sink, buffers);
     }
     return;
   }
@@ -119,18 +133,16 @@ void Sampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
   // function of (root, c) only, which is what makes the result invariant
   // under the worker count.
   const uint64_t root = rng.NextU64();
-  const int64_t num_chunks = (m + kShardChunk - 1) / kShardChunk;
+  const int64_t num_chunks = (m + kBlock - 1) / kBlock;
   std::atomic<int64_t> next{0};
   auto work = [&](CountSink& shard) {
-    std::vector<int64_t> buf(static_cast<size_t>(buf_len));
+    DrawBlockBuffers buffers;
     for (int64_t c; (c = next.fetch_add(1, std::memory_order_relaxed)) < num_chunks;) {
       uint64_t state =
           root ^ (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(c) + 1));
       Rng chunk_rng(SplitMix64(state));
-      const int64_t lo = c * kShardChunk;
-      const int64_t len = std::min(kShardChunk, m - lo);
-      DrawManyInto(buf.data(), len, chunk_rng);
-      shard.Consume(buf.data(), len, lo);
+      const int64_t lo = c * kBlock;
+      draw_block(lo, std::min(kBlock, m - lo), chunk_rng, shard, buffers);
     }
   };
   const int64_t workers = std::min<int64_t>(threads, num_chunks);
@@ -148,6 +160,17 @@ void Sampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
   pool.reserve(shards.size());
   for (CountSink* shard : shards) pool.emplace_back(work, std::ref(*shard));
   for (std::thread& w : pool) w.join();
+}
+
+void Sampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
+                         int threads) const {
+  RunDrawBlocks(m, rng, sink, threads,
+                [this](int64_t offset, int64_t len, Rng& block_rng,
+                       CountSink& out, DrawBlockBuffers& buffers) {
+                  buffers.values.resize(static_cast<size_t>(len));
+                  DrawManyInto(buffers.values.data(), len, block_rng);
+                  out.Consume(buffers.values.data(), len, offset);
+                });
 }
 
 int64_t Sampler::Draw(Rng& rng) const {
@@ -206,6 +229,13 @@ AliasSampler::AliasSampler(const Distribution& dist, AliasKernel kernel)
         heaviest = i;
       }
     }
+    if (kernel_ == AliasKernel::kCounts) {
+      std::vector<CountKernel::Run> runs(n);
+      for (size_t i = 0; i < n; ++i) {
+        runs[i] = {static_cast<int64_t>(i), 1, scaled[i]};
+      }
+      counts_ = CountKernel(std::move(runs));
+    }
 #if HISTK_CHECKS_ENABLED
     const std::vector<long double> true_scaled = scaled;
 #endif
@@ -252,6 +282,11 @@ AliasSampler::AliasSampler(const Distribution& dist, AliasKernel kernel)
       heaviest = j;
     }
     lo = hi[j] + 1;
+  }
+  if (kernel_ == AliasKernel::kCounts) {
+    std::vector<CountKernel::Run> runs(k);
+    for (size_t j = 0; j < k; ++j) runs[j] = {col_lo[j], col_len[j], scaled[j]};
+    counts_ = CountKernel(std::move(runs));
   }
 #if HISTK_CHECKS_ENABLED
   const std::vector<long double> true_scaled = scaled;
@@ -344,6 +379,11 @@ void AliasSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
   } else {
     bucketed_ ? ReplayBucketInto(out, m, rng) : ReplayDenseInto(out, m, rng);
   }
+}
+
+void AliasSampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
+                              int threads) const {
+  counts_.DrawCounts(*this, m, rng, sink, threads);
 }
 
 CdfSampler::CdfSampler(const Distribution& dist)

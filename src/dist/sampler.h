@@ -13,7 +13,7 @@
 //                                    vector) wrap it.
 //   * DrawCounts(m, rng, sink, threads)
 //                                  — the fused draw→count path: draws are
-//                                    produced in kShardChunk-sized chunks
+//                                    produced in kShardChunk-sized blocks
 //                                    (cache-resident) and handed to a
 //                                    CountSink instead of being materialized
 //                                    as one m-element vector. threads = 0 is
@@ -34,6 +34,17 @@
 // exactly one NextU64 and replay at any worker count. AliasSampler's default
 // kernel is additionally byte-identical to the historical (PR 2/3) per-draw
 // sequence; the reordered fast kernel is opt-in (AliasKernel::kSimd).
+//
+// The one exception is AliasKernel::kCounts feeding an order-free sink
+// (CountSink::OrderFree, e.g. SampleCounter): DrawCounts then draws each
+// block's count vector directly. Same law as the per-draw path — a
+// Multinomial(len, p) vector per block — but its own stream, so the counts
+// do not match the replay kernel's under one seed. It keeps the other
+// contracts: sequential blocks come from `rng` in order (chunked and
+// unchunked callers agree), sharded block c comes from its derived stream
+// (worker-count invariant), and every materializing path (Draw, DrawMany,
+// DrawManySharded, a sink that is not order-free) still gets the replay
+// kernel's i.i.d.-ordered stream.
 //
 // Samplers are immutable after construction and hold no rng state, so one
 // sampler can serve many threads as long as each thread draws from its own
@@ -56,8 +67,12 @@
 #define HISTK_DIST_SAMPLER_H_
 
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <string_view>
 #include <vector>
 
+#include "dist/count_kernel.h"
 #include "dist/distribution.h"
 #include "dist/simd/draw_kernels.h"
 #include "util/rng.h"
@@ -69,12 +84,14 @@ namespace histk {
 /// tagged with its offset: the position of the chunk's first draw in the
 /// request, which is its index in DrawManySharded's output. Chunks may
 /// arrive in any order — counting sinks ignore the offset (counting is
-/// commutative). A sharded DrawCounts that fans out to several workers
-/// never calls Consume concurrently on the same sink object: it asks for
-/// one shard per worker via AcquireShard and each worker consumes into its
-/// own shard, so implementations that shard need no locks on the consume
-/// path. A fan-out that resolves to one worker consumes into the sink
-/// itself. sample/counter.h provides the standard SampleSet-building
+/// commutative). A sink that reads only counts declares itself OrderFree;
+/// a kCounts oracle then hands it each chunk as (value, count) runs. A
+/// sharded DrawCounts that fans out to several workers never calls Consume
+/// concurrently on the same sink object: it asks for one shard per worker
+/// via AcquireShard and each worker consumes into its own shard, so
+/// implementations that shard need no locks on the consume path. A fan-out
+/// that resolves to one worker consumes into the sink itself.
+/// sample/counter.h provides the standard SampleSet-building
 /// implementation.
 class CountSink {
  public:
@@ -85,6 +102,19 @@ class CountSink {
   /// Called from one thread at a time per sink object (the object returned
   /// by AcquireShard counts as a distinct sink).
   virtual void Consume(const int64_t* draws, int64_t len, int64_t offset) = 0;
+
+  /// True when the sink depends only on how often each value occurs, not
+  /// on the order of the draws: it then also accepts ConsumeRuns. False by
+  /// default, so materializing sinks always receive ordered draws.
+  virtual bool OrderFree() const { return false; }
+
+  /// Accumulates one chunk as `len` runs: counts[i] >= 1 draws of
+  /// values[i], values in [0, n) in no particular order (a value may
+  /// repeat). The runs total the chunk's length; `offset` is as in
+  /// Consume. Called only on sinks whose OrderFree() is true; the default
+  /// aborts.
+  virtual void ConsumeRuns(const int64_t* values, const int64_t* counts,
+                           int64_t len, int64_t offset);
 
   /// Returns a sink a single worker thread may Consume into without
   /// synchronizing against other shards. Called only from the coordinating
@@ -114,7 +144,8 @@ class Sampler {
   ///
   /// threads = 0 is the sequential stream: chunks are drawn in order from
   /// `rng`, which is consumed identically to DrawMany(m), so the two paths
-  /// are interchangeable under a fixed seed.
+  /// are interchangeable under a fixed seed (kCounts into an order-free
+  /// sink excepted: same law, its own stream; see the file comment).
   ///
   /// threads >= 1 is the sharded stream: chunk c is drawn from its own Rng
   /// stream derived from one NextU64() of `rng` (consumed even for m = 0)
@@ -147,12 +178,42 @@ class Sampler {
   static constexpr int64_t kShardChunk = int64_t{1} << 16;
 };
 
+/// Per-worker scratch of a DrawBlockFn, reused across that worker's blocks.
+struct DrawBlockBuffers {
+  std::vector<int64_t> values;  ///< the block's draws, or its run values
+  std::vector<int64_t> counts;  ///< run counts (count kernels only)
+};
+
+/// Draws the `len` draws of one block, which start at position `offset` of
+/// the request, from `rng` into `sink`.
+using DrawBlockFn = std::function<void(int64_t offset, int64_t len, Rng& rng,
+                                       CountSink& sink,
+                                       DrawBlockBuffers& buffers)>;
+
+/// The block schedule every DrawCounts implementation shares (its contract
+/// is DrawCounts's): m is cut into kShardChunk blocks. threads = 0 draws
+/// them in order from `rng`; threads >= 1 spends one NextU64 of `rng` as
+/// the root of block c's own stream and fans the blocks out over up to
+/// `threads` workers, each with its own CountSink::AcquireShard shard (a
+/// single worker runs on the calling thread and feeds `sink`).
+void RunDrawBlocks(int64_t m, Rng& rng, CountSink& sink, int threads,
+                   const DrawBlockFn& draw_block);
+
 /// Inner-loop strategy of AliasSampler.
 enum class AliasKernel {
   /// Default: per-draw rng consumption byte-identical to the historical
   /// sampler (UniformInt(columns), NextDouble, and — bucket mode, length
   /// > 1 only — UniformInt(len)). Every seeded experiment replays.
   kReplay,
+  /// Count-exact oracle (dist/count_kernel.h): DrawCounts into an
+  /// order-free sink draws each kShardChunk block's Multinomial(len, p)
+  /// count vector as sequential conditional binomials over the oracle's
+  /// support, O(support) per block instead of O(block) (blocks with under
+  /// 24 draws per support entry are drawn per draw). Same
+  /// law as the per-draw kernels, its own stream; every other path (Draw,
+  /// DrawMany, DrawManySharded, ordered sinks) runs the kReplay kernel
+  /// byte for byte. histkd's and histk_cli's default.
+  kCounts,
   /// Opt-in vectorized path (src/dist/simd/): kSimdLanes independent
   /// xoshiro lanes per step, alias lookups by AVX2 gather when the build
   /// (HISTK_SIMD) and the CPU (runtime CPUID, resolved once at sampler
@@ -173,9 +234,13 @@ enum class AliasKernel {
   kSimd,
 };
 
-/// Human-readable kernel name ("replay" / "simd") for CLI and
+/// Human-readable kernel name ("replay" / "counts" / "simd") for CLI and
 /// bench labels.
 const char* AliasKernelName(AliasKernel kernel);
+
+/// The kernel whose AliasKernelName is `name`; nullopt for any other
+/// string.
+std::optional<AliasKernel> ParseAliasKernel(std::string_view name);
 
 /// Walker/Vose alias method: O(columns) preprocessing, O(1) amortized per
 /// draw, where columns = n (dense) or k (bucket-backed). Zero-mass columns
@@ -189,6 +254,10 @@ class AliasSampler : public Sampler {
   int64_t n() const override { return n_; }
   AliasKernel kernel() const { return kernel_; }
   void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const override;
+  /// kCounts into an order-free sink: the count kernel; otherwise the
+  /// per-draw blocks of Sampler::DrawCounts.
+  void DrawCounts(int64_t m, Rng& rng, CountSink& sink,
+                  int threads = 0) const override;
 
  private:
   /// Dense column: acceptance threshold and reject target, interleaved so a
@@ -229,6 +298,10 @@ class AliasSampler : public Sampler {
   uint64_t simd_ncols_ = 0;
   simd::DenseDrawFn simd_dense_fn_ = nullptr;
   simd::BucketDrawFn simd_bucket_fn_ = nullptr;
+  /// kCounts only: the support as runs (positive columns or buckets); empty
+  /// otherwise. The replay columns are built too and serve every per-draw
+  /// path.
+  CountKernel counts_;
 };
 
 /// Inverse-cdf sampling by binary search: O(columns) preprocessing,

@@ -154,6 +154,11 @@ void BudgetedSampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
     void Consume(const int64_t* draws, int64_t len, int64_t offset) override {
       sink->Consume(draws, len, base + offset);
     }
+    bool OrderFree() const override { return sink->OrderFree(); }
+    void ConsumeRuns(const int64_t* values, const int64_t* counts, int64_t len,
+                     int64_t offset) override {
+      sink->ConsumeRuns(values, counts, len, base + offset);
+    }
   } part;
   part.sink = &sink;
   AdmitWindow(m);

@@ -58,10 +58,11 @@ struct SpecCommon {
   uint64_t seed = 1;
   /// Hard cap on oracle draws (BudgetedSampler::kUnlimited = no cap).
   int64_t budget = BudgetedSampler::kUnlimited;
-  /// 0 = the legacy sequential DrawMany path (byte-identical to the free
-  /// functions). >= 1 = the sharded path with this many workers; the report
-  /// is then byte-identical at ANY worker count (but distinct from the
-  /// sequential stream).
+  /// 0 = the sequential stream, DrawCounts(threads = 0) (byte-identical to
+  /// the free functions). >= 1 = the sharded stream with this many workers;
+  /// the report is then byte-identical at ANY worker count (but distinct
+  /// from the sequential stream). Either way a kCounts oracle draws count
+  /// vectors: same law as the per-draw kernels, its own stream.
   int draw_threads = 0;
   /// The resilient-session runtime: deadline, cancellation, retry/backoff,
   /// admission control (engine/runtime.h). Inert by default — draw streams

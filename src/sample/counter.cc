@@ -69,6 +69,12 @@ void RadixSortLowBits(std::vector<int64_t>& v, int low_bits,
 /// cache-resident std::sort.
 constexpr size_t kRadixMinPartition = 2048;
 
+int64_t RunDraws(const std::vector<std::pair<int64_t, int64_t>>& runs) {
+  int64_t total = 0;
+  for (const auto& run : runs) total += run.second;
+  return total;
+}
+
 }  // namespace
 
 SampleCounter::SampleCounter(int64_t n, int64_t expected_draws)
@@ -121,14 +127,42 @@ void SampleCounter::ConsumeInto(State& state, const int64_t* draws,
   state.total += len;
 }
 
+void SampleCounter::ConsumeRunsInto(State& state, const int64_t* values,
+                                    const int64_t* counts, int64_t len) const {
+  HISTK_CHECK(len >= 0);
+  for (int64_t i = 0; i < len; ++i) {
+    const int64_t v = values[i];
+    const int64_t c = counts[i];
+    HISTK_CHECK_MSG(v >= 0 && v < n_, "run value out of domain");
+    HISTK_CHECK_MSG(c > 0, "run count must be positive");
+    if (dense_) {
+      state.counts[static_cast<size_t>(v)] += c;
+    } else {
+      state.runs.emplace_back(v, c);
+    }
+    state.total += c;
+  }
+}
+
 void SampleCounter::Consume(const int64_t* draws, int64_t len,
                             int64_t /*offset*/) {
   ConsumeInto(primary_, draws, len);
 }
 
+void SampleCounter::ConsumeRuns(const int64_t* values, const int64_t* counts,
+                                int64_t len, int64_t /*offset*/) {
+  ConsumeRunsInto(primary_, values, counts, len);
+}
+
 void SampleCounter::ShardSink::Consume(const int64_t* draws, int64_t len,
                                        int64_t /*offset*/) {
   owner_->ConsumeInto(state_, draws, len);
+}
+
+void SampleCounter::ShardSink::ConsumeRuns(const int64_t* values,
+                                           const int64_t* counts, int64_t len,
+                                           int64_t /*offset*/) {
+  owner_->ConsumeRunsInto(state_, values, counts, len);
 }
 
 CountSink& SampleCounter::AcquireShard() {
@@ -160,6 +194,7 @@ SampleSet SampleCounter::Build() {
     primary_.counts = {};
     return s;
   }
+  std::vector<std::pair<int64_t, int64_t>>& runs = primary_.runs;
   for (ShardSink& shard : shards_) {
     for (size_t p = 0; p < num_parts_; ++p) {
       std::vector<int64_t>& dst = primary_.parts[p];
@@ -167,8 +202,13 @@ SampleSet SampleCounter::Build() {
       dst.insert(dst.end(), src.begin(), src.end());
       src = {};  // release as we go: peak memory stays ~one batch
     }
+    runs.insert(runs.end(), shard.state_.runs.begin(), shard.state_.runs.end());
+    shard.state_.runs = {};
   }
   shards_.clear();
+  // Fed runs, sorted, merge into the encode below value by value.
+  std::sort(runs.begin(), runs.end());
+  size_t next_run = 0;
   // Sort each partition independently (cache-resident), then run-length
   // encode in ascending partition order — the concatenation is globally
   // sorted, so the runs arrive exactly as FromDraws would emit them.
@@ -177,10 +217,29 @@ SampleSet SampleCounter::Build() {
   // Worst case every draw is distinct; reserving that keeps the encode loop
   // allocation-free at the cost of one transient m-element pair of arrays
   // (still far under the two m-element vectors the materialized path held).
-  values.reserve(static_cast<size_t>(grand_total));
-  counts.reserve(static_cast<size_t>(grand_total));
-  std::vector<int64_t> scratch;
+  // Runs bound the distinct values by their own number instead.
+  const size_t max_distinct = std::min(
+      static_cast<size_t>(grand_total),
+      static_cast<size_t>(grand_total - RunDraws(runs)) + runs.size());
+  values.reserve(max_distinct);
+  counts.reserve(max_distinct);
   int64_t encoded = 0;
+  auto emit = [&](int64_t v, int64_t c) {
+    if (!values.empty() && values.back() == v) {
+      counts.back() += c;
+    } else {
+      values.push_back(v);
+      counts.push_back(c);
+    }
+    encoded += c;
+  };
+  // Fed runs below `bound` go out first, so the output stays ascending.
+  auto emit_runs_below = [&](int64_t bound) {
+    for (; next_run < runs.size() && runs[next_run].first < bound; ++next_run) {
+      emit(runs[next_run].first, runs[next_run].second);
+    }
+  };
+  std::vector<int64_t> scratch;
   for (auto& part : primary_.parts) {
     if (shift_ > 0 && part.size() >= kRadixMinPartition) {
       RadixSortLowBits(part, shift_, scratch);
@@ -192,14 +251,16 @@ SampleSet SampleCounter::Build() {
       const int64_t v = part[i];
       size_t j = i;
       while (j < part.size() && part[j] == v) ++j;
-      values.push_back(v);
-      counts.push_back(static_cast<int64_t>(j - i));
-      encoded += static_cast<int64_t>(j - i);
+      emit_runs_below(v);
+      emit(v, static_cast<int64_t>(j - i));
+      emit_runs_below(v + 1);
       i = j;
     }
     part = {};  // release as we go: peak memory stays ~one batch
   }
+  emit_runs_below(n_);
   primary_.parts = {};
+  primary_.runs = {};
   HISTK_CHECK_INVARIANT(encoded == grand_total,
                         "run-length encode lost or duplicated draws");
   return SampleSet::FromRuns(n_, std::move(values), counts);

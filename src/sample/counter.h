@@ -17,6 +17,11 @@
 //     slices (plus it never copies the batch), which is where the fused
 //     pipeline's ≥2x over materialize-then-count comes from.
 //
+// The counter is order-free (CountSink::OrderFree), so a kCounts oracle
+// feeds it runs (value, count) instead of draws: dense domains add each
+// count to its element, sparse domains keep the runs aside and Build()
+// merges them, sorted, into the encoded partitions.
+//
 // Concurrency model (the de-mutexed design): Consume is single-writer and
 // lock-free — it feeds the primary accumulator with no synchronization, so
 // the sequential DrawCounts path (and a sharded one that resolves to one
@@ -36,6 +41,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "dist/sampler.h"
@@ -57,6 +63,14 @@ class SampleCounter : public CountSink {
   /// must each consume into their own shard (AcquireShard), never into the
   /// same sink object.
   void Consume(const int64_t* draws, int64_t len, int64_t offset) override;
+
+  /// Counting reads no order: a kCounts oracle may feed runs.
+  bool OrderFree() const override { return true; }
+
+  /// Adds each run's count as is, never expanding it; same threading rule
+  /// as Consume.
+  void ConsumeRuns(const int64_t* values, const int64_t* counts, int64_t len,
+                   int64_t offset) override;
 
   /// One independent accumulator per worker. Coordinator-thread only (see
   /// CountSink::AcquireShard); shard addresses stay stable until Build().
@@ -80,6 +94,8 @@ class SampleCounter : public CountSink {
     int64_t total = 0;
     std::vector<int64_t> counts;              // dense backend
     std::vector<std::vector<int64_t>> parts;  // sparse backend
+    /// Sparse backend: runs fed by ConsumeRuns, as (value, count).
+    std::vector<std::pair<int64_t, int64_t>> runs;
   };
 
   /// The per-worker sink handed out by AcquireShard.
@@ -87,6 +103,9 @@ class SampleCounter : public CountSink {
    public:
     explicit ShardSink(const SampleCounter* owner) : owner_(owner) {}
     void Consume(const int64_t* draws, int64_t len, int64_t offset) override;
+    bool OrderFree() const override { return true; }
+    void ConsumeRuns(const int64_t* values, const int64_t* counts, int64_t len,
+                     int64_t offset) override;
 
    private:
     friend class SampleCounter;
@@ -96,6 +115,8 @@ class SampleCounter : public CountSink {
 
   void InitState(State& state) const;
   void ConsumeInto(State& state, const int64_t* draws, int64_t len) const;
+  void ConsumeRunsInto(State& state, const int64_t* values,
+                       const int64_t* counts, int64_t len) const;
 
   int64_t n_ = 0;
   int64_t expected_draws_ = 0;

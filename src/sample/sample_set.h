@@ -55,10 +55,13 @@ class SampleSet {
 
   /// Draws `m` samples from the oracle and builds the set — via the fused
   /// draw→count path (Sampler::DrawCounts + SampleCounter), so the batch is
-  /// never materialized. threads = 0 consumes the rng identically to
-  /// DrawMany(m) and returns exactly the set FromDraws(n, DrawMany(m))
-  /// would; threads >= 1 returns FromDraws(n, DrawManySharded(m, rng,
-  /// threads)) — thread-count invariant, one NextU64 consumed.
+  /// never materialized. For the per-draw kernels (kReplay, kSimd),
+  /// threads = 0 consumes the rng identically to DrawMany(m) and returns
+  /// exactly the set FromDraws(n, DrawMany(m)) would; threads >= 1 returns
+  /// FromDraws(n, DrawManySharded(m, rng, threads)) — thread-count
+  /// invariant, one NextU64 consumed. A kCounts oracle draws each block's
+  /// count vector instead: the set has the same law, but is its own
+  /// stream (still thread-count invariant when sharded).
   static SampleSet Draw(const Sampler& sampler, int64_t m, Rng& rng,
                         int threads = 0);
 

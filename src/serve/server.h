@@ -54,8 +54,9 @@ struct ServeOptions {
   int64_t cache_entries = 64;
   /// Dataset store LRU capacity (entries).
   int64_t max_datasets = 16;
-  /// Draw kernel for oracles the store builds.
-  AliasKernel kernel = AliasKernel::kReplay;
+  /// Draw kernel for oracles the store builds. kCounts: sample sets are
+  /// drawn as count vectors (same law as replay, its own stream).
+  AliasKernel kernel = AliasKernel::kCounts;
   /// What "path"/"sketch" dataset refs may open (default: unrestricted —
   /// the socket frontend tightens this; see histkd --data-root).
   FsRefPolicy fs_refs;

@@ -15,6 +15,8 @@
 #include "dist/sampler.h"
 #include "engine/engine.h"
 #include "engine/runtime.h"
+#include "sample/sample_set.h"
+#include "util/interval.h"
 #include "util/rng.h"
 
 namespace histk {
@@ -442,6 +444,125 @@ TEST(BudgetedSamplerTest, CancelTokenStopsAtAMeteringPoint) {
   policy.cancel.Cancel();
   EXPECT_THROW((void)bs.DrawMany(100, rng), CancelledError);
   EXPECT_EQ(bs.samples_drawn(), 100);
+}
+
+// ------------------------------------------------------------ kCounts
+//
+// The count kernel draws each block's count vector instead of its draws;
+// the meter's contracts must not notice.
+
+/// Per-element counts of a dense-domain set.
+std::vector<int64_t> CountVector(const SampleSet& s) {
+  std::vector<int64_t> counts(static_cast<size_t>(s.n()));
+  for (int64_t v = 0; v < s.n(); ++v) {
+    counts[static_cast<size_t>(v)] = s.Count(Interval(v, v));
+  }
+  return counts;
+}
+
+TEST(CountKernelBudgetTest, SamplesDrawnMatchReplayForTheSameSpec) {
+  Rng gen(2024);
+  const Distribution d = MakeRandomKHistogram(/*n=*/128, /*k=*/3, gen, 10.0).dist;
+  const AliasSampler replay(d);
+  const AliasSampler counts(d, AliasKernel::kCounts);
+  auto expect_same_meter = [](const Report& a, const Report& b) {
+    EXPECT_EQ(a.telemetry.samples_drawn, b.telemetry.samples_drawn);
+    ASSERT_EQ(a.telemetry.phases.size(), b.telemetry.phases.size());
+    for (size_t i = 0; i < a.telemetry.phases.size(); ++i) {
+      EXPECT_EQ(a.telemetry.phases[i].phase, b.telemetry.phases[i].phase);
+      EXPECT_EQ(a.telemetry.phases[i].samples, b.telemetry.phases[i].samples);
+    }
+  };
+  LearnSpec learn;
+  learn.seed = 5;
+  learn.options.k = 3;
+  learn.options.eps = 0.3;
+  learn.options.sample_scale = 0.2;
+  expect_same_meter(*Engine(replay).Run(learn), *Engine(counts).Run(learn));
+  TestSpec test;
+  test.seed = 6;
+  test.config.k = 3;
+  test.config.eps = 0.3;
+  test.config.sample_scale = 0.2;
+  test.config.r_override = 9;
+  expect_same_meter(*Engine(replay).Run(test), *Engine(counts).Run(test));
+  PropertyTestSpec ptest;
+  ptest.seed = 9;
+  ptest.config.k = 3;
+  ptest.config.eps = 0.3;
+  ptest.config.sample_scale = 0.1;
+  ptest.draw_threads = 2;
+  expect_same_meter(*Engine(replay).Run(ptest), *Engine(counts).Run(ptest));
+}
+
+TEST(CountKernelBudgetTest, ExactBudgetAndExhaustionNeverAbort) {
+  Rng gen(2024);
+  const Distribution d = MakeRandomKHistogram(/*n=*/128, /*k=*/3, gen, 10.0).dist;
+  const AliasSampler sampler(d, AliasKernel::kCounts);
+  const Engine engine(sampler);
+  PropertyTestSpec spec;
+  spec.seed = 9;
+  spec.config.k = 3;
+  spec.config.eps = 0.3;
+  spec.config.sample_scale = 0.1;
+  const Report full = *engine.Run(spec);
+  ASSERT_NE(full.outcome, TaskOutcome::kBudgetExhausted);
+
+  PropertyTestSpec exact = spec;
+  exact.budget = full.telemetry.samples_drawn;
+  const Report at_cap = *engine.Run(exact);
+  EXPECT_EQ(at_cap.outcome, full.outcome);
+  EXPECT_EQ(at_cap.telemetry.samples_drawn, full.telemetry.samples_drawn);
+
+  for (const int64_t budget :
+       {int64_t{0}, full.telemetry.phases[0].samples - 1,
+        full.telemetry.samples_drawn - 1}) {
+    PropertyTestSpec capped = spec;
+    capped.budget = budget;
+    const Report partial = *engine.Run(capped);
+    EXPECT_EQ(partial.outcome, TaskOutcome::kBudgetExhausted) << budget;
+    EXPECT_LE(partial.telemetry.samples_drawn, budget);
+    EXPECT_FALSE(partial.property_test.has_value());
+  }
+}
+
+TEST(CountKernelBudgetTest, ArmedSequentialCountsEqualUnarmed) {
+  const Distribution d = TestDist();
+  const AliasSampler inner(d, AliasKernel::kCounts);
+  RunPolicy armed;
+  armed.deadline = Deadline::AfterMillis(int64_t{1} << 40);
+  const BudgetedSampler hardened(inner, BudgetedSampler::kUnlimited, &armed);
+  const BudgetedSampler plain(inner);
+
+  const int64_t m = 3 * Sampler::kShardChunk + 123;
+  Rng rng_h(31), rng_p(31);
+  const SampleSet a = SampleSet::Draw(hardened, m, rng_h);
+  const SampleSet b = SampleSet::Draw(plain, m, rng_p);
+  EXPECT_EQ(a.m(), m);
+  EXPECT_EQ(CountVector(a), CountVector(b));
+  EXPECT_EQ(rng_h.NextU64(), rng_p.NextU64());
+  EXPECT_EQ(hardened.samples_drawn(), m);
+  EXPECT_EQ(plain.samples_drawn(), m);
+}
+
+TEST(CountKernelBudgetTest, ShardedCountsIdenticalAtOneTwoThreeThreads) {
+  const Distribution d = TestDist();
+  const AliasSampler inner(d, AliasKernel::kCounts);
+  RunPolicy armed;
+  armed.deadline = Deadline::AfterMillis(int64_t{1} << 40);
+  const int64_t m = 3 * Sampler::kShardChunk + 17;
+  for (const RunPolicy* policy : {static_cast<const RunPolicy*>(nullptr),
+                                  static_cast<const RunPolicy*>(&armed)}) {
+    const BudgetedSampler bs(inner, BudgetedSampler::kUnlimited, policy);
+    Rng rng1(7);
+    const std::vector<int64_t> one = CountVector(SampleSet::Draw(bs, m, rng1, 1));
+    for (const int threads : {2, 3}) {
+      Rng rng(7);
+      EXPECT_EQ(CountVector(SampleSet::Draw(bs, m, rng, threads)), one)
+          << "armed=" << (policy != nullptr) << " threads=" << threads;
+    }
+    EXPECT_EQ(bs.samples_drawn(), 3 * m);
+  }
 }
 
 }  // namespace

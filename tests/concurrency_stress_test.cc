@@ -100,10 +100,12 @@ TEST(ConcurrencyStressTest, ConcurrentDrawManyShardedOnSharedSampler) {
 
 // The fused draw->count path under the same regime: concurrent
 // sharded SampleSet::Draw callers over one sampler, inner worker counts
-// varying per caller. Byte-identical sets regardless.
+// varying per caller. Byte-identical sets regardless, on the per-draw and
+// on the count kernel.
 TEST(ConcurrencyStressTest, ConcurrentShardedDrawCountsOnSharedSampler) {
+  for (const AliasKernel kernel : {AliasKernel::kReplay, AliasKernel::kCounts})
   for (const Distribution& d : {DenseSkewed(), BucketHuge()}) {
-    const AliasSampler sampler(d);
+    const AliasSampler sampler(d, kernel);
 
     std::vector<SampleSet> expected;
     for (int t = 0; t < kOuterThreads; ++t) {

@@ -8,7 +8,7 @@
 //      (FromDraws ∘ DrawMany/DrawManySharded), at every thread count in
 //      {1, 2, 8}, and leaves the rng in the same state.
 //   3. The sharded stream is pinned to golden hashes, so a change shared by
-//      every worker count still shows.
+//      every worker count still shows; so are kCounts's count vectors.
 //   4. The FromDraws move-in overload and the FromRuns pre-counted
 //      constructor agree with the historical constructors.
 #include <cstdint>
@@ -213,6 +213,49 @@ TEST(DrawPipelineTest, ShardedStreamMatchesGolden) {
     for (const int threads : {1, 3}) {
       Rng rng(7);
       EXPECT_EQ(HashDraws(s.DrawManySharded(200000, rng, threads)), c.hash)
+          << c.name << ", threads=" << threads;
+    }
+  }
+}
+
+/// FNV-1a over a set's (value, count) pairs in ascending value order.
+uint64_t HashCounts(const SampleSet& set) {
+  std::vector<int64_t> pairs;
+  for (const int64_t v : set.distinct_values()) {
+    pairs.push_back(v);
+    pairs.push_back(set.Count(Interval(v, v)));
+  }
+  return HashDraws(pairs);
+}
+
+TEST(DrawPipelineTest, CountKernelVectorsMatchGolden) {
+  // kCounts has its own stream (the same law as replay, not the same
+  // bytes), so its count vectors are pinned separately: sequential, and
+  // sharded at two worker counts.
+  std::vector<int64_t> items;
+  for (int64_t i = 0; i < 5000; ++i) items.push_back((i * i) % 97);
+  const AliasSampler dense(DenseSkewed(), AliasKernel::kCounts);
+  const AliasSampler bucket(BucketHuge(), AliasKernel::kCounts);
+  const DatasetSampler dataset(97, items, AliasKernel::kCounts);
+  struct Case {
+    const char* name;
+    const Sampler* sampler;
+    uint64_t sequential;
+    uint64_t sharded;
+  };
+  const Case cases[] = {
+      {"dense counts", &dense, 0xe7d711d3770cef43ULL, 0x6af6475f33c36adeULL},
+      {"bucket counts", &bucket, 0x8a05edb7c78ce8ecULL, 0x36d8b5f8682a8066ULL},
+      {"dataset counts", &dataset, 0x70621d6f608493f8ULL, 0x720e23923742fa72ULL},
+  };
+  for (const Case& c : cases) {
+    Rng seq_rng(7);
+    EXPECT_EQ(HashCounts(SampleSet::Draw(*c.sampler, 200000, seq_rng)), c.sequential)
+        << c.name;
+    for (const int threads : {1, 3}) {
+      Rng rng(7);
+      EXPECT_EQ(HashCounts(SampleSet::Draw(*c.sampler, 200000, rng, threads)),
+                c.sharded)
           << c.name << ", threads=" << threads;
     }
   }

@@ -14,6 +14,8 @@
 #include "dist/sampler.h"
 #include "engine/budget.h"
 #include "engine/runtime.h"
+#include "sample/sample_set.h"
+#include "util/interval.h"
 #include "util/rng.h"
 
 namespace histk {
@@ -199,6 +201,41 @@ TEST(FaultInjectionTest, MeterRetriesShortBatchesToACompleteStream) {
   EXPECT_EQ(metered.samples_drawn(), 200000);
   EXPECT_GT(metered.retries(), 0);
   EXPECT_GT(faulty.faults_injected(), 0);
+}
+
+TEST(FaultInjectionTest, CountKernelRetriesNeverDoubleCount) {
+  // Under kCounts a block reaches the sink as runs, after the fault check:
+  // a faulted block feeds nothing, so the retried set is the fault-free set
+  // run for run.
+  const Distribution d = TestDist();
+  const AliasSampler inner(d, AliasKernel::kCounts);
+  FaultSchedule schedule;
+  schedule.seed = 8;
+  schedule.transient_rate = 0.3;
+  schedule.short_batch_rate = 0.2;
+  const FaultInjectingSampler faulty(inner, schedule);
+
+  RunPolicy policy;
+  policy.retry.max_retries = 64;
+  policy.retry.initial_backoff_ms = 0;
+  policy.retry.max_backoff_ms = 0;
+  const BudgetedSampler metered(faulty, BudgetedSampler::kUnlimited, &policy);
+  const BudgetedSampler clean(inner, BudgetedSampler::kUnlimited, &policy);
+
+  const int64_t m = 5 * Sampler::kShardChunk + 777;
+  for (const int threads : {0, 2}) {
+    Rng rng_faulty(13), rng_clean(13);
+    const SampleSet got = SampleSet::Draw(metered, m, rng_faulty, threads);
+    const SampleSet want = SampleSet::Draw(clean, m, rng_clean, threads);
+    EXPECT_EQ(got.m(), m);
+    EXPECT_EQ(got.distinct_values(), want.distinct_values());
+    for (int64_t v = 0; v < d.n(); ++v) {
+      EXPECT_EQ(got.Count(Interval(v, v)), want.Count(Interval(v, v))) << v;
+    }
+  }
+  EXPECT_EQ(metered.samples_drawn(), 2 * m);
+  EXPECT_GT(metered.retries(), 0);
+  EXPECT_GT(faulty.transient_faults(), 0);
 }
 
 TEST(FaultInjectionTest, ExhaustedRetriesSurfaceTheTransientError) {

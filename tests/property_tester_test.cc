@@ -4,7 +4,8 @@
 // at >= 95% empirical rate across families x seeds), the DKN17-flavored
 // closeness tester must accept identical pairs and reject certified far
 // pairs, and the deterministic building blocks (plans, refinements,
-// decisions) must honor their structural contracts.
+// decisions) must honor their structural contracts. The power checks run
+// on the replay kernel and on the count kernel (same law, its own stream).
 #include "core/property_tester.h"
 
 #include <gtest/gtest.h>
@@ -25,9 +26,12 @@ PropertyTestConfig PropertyConfig(int64_t k, double eps, double scale) {
   return cfg;
 }
 
+constexpr AliasKernel kKernels[] = {AliasKernel::kReplay, AliasKernel::kCounts};
+
 int PropertyAcceptCount(const Distribution& d, const PropertyTestConfig& cfg,
-                        int trials, uint64_t seed) {
-  const AliasSampler sampler(d);
+                        int trials, uint64_t seed,
+                        AliasKernel kernel = AliasKernel::kReplay) {
+  const AliasSampler sampler(d, kernel);
   Rng rng(seed);
   int accepted = 0;
   for (int t = 0; t < trials; ++t) {
@@ -46,9 +50,10 @@ ClosenessConfig CloseConfig(int64_t k, double eps, double scale) {
 }
 
 int CloseAcceptCount(const Distribution& p, const Distribution& q,
-                     const ClosenessConfig& cfg, int trials, uint64_t seed) {
-  const AliasSampler sp(p);
-  const AliasSampler sq(q);
+                     const ClosenessConfig& cfg, int trials, uint64_t seed,
+                     AliasKernel kernel = AliasKernel::kReplay) {
+  const AliasSampler sp(p, kernel);
+  const AliasSampler sq(q, kernel);
   Rng rng(seed);
   int accepted = 0;
   for (int t = 0; t < trials; ++t) {
@@ -61,17 +66,21 @@ int CloseAcceptCount(const Distribution& p, const Distribution& q,
 
 TEST(PropertyTesterPowerTest, AcceptsTrueKHistogramsAcrossFamiliesAndSeeds) {
   // Aggregate acceptance across (k, seed) cells must clear 95%.
-  int accepted = 0;
-  int trials = 0;
-  for (const int64_t k : {2, 4, 6}) {
-    for (const uint64_t seed : {401u, 402u}) {
-      Rng gen(1000 * seed + static_cast<uint64_t>(k));
-      const HistogramSpec spec = MakeRandomKHistogram(256, k, gen, 20.0);
-      accepted += PropertyAcceptCount(spec.dist, PropertyConfig(k, 0.3, 0.5), 5, seed);
-      trials += 5;
+  for (const AliasKernel kernel : kKernels) {
+    int accepted = 0;
+    int trials = 0;
+    for (const int64_t k : {2, 4, 6}) {
+      for (const uint64_t seed : {401u, 402u}) {
+        Rng gen(1000 * seed + static_cast<uint64_t>(k));
+        const HistogramSpec spec = MakeRandomKHistogram(256, k, gen, 20.0);
+        accepted += PropertyAcceptCount(spec.dist, PropertyConfig(k, 0.3, 0.5), 5,
+                                        seed, kernel);
+        trials += 5;
+      }
     }
+    EXPECT_GE(accepted * 100, trials * 95)
+        << AliasKernelName(kernel) << ": " << accepted << "/" << trials;
   }
-  EXPECT_GE(accepted * 100, trials * 95) << accepted << "/" << trials;
 }
 
 TEST(PropertyTesterPowerTest, AcceptsUniformAndNestedClasses) {
@@ -91,62 +100,76 @@ TEST(PropertyTesterPowerTest, RejectsCertifiedFarInstancesAcrossFamilies) {
   // DP-certified within-piece zigzag (fine structure the coarse masses
   // cannot see). The eps-amplitude zigzags need the aggregated-collision
   // budget, i.e. scale >= ~1 (bench_e14 sweeps the power curve).
-  int rejected = 0;
-  int trials = 0;
-  auto run = [&](const Distribution& d, const PropertyTestConfig& cfg, uint64_t seed) {
-    const int accepted = PropertyAcceptCount(d, cfg, 5, seed);
-    rejected += 5 - accepted;
-    trials += 5;
-  };
-  for (const int64_t k : {2, 4}) {
-    const auto spikes = MakeL2FarSpikes(256, k, 0.3);
-    ASSERT_TRUE(spikes.has_value());
-    run(spikes->dist, PropertyConfig(k, 0.3, 0.5), 500 + static_cast<uint64_t>(k));
-    run(MakeL1FarZigzag(256, k, 0.4).dist, PropertyConfig(k, 0.4, 2.0),
-        520 + static_cast<uint64_t>(k));
-    const auto within = MakeL1FarWithinPieceZigzag(256, k, 0.3, 530 + static_cast<uint64_t>(k));
-    ASSERT_TRUE(within.has_value());
-    run(within->dist, PropertyConfig(k, 0.3, 0.5), 540 + static_cast<uint64_t>(k));
+  for (const AliasKernel kernel : kKernels) {
+    int rejected = 0;
+    int trials = 0;
+    auto run = [&](const Distribution& d, const PropertyTestConfig& cfg,
+                   uint64_t seed) {
+      const int accepted = PropertyAcceptCount(d, cfg, 5, seed, kernel);
+      rejected += 5 - accepted;
+      trials += 5;
+    };
+    for (const int64_t k : {2, 4}) {
+      const auto spikes = MakeL2FarSpikes(256, k, 0.3);
+      ASSERT_TRUE(spikes.has_value());
+      run(spikes->dist, PropertyConfig(k, 0.3, 0.5), 500 + static_cast<uint64_t>(k));
+      run(MakeL1FarZigzag(256, k, 0.4).dist, PropertyConfig(k, 0.4, 2.0),
+          520 + static_cast<uint64_t>(k));
+      const auto within =
+          MakeL1FarWithinPieceZigzag(256, k, 0.3, 530 + static_cast<uint64_t>(k));
+      ASSERT_TRUE(within.has_value());
+      run(within->dist, PropertyConfig(k, 0.3, 0.5), 540 + static_cast<uint64_t>(k));
+    }
+    // Zipf heads only certify at small eps (the class is L2-thin there).
+    const auto zipf = MakeL2FarZipf(512, 2, 0.1);
+    ASSERT_TRUE(zipf.has_value());
+    run(zipf->dist, PropertyConfig(2, 0.1, 0.5), 512);
+    EXPECT_GE(rejected * 100, trials * 95)
+        << AliasKernelName(kernel) << ": " << rejected << "/" << trials;
   }
-  // Zipf heads only certify at small eps (the class is L2-thin there).
-  const auto zipf = MakeL2FarZipf(512, 2, 0.1);
-  ASSERT_TRUE(zipf.has_value());
-  run(zipf->dist, PropertyConfig(2, 0.1, 0.5), 512);
-  EXPECT_GE(rejected * 100, trials * 95) << rejected << "/" << trials;
 }
 
 TEST(ClosenessPowerTest, AcceptsIdenticalPairsAcrossSeeds) {
-  int accepted = 0;
-  int trials = 0;
-  for (const int64_t k : {2, 6}) {
-    for (const uint64_t seed : {601u, 602u}) {
-      Rng gen(2000 * seed + static_cast<uint64_t>(k));
-      const HistogramSpec spec = MakeRandomKHistogram(256, k, gen, 15.0);
-      accepted += CloseAcceptCount(spec.dist, spec.dist, CloseConfig(k, 0.3, 0.5), 5, seed);
-      trials += 5;
+  for (const AliasKernel kernel : kKernels) {
+    int accepted = 0;
+    int trials = 0;
+    for (const int64_t k : {2, 6}) {
+      for (const uint64_t seed : {601u, 602u}) {
+        Rng gen(2000 * seed + static_cast<uint64_t>(k));
+        const HistogramSpec spec = MakeRandomKHistogram(256, k, gen, 15.0);
+        accepted += CloseAcceptCount(spec.dist, spec.dist, CloseConfig(k, 0.3, 0.5),
+                                     5, seed, kernel);
+        trials += 5;
+      }
     }
+    EXPECT_GE(accepted * 100, trials * 95)
+        << AliasKernelName(kernel) << ": " << accepted << "/" << trials;
   }
-  EXPECT_GE(accepted * 100, trials * 95) << accepted << "/" << trials;
 }
 
 TEST(ClosenessPowerTest, RejectsCertifiedFarPairsAcrossFamiliesAndSeeds) {
-  int rejected = 0;
-  int trials = 0;
-  for (const int64_t k : {2, 8}) {
-    const uint64_t seed = 701 + static_cast<uint64_t>(k);
-    const auto mass = MakeFarPairMassShift(256, k, 0.3, seed + static_cast<uint64_t>(k));
-    ASSERT_TRUE(mass.has_value());
-    EXPECT_GE(mass->certified_distance, 0.3);
-    rejected += 5 - CloseAcceptCount(mass->p, mass->q, CloseConfig(k, 0.3, 0.5), 5, seed);
-    trials += 5;
-    const auto indep =
-        MakeFarPairIndependent(256, k, 0.3, seed + 31 * static_cast<uint64_t>(k));
-    ASSERT_TRUE(indep.has_value());
-    rejected +=
-        5 - CloseAcceptCount(indep->p, indep->q, CloseConfig(k, 0.3, 0.5), 5, seed);
-    trials += 5;
+  for (const AliasKernel kernel : kKernels) {
+    int rejected = 0;
+    int trials = 0;
+    for (const int64_t k : {2, 8}) {
+      const uint64_t seed = 701 + static_cast<uint64_t>(k);
+      const auto mass =
+          MakeFarPairMassShift(256, k, 0.3, seed + static_cast<uint64_t>(k));
+      ASSERT_TRUE(mass.has_value());
+      EXPECT_GE(mass->certified_distance, 0.3);
+      rejected += 5 - CloseAcceptCount(mass->p, mass->q, CloseConfig(k, 0.3, 0.5), 5,
+                                       seed, kernel);
+      trials += 5;
+      const auto indep =
+          MakeFarPairIndependent(256, k, 0.3, seed + 31 * static_cast<uint64_t>(k));
+      ASSERT_TRUE(indep.has_value());
+      rejected += 5 - CloseAcceptCount(indep->p, indep->q, CloseConfig(k, 0.3, 0.5),
+                                       5, seed, kernel);
+      trials += 5;
+    }
+    EXPECT_GE(rejected * 100, trials * 95)
+        << AliasKernelName(kernel) << ": " << rejected << "/" << trials;
   }
-  EXPECT_GE(rejected * 100, trials * 95) << rejected << "/" << trials;
 }
 
 TEST(ClosenessPowerTest, AsymmetricPieceBudgetsWork) {

@@ -99,5 +99,17 @@ TEST(SamplerTest, DeterministicGivenSeed) {
   EXPECT_EQ(s.DrawMany(100, a), s.DrawMany(100, b));
 }
 
+TEST(SamplerTest, KernelNamesRoundTripThroughTheParser) {
+  for (const AliasKernel kernel :
+       {AliasKernel::kReplay, AliasKernel::kCounts, AliasKernel::kSimd}) {
+    EXPECT_EQ(ParseAliasKernel(AliasKernelName(kernel)), kernel)
+        << AliasKernelName(kernel);
+  }
+  EXPECT_STREQ(AliasKernelName(AliasKernel::kCounts), "counts");
+  for (const char* bad : {"", "unknown", "Replay", "packed", "counts "}) {
+    EXPECT_FALSE(ParseAliasKernel(bad).has_value()) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace histk

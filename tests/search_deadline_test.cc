@@ -63,6 +63,19 @@ TEST(SearchDeadlineTest, LearnStopsInsideTheGreedySearch) {
   EXPECT_FALSE(run->learn.has_value());
 }
 
+TEST(SearchDeadlineTest, CountKernelLearnStopsInsideTheGreedySearch) {
+  const Distribution truth = Truth(6);
+  const AliasSampler oracle(truth, AliasKernel::kCounts);
+  const Engine engine(oracle);
+  LearnSpec spec;
+  spec.seed = 11;
+  spec.options.k = kK;
+  spec.options.eps = kEps;
+  spec.options.sample_scale = kScale;
+  spec.policy.deadline = Deadline::AfterMillis(kDeadlineMs);
+  ExpectDeadlineExceeded(engine.Run(spec));
+}
+
 TEST(SearchDeadlineTest, PropertyTestStopsInsideTheGreedySearch) {
   const Distribution truth = Truth(2);
   const AliasSampler oracle(truth, AliasKernel::kSimd);

@@ -10,8 +10,8 @@ namespace {
 
 // Repeated-trial accept count (each trial draws fresh samples).
 int AcceptCount(const Distribution& d, const TestConfig& cfg, int trials,
-                uint64_t seed) {
-  const AliasSampler sampler(d);
+                uint64_t seed, AliasKernel kernel = AliasKernel::kReplay) {
+  const AliasSampler sampler(d, kernel);
   Rng rng(seed);
   int accepted = 0;
   for (int t = 0; t < trials; ++t) {
@@ -43,6 +43,7 @@ TEST(TesterL2Test, AcceptsExactKHistograms) {
   Rng gen(401);
   const HistogramSpec spec = MakeRandomKHistogram(256, 4, gen, 20.0);
   EXPECT_GE(AcceptCount(spec.dist, L2Config(4, 0.3), 10, 402), 8);
+  EXPECT_GE(AcceptCount(spec.dist, L2Config(4, 0.3), 10, 402, AliasKernel::kCounts), 8);
 }
 
 TEST(TesterL2Test, AcceptsUniformWithKOne) {
@@ -53,6 +54,7 @@ TEST(TesterL2Test, RejectsCertifiedFarSpikes) {
   const auto inst = MakeL2FarSpikes(256, 2, 0.3);
   ASSERT_TRUE(inst.has_value()) << "spike family infeasible at (256, 2, 0.3)";
   EXPECT_LE(AcceptCount(inst->dist, L2Config(2, 0.3), 10, 404), 2);
+  EXPECT_LE(AcceptCount(inst->dist, L2Config(2, 0.3), 10, 404, AliasKernel::kCounts), 2);
 }
 
 TEST(TesterL2Test, RejectsPointMassWithKOne) {

@@ -102,13 +102,15 @@
 // `gen --n $((1<<30))` is cheap; sample emission uses the sharded DrawMany
 // path, whose output depends on --seed but not on --threads.
 //
-// --kernel replay|simd selects the oracle's draw kernel everywhere a
+// --kernel counts|replay|simd selects the oracle's draw kernel everywhere a
 // sampler is built: gen/compare (AliasSampler over the pmf) and
 // learn/test/property-test/closeness (DatasetSampler over the held items).
-// replay (default) preserves the historical byte streams; simd is the
-// faster reordered kernel (it runtime-dispatches to AVX2 when available,
-// with a byte-identical scalar fallback). Unknown values exit 2 per the
-// strict-parse convention.
+// counts (default, as in histkd) draws each sample set's count vector
+// directly — same law, its own stream — and leaves gen's materialized
+// output byte-identical to replay; replay preserves the historical byte
+// streams everywhere; simd is the faster reordered per-draw kernel (it
+// runtime-dispatches to AVX2 when available, with a byte-identical scalar
+// fallback). Unknown values exit 2 per the strict-parse convention.
 #include <algorithm>
 #include <cerrno>
 #include <climits>
@@ -149,7 +151,7 @@ struct Args {
   int64_t reservoir = int64_t{1} << 20;  // learn/test held-item cap; 0 = unbounded
   int64_t budget = BudgetedSampler::kUnlimited;  // oracle-draw cap; < 0 = unlimited
   bool json = false;
-  AliasKernel kernel = AliasKernel::kReplay;  // oracle draw kernel
+  AliasKernel kernel = AliasKernel::kCounts;  // oracle draw kernel
   // gen-only:
   std::string family = "khist";
   int64_t samples = 200000;
@@ -210,8 +212,8 @@ void Usage() {
       "                 (quantile summary in text mode; --json prints the\n"
       "                 snapshot object; learn/test --from-sketch consume\n"
       "                 the --sketch-out file)\n"
-      "       all sampling commands also take --kernel replay|simd\n"
-      "                 (oracle draw kernel; default replay)\n"
+      "       all sampling commands also take --kernel counts|replay|simd\n"
+      "                 (oracle draw kernel; default counts)\n"
       "       engine subcommands also take --deadline-ms D --max-retries R\n"
       "                 --inject-faults SEED --draw-threads T (resilient\n"
       "                 sessions; see the file comment)\n"
@@ -303,17 +305,13 @@ bool Parse(int argc, char** argv, Args& args) {
       }
       args.norm_set = true;
     } else if (flag == "--kernel") {
-      const char* v = next();
-      if (!v) return bad();
       // Strict like --norm: a typo must not silently fall back to a kernel
       // with a different rng stream — seeded runs would replay differently.
-      if (std::strcmp(v, "replay") == 0) {
-        args.kernel = AliasKernel::kReplay;
-      } else if (std::strcmp(v, "simd") == 0) {
-        args.kernel = AliasKernel::kSimd;
-      } else {
-        return bad();
-      }
+      const char* v = next();
+      const std::optional<AliasKernel> kernel =
+          v ? ParseAliasKernel(v) : std::nullopt;
+      if (!kernel) return bad();
+      args.kernel = *kernel;
     } else if (flag == "--full-enum") {
       args.full_enum = true;
     } else if (flag == "--reduce") {

@@ -2,7 +2,7 @@
 //
 //   histkd [--workers W] [--max-sessions S] [--max-outstanding-budget B]
 //          [--retry-after-ms MS] [--queue-limit Q] [--cache-entries C]
-//          [--max-datasets D] [--kernel replay|simd]
+//          [--max-datasets D] [--kernel counts|replay|simd]
 //          [--socket PATH]
 //
 // Speaks the newline-delimited JSON request protocol of src/api/request.h
@@ -40,6 +40,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -67,7 +68,7 @@ void Usage() {
       "usage: histkd [--workers W] [--max-sessions S]\n"
       "              [--max-outstanding-budget B] [--retry-after-ms MS]\n"
       "              [--queue-limit Q] [--cache-entries C] [--max-datasets D]\n"
-      "              [--kernel replay|simd] [--socket PATH]\n"
+      "              [--kernel counts|replay|simd] [--socket PATH]\n"
       "              [--data-root DIR]\n"
       "\n"
       "Serves newline-delimited JSON requests (src/api/request.h schema)\n"
@@ -75,7 +76,10 @@ void Usage() {
       "\n"
       "--data-root DIR jails \"path\"/\"sketch\" dataset refs to DIR. In\n"
       "socket mode filesystem refs are rejected unless --data-root is\n"
-      "given; stdin mode allows them (the pipe is the trust boundary).\n");
+      "given; stdin mode allows them (the pipe is the trust boundary).\n"
+      "\n"
+      "--kernel picks the oracles' draw kernel (default counts: sample sets\n"
+      "are drawn as count vectors; replay gives the historical streams).\n");
 }
 
 bool ToI64(const char* s, int64_t& out) { return TokenToI64(s, out); }
@@ -132,15 +136,10 @@ bool Parse(int argc, char** argv, DaemonArgs& args) {
       }
     } else if (flag == "--kernel") {
       const char* v = next();
-      if (!v) return bad();
-      const std::string name = v;
-      if (name == "replay") {
-        args.serve.kernel = AliasKernel::kReplay;
-      } else if (name == "simd") {
-        args.serve.kernel = AliasKernel::kSimd;
-      } else {
-        return bad();
-      }
+      const std::optional<AliasKernel> kernel =
+          v ? ParseAliasKernel(v) : std::nullopt;
+      if (!kernel) return bad();
+      args.serve.kernel = *kernel;
     } else if (flag == "--socket") {
       const char* v = next();
       if (!v) return bad();

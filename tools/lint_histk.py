@@ -11,7 +11,12 @@ histk idioms the codebase relies on:
                    checked helpers.
   rng-containment  No rand()/srand()/std::random_device/std::mt19937 etc.
                    outside src/util/rng.*. Every random stream must be a
-                   seeded histk::Rng so runs replay byte-identically.
+                   seeded histk::Rng so runs replay byte-identically. The
+                   std::*_distribution adaptors (uniform_int_, binomial_,
+                   normal_, poisson_, ...) are banned too, engine or not:
+                   their outputs are implementation-defined, so a seeded
+                   run would not replay across standard libraries. Exact
+                   variates live in-tree on histk::Rng (stats/binomial.h).
   engine-budget    Inside src/engine/, every oracle Draw* call must go
                    through a BudgetedSampler (or SampleSet/SampleSetGroup
                    helpers taking one) — a naked Draw on the raw oracle
@@ -95,7 +100,11 @@ PARSE_RE = re.compile(
 RNG_ALLOW_RE = re.compile(r"^src/util/rng\.(cc|h)$")
 RNG_RE = re.compile(
     r"\b(?:std::)?(?:rand|srand|random_device|mt19937(?:_64)?|"
-    r"minstd_rand0?|default_random_engine)\b"
+    r"minstd_rand0?|default_random_engine|"
+    r"(?:uniform_int|uniform_real|bernoulli|binomial|negative_binomial|"
+    r"geometric|poisson|exponential|gamma|weibull|extreme_value|normal|"
+    r"lognormal|chi_squared|cauchy|fisher_f|student_t|discrete|"
+    r"piecewise_constant|piecewise_linear)_distribution)\b"
 )
 
 # hot-path-mutex: opt-in via this tag anywhere in the file. src/dist/simd/
@@ -267,8 +276,8 @@ def lint_file(root, rel):
                  "(use histk::ParseInt64/ParseDouble in src/dist/io.cc)")
         if not RNG_ALLOW_RE.match(rel) and RNG_RE.search(line):
             emit(idx, "rng-containment",
-                 "raw randomness source outside src/util/rng.* "
-                 "(use a seeded histk::Rng)")
+                 "raw randomness source or std:: distribution adaptor "
+                 "outside src/util/rng.* (use a seeded histk::Rng)")
         if is_hot_path and MUTEX_RE.search(line):
             emit(idx, "hot-path-mutex",
                  "lock primitive in a histk:hot-path file — sharded-path "
