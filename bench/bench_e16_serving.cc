@@ -12,7 +12,11 @@
 //      proposition — repeat traffic must not pay the learner;
 //   3. governor saturation — rejections/s when every session slot is
 //      held. The typed-503 fast path runs before any engine work, so a
-//      saturated daemon must shed load at queue speed, not learn speed.
+//      saturated daemon must shed load at queue speed, not learn speed;
+//   4. request parse — µs per ParseRequestJson of a line shipping 20,000
+//      inline items, shaped like perfbench's ingest_test lines. Integer
+//      arrays parse into one packed int64 vector (api/json.h), so this is
+//      a scan of the line, not 20,000 generic JSON values.
 //
 // HISTK_E16_SMOKE=1 shrinks request counts and skips the worker sweep so
 // CI finishes in seconds; the emitted BENCH_e16.json then matches
@@ -28,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "api/request.h"
 #include "benchutil/harness.h"
 #include "core/histk.h"
 #include "engine/runtime.h"
@@ -90,6 +95,21 @@ std::string WarmAndGetRef(serve::HistkdServer& server,
   const size_t at = response.find(key);
   HISTK_CHECK(at != std::string::npos);
   return "{\"fingerprint\": \"" + response.substr(at + key.size(), 16) + "\"}";
+}
+
+// A compact property-test line shipping `count` items over n = 256, the
+// shape of perfbench's ingest_test requests.
+std::string IngestLine(int count) {
+  Rng rng(0xE16 + 1);
+  std::string line =
+      "{\"id\":\"ingest\",\"kind\":\"test\",\"k\":4,\"eps\":0.3,"
+      "\"seed\":1,\"norm\":\"l2\",\"n\":256,\"dataset\":{\"items\":[";
+  for (int i = 0; i < count; ++i) {
+    if (i > 0) line += ',';
+    line += std::to_string(rng.NextU64() % 256);
+  }
+  line += "]}}";
+  return line;
 }
 
 serve::ServeOptions Options(int workers) {
@@ -219,12 +239,33 @@ void RunExperiment() {
   shed_table.AddRow({"typed 503 (slots full)", FmtF(reject_per_s, 0)});
   shed_table.Print(std::cout);
 
+  // ------------------------------------------------------ 4. request parse
+  const std::string ingest = IngestLine(20000);
+  const int64_t kParses = smoke ? 50 : 300;
+  NextBenchLabel("serve_parse_items20000_us");
+  const double parse_us = MeasureScalar(trials, [&](int64_t) {
+    const WallTimer timer;
+    for (int64_t i = 0; i < kParses; ++i) {
+      const Result<api::RequestSpec> req = api::ParseRequestJson(ingest);
+      HISTK_CHECK(req.ok() && req->dataset.items.size() == 20000);
+      benchmark::DoNotOptimize(req);
+    }
+    return timer.ElapsedSeconds() * 1e6 / static_cast<double>(kParses);
+  }).mean;
+
+  Table parse_table({"request line", "parse"});
+  parse_table.AddRow({std::to_string(ingest.size() / 1024) +
+                          " KB, 20,000 inline items",
+                      FmtF(parse_us, 1) + " us"});
+  parse_table.Print(std::cout);
+
   std::printf(
       "\nshape check: hit throughput is tens of thousands of req/s and\n"
       "grows (or at worst stays flat) with workers; a cache-hit estimate\n"
       "is microseconds while a cold learn is milliseconds — orders of\n"
       "magnitude apart; governor rejections outpace hit serving (no\n"
-      "engine work on the shed path). BENCH_e16.json accumulates the\n"
+      "engine work on the shed path); a 20,000-item line parses in\n"
+      "well under a millisecond. BENCH_e16.json accumulates the\n"
       "records; CI smoke-diffs against bench/baselines/BENCH_e16.json.\n");
 }
 

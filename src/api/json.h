@@ -6,10 +6,20 @@
 // duplicate object keys, trailing commas, comments, NaN/Infinity, and
 // trailing garbage after the top-level value are all typed
 // `kParseError`s, because a serving daemon that guesses at malformed
-// requests serves garbage with a 200. Numbers are kept as their raw
-// token and converted on access through the sanctioned dist/io.h
-// parsers, so the strict-parse lint has exactly one numeric grammar to
-// police.
+// requests serves garbage with a 200.
+//
+// Numbers have two forms. A scalar number keeps its raw token and is
+// converted on access through the sanctioned dist/io.h parsers. An array
+// whose elements are all JSON integers (`-?(0|[1-9][0-9]*)`, separated by
+// JSON whitespace and commas) is *packed*: one `std::vector<int64_t>`
+// (AsInts), converted once by dist/io.h's ScanJsonI64, with no per-element
+// JsonValue — a 20,000-item inline dataset is one vector, not 20,000
+// values. Any element outside that grammar (a fraction, an exponent, an
+// int64 overflow, "-0", a string, a nested value, a syntax error) or an
+// array whose elements would sit past the depth limit makes the parser
+// rewind to the '[' and parse the array generically, so every error
+// message and column is the generic loop's. Both forms are Type::kArray;
+// readers check is_int_array() before choosing AsInts() or AsArray().
 #ifndef HISTK_API_JSON_H_
 #define HISTK_API_JSON_H_
 
@@ -47,10 +57,18 @@ class JsonValue {
   Result<int64_t> AsI64() const;
   Result<double> AsF64() const;
 
+  /// A packed integer array (see the file comment). Its elements are
+  /// AsInts(); AsArray() is empty. False for every generic array.
+  bool is_int_array() const { return is_int_array_; }
+  const std::vector<int64_t>& AsInts() const { return ints_; }
+  /// Moves the packed elements out, leaving an empty packed array.
+  std::vector<int64_t> TakeInts() { return std::move(ints_); }
+  /// The elements of a generic array (empty for a packed one).
   const std::vector<JsonValue>& AsArray() const { return array_; }
   const std::vector<std::pair<std::string, JsonValue>>& AsObject() const {
     return object_;
   }
+  std::vector<std::pair<std::string, JsonValue>>& AsObject() { return object_; }
   /// Object member lookup; nullptr when absent (or not an object).
   const JsonValue* Find(const std::string& key) const;
 
@@ -75,6 +93,12 @@ class JsonValue {
     v.array_ = std::move(items);
     return v;
   }
+  static JsonValue Ints(std::vector<int64_t> items) {
+    JsonValue v(Type::kArray);
+    v.is_int_array_ = true;
+    v.ints_ = std::move(items);
+    return v;
+  }
   static JsonValue Object(std::vector<std::pair<std::string, JsonValue>> members) {
     JsonValue v(Type::kObject);
     v.object_ = std::move(members);
@@ -86,8 +110,10 @@ class JsonValue {
 
   Type type_ = Type::kNull;
   bool bool_ = false;
+  bool is_int_array_ = false;
   std::string string_;  // string payload or raw number token
   std::vector<JsonValue> array_;
+  std::vector<int64_t> ints_;  // a packed integer array's elements
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 

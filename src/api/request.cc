@@ -93,8 +93,9 @@ Status ReadString(const JsonValue& v, const std::string& field,
   return Status::Ok();
 }
 
-/// "dataset" / "other": an object carrying exactly one source key.
-Status ReadDatasetRef(const JsonValue& v, const std::string& field,
+/// "dataset" / "other": an object carrying exactly one source key. A
+/// packed "items" array is moved into `out`, not copied.
+Status ReadDatasetRef(JsonValue& v, const std::string& field,
                       DatasetRef& out) {
   if (!v.is_object()) {
     return FieldError(field,
@@ -102,13 +103,21 @@ Status ReadDatasetRef(const JsonValue& v, const std::string& field,
                       "\"sketch\", \"fingerprint\"");
   }
   int sources = 0;
-  for (const auto& member : v.AsObject()) {
+  for (auto& member : v.AsObject()) {
     const std::string where = field + "." + member.first;
     if (member.first == "items") {
       if (!member.second.is_array()) {
         return FieldError(where, "expected an array of integers");
       }
       out.kind = DatasetRef::Kind::kInline;
+      if (member.second.is_int_array()) {
+        out.items = member.second.TakeInts();
+        for (int64_t value : out.items) {
+          if (value < 0) return FieldError(where, "items must be >= 0");
+        }
+        ++sources;
+        continue;
+      }
       out.items.clear();
       out.items.reserve(member.second.AsArray().size());
       for (const JsonValue& item : member.second.AsArray()) {
@@ -151,7 +160,7 @@ Status ReadDatasetRef(const JsonValue& v, const std::string& field,
 Result<RequestSpec> ParseRequestJson(const std::string& line) {
   Result<JsonValue> parsed = ParseJson(line);
   if (!parsed.ok()) return parsed.status();
-  const JsonValue& root = *parsed;
+  JsonValue& root = *parsed;
   if (!root.is_object()) {
     return Status::InvalidArgument("request must be a JSON object");
   }
@@ -159,9 +168,9 @@ Result<RequestSpec> ParseRequestJson(const std::string& line) {
   RequestSpec req;
   bool saw_id = false;
   bool saw_kind = false;
-  for (const auto& member : root.AsObject()) {
+  for (auto& member : root.AsObject()) {
     const std::string& key = member.first;
-    const JsonValue& value = member.second;
+    JsonValue& value = member.second;
     Status s = Status::Ok();
     if (key == "id") {
       s = ReadString(value, key, req.id);
@@ -224,6 +233,10 @@ Result<RequestSpec> ParseRequestJson(const std::string& line) {
     } else if (key == "quantiles") {
       if (!value.is_array()) {
         s = FieldError(key, "expected an array of numbers");
+      } else if (value.is_int_array()) {
+        for (int64_t level : value.AsInts()) {
+          req.quantiles.push_back(static_cast<double>(level));
+        }
       } else {
         for (const JsonValue& q : value.AsArray()) {
           double level = 0.0;
@@ -235,11 +248,20 @@ Result<RequestSpec> ParseRequestJson(const std::string& line) {
     } else if (key == "ranges") {
       if (!value.is_array()) {
         s = FieldError(key, "expected an array of [lo, hi] pairs");
+      } else if (!value.AsInts().empty()) {
+        // A packed outer array holds bare integers, never pairs.
+        s = FieldError(key, "each range must be a [lo, hi] pair");
       } else {
         for (const JsonValue& pair : value.AsArray()) {
-          if (!pair.is_array() || pair.AsArray().size() != 2) {
+          const size_t size = pair.is_int_array() ? pair.AsInts().size()
+                                                  : pair.AsArray().size();
+          if (!pair.is_array() || size != 2) {
             s = FieldError(key, "each range must be a [lo, hi] pair");
             break;
+          }
+          if (pair.is_int_array()) {
+            req.ranges.emplace_back(pair.AsInts()[0], pair.AsInts()[1]);
+            continue;
           }
           int64_t lo = 0;
           int64_t hi = 0;

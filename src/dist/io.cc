@@ -1,6 +1,7 @@
 #include "dist/io.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +9,7 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <system_error>
 
 namespace histk {
 
@@ -181,6 +183,17 @@ bool TokenToF64(const std::string& tok, double& out) {
   if (end != tok.c_str() + tok.size()) return false;
   out = v;
   return true;
+}
+
+const char* ScanJsonI64(const char* first, const char* last, int64_t& out) {
+  const char* digits = first != last && *first == '-' ? first + 1 : first;
+  if (digits == last || *digits < '0' || *digits > '9') return nullptr;
+  const std::from_chars_result parsed = std::from_chars(first, last, out);
+  if (parsed.ec != std::errc()) return nullptr;  // int64 overflow
+  if (*digits == '0' && (parsed.ptr - digits > 1 || digits != first)) {
+    return nullptr;  // a leading zero, or "-0"
+  }
+  return parsed.ptr;
 }
 
 void WriteDistribution(std::ostream& os, const Distribution& d) {

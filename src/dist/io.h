@@ -85,6 +85,14 @@ void WriteDataset(std::ostream& os, const std::vector<int64_t>& items);
 bool TokenToI64(const std::string& token, int64_t& out);
 bool TokenToF64(const std::string& token, double& out);
 
+/// Reads the JSON integer `-?(0|[1-9][0-9]*)` that starts at `first`
+/// (reading nothing at or past `last`) into `out` and returns the byte
+/// after it; what follows is the caller's grammar. nullptr when no such
+/// integer starts there, when it overflows int64, or when it is "-0",
+/// whose sign an int64 cannot keep (TokenToF64 of the token would). The
+/// request parser's packed integer arrays (api/json.h) are built on it.
+const char* ScanJsonI64(const char* first, const char* last, int64_t& out);
+
 /// Streams a data set without materializing it: `item` is invoked for every
 /// integer token in order (any value, including negatives — filtering is
 /// the caller's policy) with its 1-based line number; a non-ok return stops

@@ -4,6 +4,8 @@
 // keys canonicalize, and response envelopes match their goldens.
 #include "api/request.h"
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +16,7 @@
 #include "api/json.h"
 #include "dist/dataset.h"
 #include "engine/engine.h"
+#include "util/interval.h"
 
 namespace histk {
 namespace {
@@ -179,6 +182,138 @@ TEST(RequestParseTest, FixtureRequestsParse) {
   EXPECT_EQ(closeness->kind, RequestKind::kCloseness);
   EXPECT_EQ(closeness->k2, 5);
   EXPECT_EQ(closeness->other.kind, api::DatasetRef::Kind::kInline);
+}
+
+// ------------------------------------------------- integer-array edges
+//
+// Integer arrays parse into one packed int64 vector (api/json.h). Every
+// answer and error string below is the one the generic parser gave before
+// packing, byte for byte.
+
+/// `line`'s dataset items and ranges as text, or its error Status.
+std::string Outcome(const std::string& line) {
+  const Result<RequestSpec> req = ParseRequestJson(line);
+  if (!req.ok()) return req.status().ToString();
+  std::string out = "items";
+  for (int64_t item : req->dataset.items) out += " " + std::to_string(item);
+  out += "; ranges";
+  for (const Interval& range : req->ranges) out += " " + range.ToString();
+  return out;
+}
+
+std::string ItemsLine(const std::string& items) {
+  return "{\"id\": \"r1\", \"kind\": \"learn\", \"dataset\": {\"items\": " +
+         items + "}}";
+}
+
+std::string EstimateLine(const std::string& field, const std::string& value) {
+  return "{\"id\": \"r1\", \"kind\": \"estimate\", \"" + field + "\": " +
+         value + "}";
+}
+
+TEST(RequestArrayEdgeTest, ItemsAnswersAndErrorsArePinned) {
+  const struct {
+    const char* items;
+    const char* outcome;
+  } cases[] = {
+      {"[]", "items; ranges"},
+      {"[-0]", "items 0; ranges"},
+      {"[-1]", "invalid-argument: field \"dataset.items\": items must be >= 0"},
+      {"[3, -2, 1]",
+       "invalid-argument: field \"dataset.items\": items must be >= 0"},
+      {"[9223372036854775807]", "items 9223372036854775807; ranges"},
+      {"[9223372036854775808]",
+       "invalid-argument: field \"dataset.items[]\": expected an integer, got "
+       "\"9223372036854775808\""},
+      {"[1.0]",
+       "invalid-argument: field \"dataset.items[]\": expected an integer, got "
+       "\"1.0\""},
+      {"[1e2]",
+       "invalid-argument: field \"dataset.items[]\": expected an integer, got "
+       "\"1e2\""},
+      {"[01]", "parse-error: column 54: expected ',' or ']' in array"},
+      {"[1,]", "parse-error: column 55: unexpected character ']'"},
+      {"[1 2]", "parse-error: column 55: expected ',' or ']' in array"},
+      {"[\"1\"]",
+       "invalid-argument: field \"dataset.items[]\": expected an integer"},
+      {"[1, [2]]",
+       "invalid-argument: field \"dataset.items[]\": expected an integer"},
+      {"[ 1 ,\t2\r\n]", "items 1 2; ranges"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(Outcome(ItemsLine(c.items)), c.outcome) << c.items;
+  }
+}
+
+TEST(RequestArrayEdgeTest, IntegerQuantilesGiveTheSameSpecAsDecimals) {
+  const auto quantiles = [](const std::string& value) {
+    const Result<RequestSpec> req =
+        ParseRequestJson(EstimateLine("quantiles", value));
+    EXPECT_TRUE(req.ok()) << req.status().ToString();
+    return req.ok() ? req->quantiles : std::vector<double>{};
+  };
+  EXPECT_EQ(quantiles("[0, 1]"), quantiles("[0.0, 1.0]"));
+  EXPECT_EQ(quantiles("[0, 1]"), (std::vector<double>{0.0, 1.0}));
+  EXPECT_EQ(quantiles("[0.5, 1]"), quantiles("[0.5, 1.0]"));
+  EXPECT_EQ(quantiles("[0.5, 1]"), (std::vector<double>{0.5, 1.0}));
+  // "-0" keeps its sign, as a double parse of the token always did.
+  const std::vector<double> negative_zero = quantiles("[-0]");
+  ASSERT_EQ(negative_zero.size(), 1u);
+  EXPECT_TRUE(std::signbit(negative_zero[0]));
+  EXPECT_EQ(Outcome(EstimateLine("quantiles", "[1, \"x\"]")),
+            "invalid-argument: field \"quantiles[]\": expected a number");
+}
+
+TEST(RequestArrayEdgeTest, RangesAnswersAndErrorsArePinned) {
+  const std::string not_a_pair =
+      "invalid-argument: field \"ranges\": each range must be a [lo, hi] pair";
+  const struct {
+    const char* ranges;
+    std::string outcome;
+  } cases[] = {
+      {"[[0,5],[7,7]]", "items; ranges [0,5] [7,7]"},
+      {"[[-0, 3]]", "items; ranges [0,3]"},
+      {"[]", "items; ranges"},
+      {"[1, 2]", not_a_pair},
+      {"[[0, 5], 7]", not_a_pair},
+      {"[[0]]", not_a_pair},
+      {"[[]]", not_a_pair},
+      {"[[0, 1, 2]]", not_a_pair},
+      {"[[0, 1.5]]",
+       "invalid-argument: field \"ranges[].hi\": expected an integer, got "
+       "\"1.5\""},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(Outcome(EstimateLine("ranges", c.ranges)), c.outcome)
+        << c.ranges;
+  }
+}
+
+TEST(RequestArrayEdgeTest, DepthLimitHoldsForIntegerArrays) {
+  const auto wrapped = [](int levels) {
+    return std::string(static_cast<size_t>(levels), '[') + "[1, 2]" +
+           std::string(static_cast<size_t>(levels), ']');
+  };
+  // The root object is depth 0 and "ranges" depth 1, so 62 wrappers put
+  // the integers exactly at the depth limit (64): the JSON parses and the
+  // range reader rejects its shape. One level more is a parse error at the
+  // first integer's column, as before.
+  EXPECT_EQ(Outcome(EstimateLine("ranges", wrapped(62))),
+            "invalid-argument: field \"ranges\": each range must be a "
+            "[lo, hi] pair");
+  EXPECT_EQ(Outcome(EstimateLine("ranges", wrapped(63))),
+            "parse-error: column 108: value nested too deeply");
+
+  const Result<JsonValue> at_limit = ParseJson(wrapped(63));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  const JsonValue* inner = &*at_limit;
+  for (int i = 0; i < 63; ++i) inner = &inner->AsArray()[0];
+  EXPECT_TRUE(inner->is_int_array());
+  EXPECT_EQ(inner->AsInts(), (std::vector<int64_t>{1, 2}));
+  const Result<JsonValue> past = ParseJson(wrapped(64));
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().ToString(),
+            "parse-error: column 66: value nested too deeply");
 }
 
 // ---------------------------------------------------------------- build

@@ -4,11 +4,14 @@
 Checks every C++ file under src/, tools/, examples/, tests/, bench/ for the
 histk idioms the codebase relies on:
 
-  strict-parse     No std::sto*/atoi/atof/strtol-family calls outside the
-                   strict-parse helpers in src/dist/io.cc. Ad-hoc numeric
-                   parsing silently accepts trailing garbage and saturates
-                   on overflow; dataset/CLI input must go through the
-                   checked helpers.
+  strict-parse     No std::sto*/atoi/atof/strtol-family, sscanf or
+                   std::from_chars calls outside the strict-parse helpers
+                   in src/dist/io.cc. Ad-hoc numeric parsing silently
+                   accepts trailing garbage and saturates on overflow (and
+                   from_chars takes leading zeros and "-0"); dataset, CLI
+                   and wire input must go through the checked helpers —
+                   TokenToI64/TokenToF64 for tokens, ScanJsonI64 for the
+                   request parser's packed integer arrays.
   rng-containment  No rand()/srand()/std::random_device/std::mt19937 etc.
                    outside src/util/rng.*. Every random stream must be a
                    seeded histk::Rng so runs replay byte-identically. The
@@ -93,7 +96,7 @@ STRICT_PARSE_ALLOW = {"src/dist/io.cc"}
 PARSE_RE = re.compile(
     r"\b(?:std::)?(?:stoi|stol|stoll|stoul|stoull|stof|stod|stold|"
     r"atoi|atol|atoll|atof|strtol|strtoll|strtoul|strtoull|strtof|"
-    r"strtod|strtold|sscanf)\s*\("
+    r"strtod|strtold|sscanf|from_chars)\s*\("
 )
 
 # rng-containment: primitive randomness sources belong in src/util/rng.*.
@@ -273,7 +276,7 @@ def lint_file(root, rel):
         if rel not in STRICT_PARSE_ALLOW and PARSE_RE.search(line):
             emit(idx, "strict-parse",
                  "numeric parsing outside the strict-parse helpers "
-                 "(use histk::ParseInt64/ParseDouble in src/dist/io.cc)")
+                 "(use the TokenTo*/ScanJsonI64 helpers in src/dist/io.h)")
         if not RNG_ALLOW_RE.match(rel) and RNG_RE.search(line):
             emit(idx, "rng-containment",
                  "raw randomness source or std:: distribution adaptor "
