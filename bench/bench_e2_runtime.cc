@@ -8,11 +8,12 @@
 // samples must stay essentially identical (Theorem 2 gives up 3*eps at
 // most; in practice far less).
 //
-// The learn-scaling grid (n x k, eps 0.3, scale 0.25, kSimd sampler) then
-// splits a cold learn into draw, candidate-table fill and scan time plus
-// the table's bytes, recorded in BENCH_e2.json. At n=4096, k=16 it also
-// times the per-candidate reference search (tests/greedy_reference.h) on
-// the same samples and records the cold-learn speedup against it.
+// The learn-scaling grid (n x k, eps 0.3, scale 0.25, kCounts sampler,
+// histkd's default) then splits a cold learn into draw, candidate-table
+// fill and scan time plus the table's bytes, recorded in BENCH_e2.json. At
+// n=4096, k=16 it also times the per-candidate reference search
+// (tests/greedy_reference.h) on the same samples and records the cold-learn
+// speedup against it.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -113,7 +114,7 @@ struct LearnSplit {
 LearnSplit TimeColdLearn(int64_t n, int64_t k, uint64_t seed, bool with_reference) {
   Rng rng(seed);
   const Distribution dist = MakeRandomKHistogram(n, k, rng, 20.0).dist;
-  const AliasSampler sampler(dist, AliasKernel::kSimd);
+  const AliasSampler sampler(dist, AliasKernel::kCounts);
   LearnOptions options;
   options.k = k;
   options.eps = 0.3;
@@ -146,7 +147,7 @@ LearnSplit TimeColdLearn(int64_t n, int64_t k, uint64_t seed, bool with_referenc
 
 void RunScalingGrid() {
   std::printf(
-      "\nlearn-scaling grid: eps=0.3, scale=0.25, kSimd sampler, sample "
+      "\nlearn-scaling grid: eps=0.3, scale=0.25, kCounts sampler, sample "
       "endpoints, 3 seeds per cell (mean shown)\n");
   Table table({"n", "k", "draw(ms)", "fill(ms)", "scan(ms)", "table(MiB)"});
   constexpr int64_t kTrials = 3;
@@ -198,7 +199,7 @@ void RunExperiment() {
       "candidate-cost table makes the search cost about what the draws cost",
       "strategy table: k=4, eps=0.2, shared samples (budget fixed across n), "
       "slow strategy skipped for n > 2048; scaling grid: n x k, eps=0.3, "
-      "scale=0.25, kSimd");
+      "scale=0.25, kCounts");
   RunStrategyTable();
   RunScalingGrid();
 }

@@ -21,14 +21,11 @@ namespace histk {
 class DatasetSampler : public Sampler {
  public:
   /// Takes ownership of the items. Aborts unless the data set is non-empty
-  /// and every item lies in [0, n). `kernel` selects the batch draw loop,
-  /// with the same stream contracts as AliasSampler: kReplay (default) is
-  /// the historical per-draw Lemire pick; kSimd runs the dispatched
-  /// block-structured uniform kernel from src/dist/simd/ (one NextU64 per
-  /// kShardChunk block; batch paths only — scalar Draw() is a one-block
-  /// batch of its own); kCounts draws order-free DrawCounts blocks as count
-  /// vectors over the distinct items, weighted by their occurrence counts,
-  /// and runs the replay pick everywhere else.
+  /// and every item lies in [0, n). Every per-draw path is the historical
+  /// Lemire pick over the items; `kernel` chooses only how an order-free
+  /// DrawCounts runs: kReplay (default) counts those per-draw picks, kCounts
+  /// draws each block's count vector over the distinct items, weighted by
+  /// their occurrence counts.
   DatasetSampler(int64_t n, std::vector<int64_t> items,
                  AliasKernel kernel = AliasKernel::kReplay);
 
@@ -54,7 +51,6 @@ class DatasetSampler : public Sampler {
   int64_t n_ = 0;
   AliasKernel kernel_ = AliasKernel::kReplay;
   std::vector<int64_t> items_;
-  simd::UniformDrawFn simd_uniform_fn_ = nullptr;  // kSimd only
   CountKernel counts_;  // kCounts only; empty otherwise
 };
 

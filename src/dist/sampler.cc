@@ -98,15 +98,12 @@ const char* AliasKernelName(AliasKernel kernel) {
       return "replay";
     case AliasKernel::kCounts:
       return "counts";
-    case AliasKernel::kSimd:
-      return "simd";
   }
   return "unknown";
 }
 
 std::optional<AliasKernel> ParseAliasKernel(std::string_view name) {
-  for (AliasKernel kernel :
-       {AliasKernel::kReplay, AliasKernel::kCounts, AliasKernel::kSimd}) {
+  for (AliasKernel kernel : {AliasKernel::kReplay, AliasKernel::kCounts}) {
     if (name == AliasKernelName(kernel)) return kernel;
   }
   return std::nullopt;
@@ -243,17 +240,6 @@ AliasSampler::AliasSampler(const Distribution& dist, AliasKernel kernel)
 #if HISTK_CHECKS_ENABLED
     CheckAliasInvariants(prob, alias, true_scaled);
 #endif
-    if (kernel_ == AliasKernel::kSimd) {
-      // Gather-friendly all-integer layout; the double columns stay empty.
-      simd_ncols_ = static_cast<uint64_t>(n);
-      simd_cells_.resize(n * static_cast<size_t>(simd::kDenseStride));
-      for (size_t i = 0; i < n; ++i) {
-        simd_cells_[2 * i] = simd::AcceptThreshold(prob[i]);
-        simd_cells_[2 * i + 1] = static_cast<uint64_t>(alias[i]);
-      }
-      simd_dense_fn_ = simd::SelectDenseDrawFn();
-      return;
-    }
     dense_cols_.resize(n);
     for (size_t i = 0; i < n; ++i) dense_cols_[i] = {prob[i], alias[i]};
     return;
@@ -297,22 +283,6 @@ AliasSampler::AliasSampler(const Distribution& dist, AliasKernel kernel)
 #endif
   // Fuse each column with its alias target's run: the draw loop then needs
   // exactly one table entry per draw, never a second dependent lookup.
-  if (kernel_ == AliasKernel::kSimd) {
-    simd_ncols_ = static_cast<uint64_t>(k);
-    simd_cells_.resize(k * static_cast<size_t>(simd::kBucketStride));
-    for (size_t j = 0; j < k; ++j) {
-      const size_t a = static_cast<size_t>(alias[j]);
-      uint64_t* cell = simd_cells_.data() + j * simd::kBucketStride;
-      cell[0] = simd::AcceptThreshold(prob[j]);
-      cell[1] = static_cast<uint64_t>(col_lo[j]);
-      cell[2] = static_cast<uint64_t>(col_len[j]);
-      cell[3] = static_cast<uint64_t>(col_lo[a]);
-      cell[4] = static_cast<uint64_t>(col_len[a]);
-      cell[5] = 0;
-    }
-    simd_bucket_fn_ = simd::SelectBucketDrawFn();
-    return;
-  }
   bucket_cols_.resize(k);
   for (size_t j = 0; j < k; ++j) {
     const size_t a = static_cast<size_t>(alias[j]);
@@ -351,34 +321,9 @@ void AliasSampler::ReplayBucketInto(int64_t* out, int64_t m, Rng& rng) const {
   }
 }
 
-void AliasSampler::SimdInto(int64_t* out, int64_t m, Rng& rng) const {
-  // Fixed kShardChunk blocks, one NextU64 root per block, regardless of how
-  // the caller batches: DrawMany(m) and DrawCounts(m) consume the rng
-  // identically, and the sharded paths (whose chunks are exactly
-  // kShardChunk long) hit the kernel as single whole blocks per derived
-  // stream, keeping thread-count invariance.
-  if (bucketed_) {
-    const simd::BucketTable table{simd_cells_.data(), simd_ncols_};
-    for (int64_t done = 0; done < m; done += kShardChunk) {
-      const int64_t len = std::min<int64_t>(kShardChunk, m - done);
-      simd_bucket_fn_(table, out + done, len, rng.NextU64());
-    }
-    return;
-  }
-  const simd::DenseTable table{simd_cells_.data(), simd_ncols_};
-  for (int64_t done = 0; done < m; done += kShardChunk) {
-    const int64_t len = std::min<int64_t>(kShardChunk, m - done);
-    simd_dense_fn_(table, out + done, len, rng.NextU64());
-  }
-}
-
 void AliasSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
   HISTK_CHECK(m >= 0);
-  if (kernel_ == AliasKernel::kSimd) {
-    SimdInto(out, m, rng);
-  } else {
-    bucketed_ ? ReplayBucketInto(out, m, rng) : ReplayDenseInto(out, m, rng);
-  }
+  bucketed_ ? ReplayBucketInto(out, m, rng) : ReplayDenseInto(out, m, rng);
 }
 
 void AliasSampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,

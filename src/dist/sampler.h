@@ -31,9 +31,8 @@
 // sampler every sequential path — Draw loops, DrawMany, DrawManyInto,
 // DrawCounts(threads = 0) — consumes the rng identically, so seeded runs
 // replay regardless of which path a caller uses; the sharded paths consume
-// exactly one NextU64 and replay at any worker count. AliasSampler's default
-// kernel is additionally byte-identical to the historical (PR 2/3) per-draw
-// sequence; the reordered fast kernel is opt-in (AliasKernel::kSimd).
+// exactly one NextU64 and replay at any worker count. AliasSampler's per-draw
+// kernel is additionally byte-identical to the historical sequence.
 //
 // The one exception is AliasKernel::kCounts feeding an order-free sink
 // (CountSink::OrderFree, e.g. SampleCounter): DrawCounts then draws each
@@ -74,7 +73,6 @@
 
 #include "dist/count_kernel.h"
 #include "dist/distribution.h"
-#include "dist/simd/draw_kernels.h"
 #include "util/rng.h"
 
 namespace histk {
@@ -199,7 +197,9 @@ using DrawBlockFn = std::function<void(int64_t offset, int64_t len, Rng& rng,
 void RunDrawBlocks(int64_t m, Rng& rng, CountSink& sink, int threads,
                    const DrawBlockFn& draw_block);
 
-/// Inner-loop strategy of AliasSampler.
+/// Draw kernel of AliasSampler and DatasetSampler. Every per-draw path runs
+/// the replay loop; the choice matters only for DrawCounts into an
+/// order-free sink, and is made in CountKernel::DrawCounts.
 enum class AliasKernel {
   /// Default: per-draw rng consumption byte-identical to the historical
   /// sampler (UniformInt(columns), NextDouble, and — bucket mode, length
@@ -209,33 +209,15 @@ enum class AliasKernel {
   /// order-free sink draws each kShardChunk block's Multinomial(len, p)
   /// count vector as sequential conditional binomials over the oracle's
   /// support, O(support) per block instead of O(block) (blocks with under
-  /// 24 draws per support entry are drawn per draw). Same
-  /// law as the per-draw kernels, its own stream; every other path (Draw,
-  /// DrawMany, DrawManySharded, ordered sinks) runs the kReplay kernel
-  /// byte for byte. histkd's and histk_cli's default.
+  /// 24 draws per support entry are drawn per draw). Same law as the
+  /// per-draw kernel, its own stream; every other path (Draw, DrawMany,
+  /// DrawManySharded, ordered sinks) runs the kReplay kernel byte for
+  /// byte. histkd's and histk_cli's default.
   kCounts,
-  /// Opt-in vectorized path (src/dist/simd/): kSimdLanes independent
-  /// xoshiro lanes per step, alias lookups by AVX2 gather when the build
-  /// (HISTK_SIMD) and the CPU (runtime CPUID, resolved once at sampler
-  /// construction) both allow it, and a byte-identical scalar reference
-  /// everywhere else — the SAME stream on every machine. The stream is
-  /// block-structured: batches are cut into fixed kShardChunk blocks, each
-  /// consuming one NextU64() of the caller's rng as the root of its lanes,
-  /// so DrawMany / DrawCounts / the sharded paths all agree and stay
-  /// thread-count invariant. Scalar Draw() loops therefore do NOT match
-  /// DrawMany draw-for-draw (each Draw is its own one-block batch);
-  /// batch-path parity is what the engine suites pin. Column and offset
-  /// are picked by 128-bit multiply-shift instead of rejection, with a
-  /// relative bias below columns/2^64 (< 2^-40 for any realistic table) —
-  /// far under sampling noise, but not the exactly-unbiased Lemire pick,
-  /// which is why this is opt-in. Accept tests are integer thresholds
-  /// (simd::AcceptThreshold), exact to 2^-53. NOT byte-compatible with
-  /// kReplay streams.
-  kSimd,
 };
 
-/// Human-readable kernel name ("replay" / "counts" / "simd") for CLI and
-/// bench labels.
+/// Human-readable kernel name ("replay" / "counts") for CLI and bench
+/// labels.
 const char* AliasKernelName(AliasKernel kernel);
 
 /// The kernel whose AliasKernelName is `name`; nullopt for any other
@@ -281,23 +263,12 @@ class AliasSampler : public Sampler {
 
   void ReplayDenseInto(int64_t* out, int64_t m, Rng& rng) const;
   void ReplayBucketInto(int64_t* out, int64_t m, Rng& rng) const;
-  /// kSimd batch loop: cuts m into kShardChunk blocks, spends one NextU64
-  /// per block as the lane root, and runs the dispatched kernel on each.
-  void SimdInto(int64_t* out, int64_t m, Rng& rng) const;
 
   int64_t n_ = 0;
   bool bucketed_ = false;
   AliasKernel kernel_ = AliasKernel::kReplay;
   std::vector<DenseCol> dense_cols_;
   std::vector<BucketCol> bucket_cols_;
-  /// kSimd only: the gather-friendly all-integer table (dense: kDenseStride
-  /// u64 per column; bucket: kBucketStride), thresholds precomputed by
-  /// simd::AcceptThreshold, plus the kernel chosen at construction. The
-  /// replay column vectors stay empty in this mode.
-  std::vector<uint64_t> simd_cells_;
-  uint64_t simd_ncols_ = 0;
-  simd::DenseDrawFn simd_dense_fn_ = nullptr;
-  simd::BucketDrawFn simd_bucket_fn_ = nullptr;
   /// kCounts only: the support as runs (positive columns or buckets); empty
   /// otherwise. The replay columns are built too and serve every per-draw
   /// path.

@@ -116,9 +116,8 @@ void BudgetedSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
   }
   // Hardened: admit whole (all-or-nothing budget), serve in 2^16-draw
   // chunks so deadline/cancel fire mid-batch, account only served chunks.
-  // Chunking at kShardChunk boundaries is stream-identical to one call for
-  // every kernel (per-draw kernels trivially; the block-structured simd
-  // kernel cuts batches at exactly these boundaries already).
+  // Chunking is stream-identical to one call: every DrawManyInto consumes
+  // the rng draw by draw.
   AdmitWindow(m);
   int64_t done = 0;
   do {

@@ -171,51 +171,6 @@ TEST(BudgetedSamplerTest, FusedRequestBeyondBudgetDrawsNothing) {
   EXPECT_EQ(bs.samples_drawn(), 0);
 }
 
-TEST(BudgetedSamplerTest, MetersSimdFusedCountPaths) {
-  // The decorator meters by overriding DrawManyInto and DrawCounts, so the
-  // kSimd kernel rides the same accounting: every
-  // fused draw is counted, over-budget fused requests are rejected whole,
-  // and the sharded path stays thread-count invariant.
-  const Distribution d = TestDist();
-  const AliasSampler inner(d, AliasKernel::kSimd);
-  struct TallySink : CountSink {
-    int64_t seen = 0;
-    void Consume(const int64_t*, int64_t len, int64_t) override { seen += len; }
-  };
-
-  {
-    const BudgetedSampler bs(inner);
-    Rng rng(1);
-    TallySink sink;
-    bs.DrawCounts(200, rng, sink);
-    EXPECT_EQ(bs.samples_drawn(), 200);
-    EXPECT_EQ(sink.seen, 200);
-    bs.DrawCounts(300, rng, sink, 2);
-    EXPECT_EQ(bs.samples_drawn(), 500);
-    EXPECT_EQ(sink.seen, 500);
-  }
-  {
-    const BudgetedSampler bs(inner, /*budget=*/100000);
-    Rng rng(1);
-    TallySink sink;
-    EXPECT_THROW(bs.DrawCounts(3 * Sampler::kShardChunk, rng, sink),
-                 BudgetExhaustedError);
-    EXPECT_THROW(bs.DrawCounts(3 * Sampler::kShardChunk, rng, sink, 4),
-                 BudgetExhaustedError);
-    EXPECT_EQ(sink.seen, 0);
-    EXPECT_EQ(bs.samples_drawn(), 0);
-  }
-  {
-    const BudgetedSampler bs(inner, /*budget=*/1000000);
-    const int64_t m = 3 * Sampler::kShardChunk + 17;
-    Rng rng1(7), rng2(7), rng8(7);
-    const auto draws1 = bs.DrawManySharded(m, rng1, 1);
-    EXPECT_EQ(draws1, bs.DrawManySharded(m, rng2, 2));
-    EXPECT_EQ(draws1, bs.DrawManySharded(m, rng8, 8));
-    EXPECT_EQ(bs.samples_drawn(), 3 * m);
-  }
-}
-
 TEST(BudgetExhaustionTest, PropertyTestPartialTelemetryAtEveryPhase) {
   Rng gen(2024);
   const Distribution d = MakeRandomKHistogram(/*n=*/128, /*k=*/3, gen, 10.0).dist;
@@ -327,9 +282,8 @@ TEST(BudgetedSamplerTest, ShardedIsThreadCountInvariant) {
 TEST(BudgetedSamplerTest, ArmedSequentialChunkingPreservesTheStream) {
   // An armed policy makes DrawMany serve in kShardChunk slices with a
   // deadline check between them. Chunked sequential draws are
-  // stream-identical for every kernel (the simd kernel is block-structured
-  // at exactly those boundaries), so arming a session must not change a
-  // single byte of its sequential draws.
+  // stream-identical (every DrawManyInto consumes the rng draw by draw), so
+  // arming a session must not change a single byte of its sequential draws.
   const Distribution d = TestDist();
   const AliasSampler inner(d);
 
@@ -523,6 +477,63 @@ TEST(CountKernelBudgetTest, ExactBudgetAndExhaustionNeverAbort) {
     EXPECT_EQ(partial.outcome, TaskOutcome::kBudgetExhausted) << budget;
     EXPECT_LE(partial.telemetry.samples_drawn, budget);
     EXPECT_FALSE(partial.property_test.has_value());
+  }
+}
+
+TEST(CountKernelBudgetTest, MetersFusedCountPaths) {
+  // The decorator meters by overriding DrawManyInto and DrawCounts, so the
+  // count kernel rides the same accounting: every fused draw is counted,
+  // over-budget fused requests are rejected whole, and the sharded path
+  // stays thread-count invariant. The sink is order-free, so whole blocks
+  // reach it as count vectors.
+  const Distribution d = TestDist();
+  const AliasSampler inner(d, AliasKernel::kCounts);
+  struct TallySink : CountSink {
+    int64_t seen = 0;
+    int64_t run_blocks = 0;
+    void Consume(const int64_t*, int64_t len, int64_t) override { seen += len; }
+    bool OrderFree() const override { return true; }
+    void ConsumeRuns(const int64_t*, const int64_t* counts, int64_t len,
+                     int64_t) override {
+      ++run_blocks;
+      for (int64_t i = 0; i < len; ++i) seen += counts[i];
+    }
+  };
+
+  {
+    const BudgetedSampler bs(inner);
+    Rng rng(1);
+    TallySink sink;
+    const int64_t m = 2 * Sampler::kShardChunk + 200;
+    bs.DrawCounts(m, rng, sink);
+    EXPECT_EQ(bs.samples_drawn(), m);
+    EXPECT_EQ(sink.seen, m);
+    EXPECT_GE(sink.run_blocks, 2);
+    // One block, so one worker: the sink needs no shards.
+    bs.DrawCounts(Sampler::kShardChunk, rng, sink, 2);
+    EXPECT_EQ(bs.samples_drawn(), m + Sampler::kShardChunk);
+    EXPECT_EQ(sink.seen, m + Sampler::kShardChunk);
+    EXPECT_GE(sink.run_blocks, 3);
+  }
+  {
+    const BudgetedSampler bs(inner, /*budget=*/100000);
+    Rng rng(1);
+    TallySink sink;
+    EXPECT_THROW(bs.DrawCounts(3 * Sampler::kShardChunk, rng, sink),
+                 BudgetExhaustedError);
+    EXPECT_THROW(bs.DrawCounts(3 * Sampler::kShardChunk, rng, sink, 4),
+                 BudgetExhaustedError);
+    EXPECT_EQ(sink.seen, 0);
+    EXPECT_EQ(bs.samples_drawn(), 0);
+  }
+  {
+    const BudgetedSampler bs(inner, /*budget=*/1000000);
+    const int64_t m = 3 * Sampler::kShardChunk + 17;
+    Rng rng1(7), rng2(7), rng8(7);
+    const auto draws1 = bs.DrawManySharded(m, rng1, 1);
+    EXPECT_EQ(draws1, bs.DrawManySharded(m, rng2, 2));
+    EXPECT_EQ(draws1, bs.DrawManySharded(m, rng8, 8));
+    EXPECT_EQ(bs.samples_drawn(), 3 * m);
   }
 }
 

@@ -205,8 +205,6 @@ TEST(DrawPipelineTest, ShardedStreamMatchesGolden) {
   const Case cases[] = {
       {"dense replay", DenseSkewed(), AliasKernel::kReplay, 0x7fab1f183920e25eULL},
       {"bucket replay", BucketHuge(), AliasKernel::kReplay, 0xdb8f3e6b5f63b250ULL},
-      {"dense simd", DenseSkewed(), AliasKernel::kSimd, 0x237f0d2621591c46ULL},
-      {"bucket simd", BucketHuge(), AliasKernel::kSimd, 0x2f229050cf8a5d19ULL},
   };
   for (const Case& c : cases) {
     const AliasSampler s(c.dist, c.kernel);
@@ -257,46 +255,6 @@ TEST(DrawPipelineTest, CountKernelVectorsMatchGolden) {
       EXPECT_EQ(HashCounts(SampleSet::Draw(*c.sampler, 200000, rng, threads)),
                 c.sharded)
           << c.name << ", threads=" << threads;
-    }
-  }
-}
-
-// ----------------------------------------------------------------- simd
-
-TEST(DrawPipelineTest, SimdFusedSequentialMatchesMaterializeThenCount) {
-  // Same fused-path contract the default kernel honors, on kSimd: DrawCounts
-  // → SampleCounter equals materialize-then-count, with the same rng state.
-  const Distribution dists[] = {DenseSkewed(), BucketSmall(), BucketHuge()};
-  for (const Distribution& d : dists) {
-    const AliasSampler s(d, AliasKernel::kSimd);
-    for (const int64_t m : {int64_t{0}, int64_t{1}, int64_t{5000},
-                            int64_t{200000}}) {
-      Rng fused_rng(42), mat_rng(42);
-      SampleCounter counter(s.n(), m);
-      s.DrawCounts(m, fused_rng, counter);
-      EXPECT_EQ(counter.total(), m);
-      const SampleSet fused = counter.Build();
-      const SampleSet materialized =
-          SampleSet::FromDraws(s.n(), s.DrawMany(m, mat_rng));
-      ExpectSameSampleSet(fused, materialized);
-      EXPECT_EQ(RngFingerprint(fused_rng), RngFingerprint(mat_rng));
-    }
-  }
-}
-
-TEST(DrawPipelineTest, SimdFusedShardedMatchesMaterializedAtEveryThreadCount) {
-  const Distribution dists[] = {DenseSkewed(), BucketHuge()};
-  for (const Distribution& d : dists) {
-    const AliasSampler s(d, AliasKernel::kSimd);
-    const int64_t m = 200000;
-    Rng mat_rng(9);
-    const SampleSet materialized =
-        SampleSet::FromDraws(s.n(), s.DrawManySharded(m, mat_rng, 1));
-    for (const int threads : {1, 2, 8}) {
-      Rng fused_rng(9);
-      const SampleSet fused = SampleSet::Draw(s, m, fused_rng, threads);
-      ExpectSameSampleSet(fused, materialized);
-      EXPECT_EQ(RngFingerprint(fused_rng), RngFingerprint(mat_rng));
     }
   }
 }

@@ -46,7 +46,7 @@ void ExpectDeadlineExceeded(const Result<Report>& run) {
 
 TEST(SearchDeadlineTest, LearnStopsInsideTheGreedySearch) {
   const Distribution truth = Truth(1);
-  const AliasSampler oracle(truth, AliasKernel::kSimd);
+  const AliasSampler oracle(truth, AliasKernel::kCounts);
   const Engine engine(oracle);
   LearnSpec spec;
   spec.seed = 7;
@@ -63,22 +63,9 @@ TEST(SearchDeadlineTest, LearnStopsInsideTheGreedySearch) {
   EXPECT_FALSE(run->learn.has_value());
 }
 
-TEST(SearchDeadlineTest, CountKernelLearnStopsInsideTheGreedySearch) {
-  const Distribution truth = Truth(6);
-  const AliasSampler oracle(truth, AliasKernel::kCounts);
-  const Engine engine(oracle);
-  LearnSpec spec;
-  spec.seed = 11;
-  spec.options.k = kK;
-  spec.options.eps = kEps;
-  spec.options.sample_scale = kScale;
-  spec.policy.deadline = Deadline::AfterMillis(kDeadlineMs);
-  ExpectDeadlineExceeded(engine.Run(spec));
-}
-
 TEST(SearchDeadlineTest, PropertyTestStopsInsideTheGreedySearch) {
   const Distribution truth = Truth(2);
-  const AliasSampler oracle(truth, AliasKernel::kSimd);
+  const AliasSampler oracle(truth, AliasKernel::kCounts);
   const Engine engine(oracle);
   PropertyTestSpec spec;
   spec.seed = 8;
@@ -92,8 +79,8 @@ TEST(SearchDeadlineTest, PropertyTestStopsInsideTheGreedySearch) {
 TEST(SearchDeadlineTest, ClosenessStopsInsideTheGreedySearch) {
   const Distribution p = Truth(3);
   const Distribution q = Truth(4);
-  const AliasSampler oracle_p(p, AliasKernel::kSimd);
-  const AliasSampler oracle_q(q, AliasKernel::kSimd);
+  const AliasSampler oracle_p(p, AliasKernel::kCounts);
+  const AliasSampler oracle_q(q, AliasKernel::kCounts);
   const Engine engine(oracle_p);
   ClosenessSpec spec;
   spec.seed = 9;
@@ -108,7 +95,7 @@ TEST(SearchDeadlineTest, ClosenessStopsInsideTheGreedySearch) {
 
 TEST(SearchDeadlineTest, CancelStopsTheGreedySearch) {
   const Distribution truth = Truth(5);
-  const AliasSampler oracle(truth, AliasKernel::kSimd);
+  const AliasSampler oracle(truth, AliasKernel::kCounts);
   const Engine engine(oracle);
   LearnSpec spec;
   spec.seed = 10;

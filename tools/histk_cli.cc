@@ -102,15 +102,13 @@
 // `gen --n $((1<<30))` is cheap; sample emission uses the sharded DrawMany
 // path, whose output depends on --seed but not on --threads.
 //
-// --kernel counts|replay|simd selects the oracle's draw kernel everywhere a
+// --kernel counts|replay selects the oracle's draw kernel everywhere a
 // sampler is built: gen/compare (AliasSampler over the pmf) and
 // learn/test/property-test/closeness (DatasetSampler over the held items).
 // counts (default, as in histkd) draws each sample set's count vector
 // directly — same law, its own stream — and leaves gen's materialized
 // output byte-identical to replay; replay preserves the historical byte
-// streams everywhere; simd is the faster reordered per-draw kernel (it
-// runtime-dispatches to AVX2 when available, with a byte-identical scalar
-// fallback). Unknown values exit 2 per the strict-parse convention.
+// streams everywhere. Unknown values exit 2 per the strict-parse convention.
 #include <algorithm>
 #include <cerrno>
 #include <climits>
@@ -212,7 +210,7 @@ void Usage() {
       "                 (quantile summary in text mode; --json prints the\n"
       "                 snapshot object; learn/test --from-sketch consume\n"
       "                 the --sketch-out file)\n"
-      "       all sampling commands also take --kernel counts|replay|simd\n"
+      "       all sampling commands also take --kernel counts|replay\n"
       "                 (oracle draw kernel; default counts)\n"
       "       engine subcommands also take --deadline-ms D --max-retries R\n"
       "                 --inject-faults SEED --draw-threads T (resilient\n"

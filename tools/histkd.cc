@@ -2,8 +2,7 @@
 //
 //   histkd [--workers W] [--max-sessions S] [--max-outstanding-budget B]
 //          [--retry-after-ms MS] [--queue-limit Q] [--cache-entries C]
-//          [--max-datasets D] [--kernel counts|replay|simd]
-//          [--socket PATH]
+//          [--max-datasets D] [--kernel counts|replay] [--socket PATH]
 //
 // Speaks the newline-delimited JSON request protocol of src/api/request.h
 // (one request per line in, one response envelope per line out; schema
@@ -68,7 +67,7 @@ void Usage() {
       "usage: histkd [--workers W] [--max-sessions S]\n"
       "              [--max-outstanding-budget B] [--retry-after-ms MS]\n"
       "              [--queue-limit Q] [--cache-entries C] [--max-datasets D]\n"
-      "              [--kernel counts|replay|simd] [--socket PATH]\n"
+      "              [--kernel counts|replay] [--socket PATH]\n"
       "              [--data-root DIR]\n"
       "\n"
       "Serves newline-delimited JSON requests (src/api/request.h schema)\n"

@@ -31,17 +31,16 @@ histk idioms the codebase relies on:
                    src/sample/counter.cc) or from designed lock-freedom
                    (src/stream/concurrent_histogram.*); a lock on one of
                    these paths is a design regression, not a fix.
-                   Everything under src/dist/simd/ and the files in
-                   HOT_PATH_FILES are hot-path by location, tag or no tag.
+                   The files in HOT_PATH_FILES are hot-path by location,
+                   tag or no tag.
   atomics-containment
                    std::atomic / <atomic> / std::memory_order appear ONLY
                    in the designated concurrency kernels (HOT_ATOMICS_ALLOW:
                    the concurrent histogram, the sharded draw dispatcher,
-                   the SIMD backend override, the session runtime's
-                   CancelToken). Atomics sprinkled anywhere else are either
-                   a data-race band-aid or a new concurrent design that
-                   belongs behind one of those reviewed, tsan-covered
-                   facades.
+                   the session runtime's CancelToken). Atomics sprinkled
+                   anywhere else are either a data-race band-aid or a new
+                   concurrent design that belongs behind one of those
+                   reviewed, tsan-covered facades.
   clock-containment
                    std::chrono / steady_clock / sleep_for and the <chrono>
                    include appear ONLY in src/util/timer.h and the session
@@ -49,12 +48,13 @@ histk idioms the codebase relies on:
                    Deadline or WallTimer for time — scattered clock reads
                    make deadline behavior untestable and are the #1 source
                    of nondeterministic reports.
-  simd-containment <immintrin.h>-family includes and vector intrinsics
-                   (_mm*, __m128/256/512, __builtin_ia32_*) are allowed ONLY
-                   under src/dist/simd/. Everyone else programs against the
-                   dispatch API in src/dist/simd/draw_kernels.h, so exactly
-                   one directory needs -mavx2 handling, CPUID gating, and
-                   scalar-parity review.
+  simd-containment x86 intrinsics headers (<*mmintrin.h>, <x86intrin.h>,
+                   <avx*intrin.h>, ...) and vector intrinsics (_mm*,
+                   __m128/256/512, __builtin_ia32_*) are banned in every
+                   file, with no allowlisted directory. The draw kernels
+                   are portable C++ (the replay loop and the count kernel),
+                   so no file needs per-file ISA flags, CPUID gating or a
+                   scalar twin to keep in parity.
   json-containment The double grammar of the JSON emitter (`%.*g` /
                    `%.17g` format strings) and its `\\u%04x` control-
                    character escape appear ONLY in src/api/json.cc
@@ -110,11 +110,8 @@ RNG_RE = re.compile(
     r"piecewise_constant|piecewise_linear)_distribution)\b"
 )
 
-# hot-path-mutex: opt-in via this tag anywhere in the file. src/dist/simd/
-# is on the no-locks list by location: the draw kernels live there, and a
-# kernel that needed a lock would be wrong by construction.
+# hot-path-mutex: opt-in via this tag anywhere in the file.
 HOT_PATH_TAG = "histk:hot-path"
-SIMD_DIR = "src/dist/simd/"
 # Hot-path by location (belt to the tag's suspenders: removing the tag from
 # one of these files must not silently lift the no-locks rule).
 HOT_PATH_FILES = {
@@ -135,7 +132,6 @@ HOT_ATOMICS_ALLOW = {
     "src/stream/concurrent_histogram.h",
     "src/stream/concurrent_histogram.cc",
     "src/dist/sampler.cc",       # sharded DrawCounts chunk dispenser
-    "src/dist/simd/dispatch.cc",  # runtime backend override knob
     "src/engine/runtime.h",      # CancelToken's shared cancellation flag
     "src/engine/runtime.cc",
 }
@@ -171,9 +167,10 @@ DRAW_CALL_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*(Draw\w*)\s*\(")
 STATIC_DRAW_RE = re.compile(r"\b(SampleSet|SampleSetGroup)::(Draw\w*)\s*\(\s*(\w+)")
 BUDGETED_DECL_RE = re.compile(r"\bBudgetedSampler[&\s]+(\w+)\s*[({=;,)]")
 
-# simd-containment: intrinsics headers and tokens outside src/dist/simd/.
+# simd-containment: intrinsics headers and tokens, in any file. The
+# <?mmintrin.h> family covers the umbrella header and the per-ISA ones.
 SIMD_INCLUDE_RE = re.compile(
-    r"#include\s*<(?:immintrin|x86intrin|x86gprintrin|[a-z]{3}mmintrin|"
+    r"#include\s*<(?:[a-z]mmintrin|x86intrin|x86gprintrin|"
     r"avx[0-9a-z]*intrin)\.h>"
 )
 SIMD_TOKEN_RE = re.compile(
@@ -269,8 +266,7 @@ def lint_file(root, rel):
     def emit(line, rule, msg):
         findings.append(Finding(rel, line, rule, msg))
 
-    in_simd_dir = rel.startswith(SIMD_DIR)
-    is_hot_path = HOT_PATH_TAG in raw or in_simd_dir or rel in HOT_PATH_FILES
+    is_hot_path = HOT_PATH_TAG in raw or rel in HOT_PATH_FILES
 
     for idx, line in enumerate(code_lines, start=1):
         if rel not in STRICT_PARSE_ALLOW and PARSE_RE.search(line):
@@ -285,11 +281,10 @@ def lint_file(root, rel):
             emit(idx, "hot-path-mutex",
                  "lock primitive in a histk:hot-path file — sharded-path "
                  "thread safety must come from per-worker ownership")
-        if not in_simd_dir and (SIMD_INCLUDE_RE.search(line)
-                                or SIMD_TOKEN_RE.search(line)):
+        if SIMD_INCLUDE_RE.search(line) or SIMD_TOKEN_RE.search(line):
             emit(idx, "simd-containment",
-                 "vector intrinsics outside src/dist/simd/ — program "
-                 "against the dispatch API in src/dist/simd/draw_kernels.h")
+                 "vector intrinsics — the draw kernels are portable C++; "
+                 "write the loop so the compiler can vectorize it")
         if rel not in HOT_ATOMICS_ALLOW and ATOMIC_RE.search(line):
             emit(idx, "atomics-containment",
                  "std::atomic outside the designated concurrency kernels — "
