@@ -223,14 +223,22 @@ class CandidateTable {
     }
 
     median_.resize(static_cast<size_t>(CandidatePairs(static_cast<int64_t>(d_))));
-    if (std::all_of(denom_.begin(), denom_.end(),
-                    [&](double x) { return x == denom_[0]; })) {
-      // Equal set sizes: every ratio is a monotone function of its count
-      // (as a double), so the counts alone order the sets.
-      FillMedians(poll,
-                  [](uint64_t count, size_t) { return static_cast<double>(count); });
+    // Equal set sizes: every ratio is a monotone function of its count, so
+    // the counts alone order the sets. A count below 2^24 is exact in a
+    // float, and min, max and == on exact integers agree in float and
+    // double, so float lanes select the same median set as double lanes.
+    if (MedianFillUsesFloatLanes(est.group())) {
+      FillMedians<float>(poll, [](uint64_t count, size_t) {
+        // Through int32, exact here: int32 -> float converts lane-wise,
+        // uint64 -> float does not.
+        return static_cast<float>(static_cast<int32_t>(count));
+      });
+    } else if (std::all_of(denom_.begin(), denom_.end(),
+                           [&](double x) { return x == denom_[0]; })) {
+      FillMedians<double>(
+          poll, [](uint64_t count, size_t) { return static_cast<double>(count); });
     } else {
-      FillMedians(poll, [this](uint64_t count, size_t j) {
+      FillMedians<double>(poll, [this](uint64_t count, size_t j) {
         return static_cast<double>(count) / denom_[j];
       });
     }
@@ -258,25 +266,29 @@ class CandidateTable {
   }
 
  private:
-  /// Pairs of one row whose medians are selected together.
-  static constexpr size_t kLanes = 8;
-  /// One value per lane. The network copies whole Lanes in and out of
-  /// locals, so the compiler can vectorize a comparator across the lanes.
+  /// One key per lane for the pairs of one row whose medians are selected
+  /// together: 8 doubles or 16 floats, the same registers either way. The
+  /// network copies whole Lanes in and out of locals, so the compiler can
+  /// vectorize a comparator across the lanes.
+  template <typename Key>
   struct Lanes {
-    double v[kLanes];
+    static constexpr size_t kCount = 64 / sizeof(Key);
+    Key v[kCount];
   };
 
   /// Fills median_ in enumeration order. `key(count, j)` must order the
   /// sets like their ratios count / C(|S^j|, 2), so the set at the median
-  /// key holds the median ratio. The median keys of kLanes pairs of a row
-  /// come out of one pass of a branch-free selection network, and each
-  /// pair's median set is then the one whose key equals it.
-  template <typename KeyFn>
+  /// key holds the median ratio. The median keys of a Lanes' worth of pairs
+  /// of a row come out of one pass of a branch-free selection network, and
+  /// each pair's median set is then the lowest-index one whose key equals
+  /// it.
+  template <typename Key, typename KeyFn>
   void FillMedians(const GreedyPoll& poll, KeyFn key) {
+    constexpr size_t kLanes = Lanes<Key>::kCount;
     const std::vector<std::pair<size_t, size_t>> network = MedianNetwork(r_);
     const size_t mid = (r_ - 1) / 2;
-    std::vector<Lanes> keys(r_);  // per set
-    std::vector<Lanes> wires(r_);
+    std::vector<Lanes<Key>> keys(r_);  // per set
+    std::vector<Lanes<Key>> wires(r_);
     size_t pair = 0;
     for (size_t a = 0; a < d_; ++a) {
       if (poll) poll();
@@ -285,16 +297,16 @@ class CandidateTable {
         for (size_t j = 0; j < r_; ++j) {
           const uint64_t lo = coll_lo_[j * d_ + a];
           const uint64_t* hi = &coll_hi_[j * d_ + b];
-          double* row = keys[j].v;
+          Key* row = keys[j].v;
           for (size_t l = 0; l < lanes; ++l) row[l] = key(hi[l] - lo, j);
-          for (size_t l = lanes; l < kLanes; ++l) row[l] = 0.0;
+          for (size_t l = lanes; l < kLanes; ++l) row[l] = Key{0};
         }
         wires = keys;
         for (const auto& [lo_wire, hi_wire] : network) {
-          const Lanes x = wires[lo_wire];
-          const Lanes y = wires[hi_wire];
-          Lanes low;
-          Lanes high;
+          const Lanes<Key> x = wires[lo_wire];
+          const Lanes<Key> y = wires[hi_wire];
+          Lanes<Key> low;
+          Lanes<Key> high;
           for (size_t l = 0; l < kLanes; ++l) {
             low.v[l] = std::min(x.v[l], y.v[l]);
             high.v[l] = std::max(x.v[l], y.v[l]);
@@ -302,7 +314,7 @@ class CandidateTable {
           wires[lo_wire] = low;
           wires[hi_wire] = high;
         }
-        const Lanes median = wires[mid];
+        const Lanes<Key> median = wires[mid];
         Index found[kLanes] = {};
         for (size_t j = r_; j-- > 0;) {
           for (size_t l = 0; l < kLanes; ++l) {
@@ -416,6 +428,17 @@ LearnResult Search(const GreedyEstimator& estimator, std::vector<int64_t> endpoi
 }
 
 }  // namespace
+
+bool MedianFillUsesFloatLanes(const SampleSetGroup& group) {
+  for (int64_t j = 0; j < group.r(); ++j) {
+    const SampleSet& set = group.set(j);
+    if (set.m() != group.set(0).m() ||
+        set.Collisions(Interval::Full(set.n())) >= kFloatLaneLimit) {
+      return false;
+    }
+  }
+  return group.r() > 0;
+}
 
 const char* CandidateStrategyName(CandidateStrategy s) {
   return s == CandidateStrategy::kAllIntervals ? "all-intervals" : "sample-endpoints";

@@ -19,7 +19,8 @@
 // learn: struct-of-arrays prefix rows (r collision prefixes plus one main
 // count prefix at every endpoint's lo and hi+1) and, for each of the
 // d(d+1)/2 endpoint pairs, the index of the set whose ratio is the median
-// (1 byte per pair for r <= 256, else 4). Filling it costs O(d^2 r) once;
+// (1 byte per pair for r <= 256, else 4), selected on float lanes when the
+// counts allow it (MedianFillUsesFloatLanes). Filling it costs O(d^2 r) once;
 // each iteration then costs O(d r) for the remnant costs plus an O(d^2)
 // scan that recomputes z_J and y_J from the prefix rows in O(1) — instead
 // of O(d^2 r) per iteration. The table is bounded by kMaxCandidatePairs
@@ -56,6 +57,17 @@ const char* CandidateStrategyName(CandidateStrategy s);
 /// The candidate-cost table's cap, in endpoint pairs (a <= b): d endpoints
 /// make d(d+1)/2 pairs, so the cap admits d <= 5792.
 inline constexpr int64_t kMaxCandidatePairs = int64_t{1} << 24;
+
+/// Collision counts below this bound are exact in a float (24-bit
+/// significand).
+inline constexpr uint64_t kFloatLaneLimit = uint64_t{1} << 24;
+
+/// Whether the candidate-cost table selects its median sets on float lanes
+/// (16 keys per pass) rather than double lanes (8): true when every set of
+/// `group` has the same size, so raw collision counts order the sets, and
+/// every set's total collision count is below kFloatLaneLimit, so every key
+/// is exact in a float. Both widths select the same sets.
+bool MedianFillUsesFloatLanes(const SampleSetGroup& group);
 
 /// The greedy search's interruption hook: called once per table-fill row
 /// and once per scan row. It may throw to abandon the search (the engine

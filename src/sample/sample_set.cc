@@ -93,14 +93,17 @@ SampleSet SampleSet::FromRuns(int64_t n, std::vector<int64_t> values,
 SampleSet SampleSet::FromCounts(int64_t n, const std::vector<int64_t>& counts) {
   HISTK_CHECK(static_cast<int64_t>(counts.size()) == n);
   int64_t m = 0;
+  size_t distinct = 0;
   for (int64_t c : counts) {
     HISTK_CHECK(c >= 0);
     m += c;
+    if (c > 0) ++distinct;
   }
   SampleSet s(n, m);
   s.dense_ = true;
   s.prefix_count_.resize(static_cast<size_t>(n) + 1, 0);
   s.prefix_coll_.resize(static_cast<size_t>(n) + 1, 0);
+  s.distinct_.reserve(distinct);
   for (int64_t i = 0; i < n; ++i) {
     const uint64_t occ = static_cast<uint64_t>(counts[static_cast<size_t>(i)]);
     s.prefix_count_[static_cast<size_t>(i) + 1] =

@@ -4,6 +4,7 @@
 // values, estimated_cost, candidates_per_iter and the thinning counts.
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -204,6 +205,93 @@ TEST(GreedyDifferentialTest, HandBuiltGroupWithUnequalSetSizes) {
       ExpectMatchesReference(est, Options(3, 0.25, strategy), params,
                              "unequal sets, seed " + std::to_string(seed) + " " +
                                  CandidateStrategyName(strategy));
+    }
+  }
+}
+
+/// Counts over n elements that sum to m and whose collisions, the sum of
+/// C(c, 2), are exactly `collisions`: one heavy element, `slack` draws
+/// short of the largest c with C(c, 2) <= collisions, the remainder split
+/// greedily into C(c, 2) terms, the rest single draws, all placed at
+/// positions shuffled by `rng`.
+std::vector<int64_t> CountsWithCollisions(int64_t n, int64_t m, uint64_t collisions,
+                                          int64_t slack, Rng& rng) {
+  auto pairs = [](int64_t c) { return static_cast<uint64_t>(c) * (c - 1) / 2; };
+  auto largest_within = [&](uint64_t budget) {
+    int64_t c = 1;
+    while (pairs(c + 1) <= budget) ++c;
+    return c;
+  };
+  std::vector<int64_t> parts = {largest_within(collisions) - slack};
+  for (uint64_t rest = collisions - pairs(parts[0]); rest > 0;) {
+    parts.push_back(largest_within(rest));
+    rest -= pairs(parts.back());
+  }
+  const int64_t used = std::accumulate(parts.begin(), parts.end(), int64_t{0});
+  EXPECT_LE(used, m);
+  parts.resize(parts.size() + static_cast<size_t>(m - used), 1);
+  EXPECT_LE(static_cast<int64_t>(parts.size()), n);
+  std::vector<int64_t> positions(static_cast<size_t>(n));
+  std::iota(positions.begin(), positions.end(), int64_t{0});
+  rng.Shuffle(positions);
+  std::vector<int64_t> counts(static_cast<size_t>(n), 0);
+  for (size_t i = 0; i < parts.size(); ++i) {
+    counts[static_cast<size_t>(positions[i])] = parts[i];
+  }
+  return counts;
+}
+
+TEST(GreedyDifferentialTest, LaneBoundaryAtTwoToThe24Collisions) {
+  // Equal-size sets whose largest collision prefix (the whole domain's) is
+  // 2^24 - 1 take float lanes; at 2^24 the count keys stay on double lanes.
+  // Set 0 of a group holds the largest prefix, and every second set repeats
+  // the one before it, so median keys tie across sets on both widths (the
+  // fill takes the lowest tied index; any tied set gives the same z_J).
+  // d in {1, 15, 16, 17, 33} covers the lane tails of both widths; r = 13
+  // is the paper's r at n = 256.
+  const int64_t n = 512;
+  const int64_t m = 6200;
+  for (const uint64_t largest : {kFloatLaneLimit - 1, kFloatLaneLimit}) {
+    for (const int64_t r : {1, 2, 13, 17}) {
+      Rng rng(0x1A7E + largest + 131 * static_cast<uint64_t>(r));
+      std::vector<SampleSet> sets;
+      for (int64_t j = 0; j < r; ++j) {
+        if (j % 2 == 1) {
+          sets.push_back(sets.back());
+          continue;
+        }
+        const uint64_t collisions = j == 0 ? largest : largest - rng.UniformInt(4000);
+        const auto slack = static_cast<int64_t>(rng.UniformInt(4));
+        sets.push_back(SampleSet::FromCounts(
+            n, CountsWithCollisions(n, m, collisions, slack, rng)));
+      }
+      ASSERT_EQ(sets[0].Collisions(Interval::Full(n)), largest);
+      const SampleSetGroup group(std::move(sets));
+      const bool float_lanes = largest < kFloatLaneLimit;
+      ASSERT_EQ(MedianFillUsesFloatLanes(group), float_lanes);
+
+      for (const int64_t d : {1, 15, 16, 17, 33}) {
+        // d = 1: one main-set value and no neighbours. Otherwise every
+        // element is a main-set value and max_candidates thins them to d.
+        std::vector<int64_t> main_counts(static_cast<size_t>(n), 1);
+        if (d == 1) {
+          main_counts.assign(static_cast<size_t>(n), 0);
+          main_counts[static_cast<size_t>(n / 3)] = 40;
+        }
+        const GreedyEstimator est(SampleSet::FromCounts(n, main_counts), group);
+        GreedyParams params = ComputeGreedyParams(n, 3, 0.25, 0.05);
+        params.r = r;
+        LearnOptions opt = Options(3, 0.25, CandidateStrategy::kSampleEndpoints);
+        opt.include_endpoint_neighbors = false;
+        opt.max_candidates = d * (d + 1) / 2;
+        const std::string what = std::string(float_lanes ? "float" : "double") +
+                                 " lanes, r " + std::to_string(r) + ", d " +
+                                 std::to_string(d);
+        const LearnResult fast = LearnHistogramWithEstimator(est, opt, params);
+        ASSERT_EQ(fast.endpoints_after_thinning, d) << what;
+        ExpectIdentical(fast, reference::LearnHistogramWithEstimator(est, opt, params),
+                        what);
+      }
     }
   }
 }

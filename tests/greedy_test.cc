@@ -1,11 +1,15 @@
 #include "core/greedy.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/voptimal_dp.h"
+#include "dist/dataset.h"
 #include "dist/generators.h"
+#include "engine/engine.h"
+#include "serve/fingerprint.h"
 
 namespace histk {
 namespace {
@@ -206,6 +210,71 @@ TEST(GreedyTest, ReportsSampleAccounting) {
   const LearnResult res = LearnHistogram(sampler, FastOptions(2, 0.3), rng);
   EXPECT_EQ(res.total_samples, res.params.l + res.params.r * res.params.m);
   EXPECT_GT(res.candidates_per_iter, 0);
+}
+
+/// FNV-1a of a learn's report JSON with its wall time zeroed.
+uint64_t ReportHash(const Sampler& oracle, const LearnOptions& options, uint64_t seed) {
+  LearnSpec spec;
+  spec.seed = seed;
+  spec.options = options;
+  Result<Report> report = Engine(oracle).Run(spec);
+  EXPECT_TRUE(report.ok());
+  if (!report.ok()) return 0;
+  report->telemetry.wall_ms = 0.0;
+  std::string json;
+  AppendReportJson(json, *report);
+  serve::Fingerprinter hash;
+  hash.MixBytes(json.data(), json.size());
+  return hash.digest();
+}
+
+TEST(GreedyTest, SeededLearnsMatchParentGolden) {
+  // Report hashes taken from the build before the candidate table's median
+  // fill ran on float lanes; every learn must reproduce them byte for byte.
+  struct Case {
+    const char* name;
+    uint64_t golden;
+    uint64_t hash;
+  };
+  // cold_miss-shaped: n=256, k=4, eps 0.3, scale 0.25 over a 2000-item
+  // dataset on histkd's default count kernel (r=13, m=1547).
+  Rng data_rng(0xC01D);
+  const Distribution khist = MakeRandomKHistogram(256, 4, data_rng, 20.0).dist;
+  const AliasSampler khist_sampler(khist);
+  const DatasetSampler dataset(256, khist_sampler.DrawMany(2000, data_rng),
+                               AliasKernel::kCounts);
+  LearnOptions cold = FastOptions(4, 0.3);
+  cold.sample_scale = 0.25;
+  // closeness-shaped: the same dataset at k=2.
+  LearnOptions closeness = FastOptions(2, 0.3);
+  closeness.sample_scale = 0.25;
+  // Peaked: one element at mass 0.6 on n=64 at scale 8, so one collision
+  // set's prefix passes 2^24 and the fill keeps double lanes.
+  std::vector<double> weights(64, 0.4 / 63.0);
+  weights[20] = 0.6;
+  const AliasSampler peaked(Distribution::FromWeights(weights));
+  LearnOptions heavy = FastOptions(2, 0.3);
+  heavy.sample_scale = 8.0;
+
+  const Case cases[] = {
+      {"cold_miss k=4", 0x2b2001f3d48e5c27ULL, ReportHash(dataset, cold, 3)},
+      {"closeness k=2", 0xcb55fced37515d86ULL, ReportHash(dataset, closeness, 4)},
+      {"peaked k=2", 0x96fc42257cda6d0dULL, ReportHash(peaked, heavy, 5)},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.hash, c.golden) << c.name << ": got 0x" << std::hex << c.hash;
+  }
+  // The engine draws what LearnHistogram draws on the same seed, so these
+  // are the learns' own collision sets.
+  auto float_lanes = [](const Sampler& oracle, const LearnOptions& options,
+                        uint64_t seed) {
+    Rng rng(seed);
+    const GreedyParams params = ComputeLearnParams(oracle.n(), options);
+    return MedianFillUsesFloatLanes(GreedyEstimator::Draw(oracle, params, rng).group());
+  };
+  EXPECT_TRUE(float_lanes(dataset, cold, 3));
+  EXPECT_TRUE(float_lanes(dataset, closeness, 4));
+  EXPECT_FALSE(float_lanes(peaked, heavy, 5));
 }
 
 }  // namespace
