@@ -29,7 +29,6 @@
 #include "baseline/far_instances.h"
 #include "baseline/uniformity.h"
 #include "baseline/voptimal_dp.h"
-#include "core/fit_estimator.h"
 #include "core/flatness.h"
 #include "core/greedy.h"
 #include "core/lower_bound.h"

@@ -176,6 +176,15 @@ bool TokenToI64(const std::string& tok, int64_t& out) {
   return true;
 }
 
+bool TokenToU64(const std::string& tok, uint64_t& out) {
+  if (tok.empty() || tok.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  const char* last = tok.data() + tok.size();
+  const std::from_chars_result parsed = std::from_chars(tok.data(), last, out);
+  return parsed.ec == std::errc() && parsed.ptr == last;
+}
+
 bool TokenToF64(const std::string& tok, double& out) {
   if (tok.empty()) return false;
   char* end = nullptr;

@@ -81,9 +81,12 @@ void WriteDataset(std::ostream& os, const std::vector<int64_t>& items);
 
 /// Full-token numeric parses (the whole token must consume; out-of-range
 /// rejects): the one strtoll/strtod wrapper shared by the io grammars and
-/// histk_cli's flag parsing.
+/// the command-line flag parsing of histk_cli and histkd.
 bool TokenToI64(const std::string& token, int64_t& out);
 bool TokenToF64(const std::string& token, double& out);
+/// Exactly `[0-9]+` that fits in 64 bits: no sign, no whitespace, so a
+/// negative or padded seed is an error instead of wrapping to 2^64 - x.
+bool TokenToU64(const std::string& token, uint64_t& out);
 
 /// Reads the JSON integer `-?(0|[1-9][0-9]*)` that starts at `first`
 /// (reading nothing at or past `last`) into `out` and returns the byte

@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -54,7 +55,7 @@ HistkdServer::HistkdServer(const ServeOptions& options)
       governor_(options.governor),
       cache_(options.cache_entries),
       datasets_(options.max_datasets, options.kernel, options.fs_refs) {
-  const int workers = options_.workers < 1 ? 1 : options_.workers;
+  const int workers = std::clamp(options_.workers, 1, kMaxWorkers);
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

@@ -43,8 +43,12 @@
 namespace histk {
 namespace serve {
 
+/// Most worker threads a server starts: each worker is one OS thread, so
+/// `workers` is clamped to [1, kMaxWorkers] (histkd rejects larger values).
+constexpr int kMaxWorkers = 256;
+
 struct ServeOptions {
-  /// Worker threads draining the submit queue.
+  /// Worker threads draining the submit queue, clamped to [1, kMaxWorkers].
   int workers = 4;
   /// Submit-queue depth before requests are rejected with kUnavailable.
   int64_t queue_limit = 256;

@@ -205,5 +205,18 @@ TEST(IoParseTest, DatasetRejectsOutOfDomainWithLine) {
   EXPECT_EQ(parsed_ok->size(), 3u);
 }
 
+// Unsigned flags (seeds, fault seeds, cdf points) take exactly [0-9]+ in
+// 64 bits: strtoull would skip the space in " -5" and wrap it to 2^64 - 5.
+TEST(IoTokenTest, U64AcceptsOnlyPlainDigitsInRange) {
+  uint64_t v = 7;
+  EXPECT_TRUE(TokenToU64("18446744073709551615", v));
+  EXPECT_EQ(v, 18446744073709551615ULL);
+  EXPECT_TRUE(TokenToU64("0", v));
+  EXPECT_EQ(v, 0u);
+  for (const char* bad : {" -5", "-5", "+5", " 5", "5 ", "18446744073709551616", "", "0x5"}) {
+    EXPECT_FALSE(TokenToU64(bad, v)) << '"' << bad << '"';
+  }
+}
+
 }  // namespace
 }  // namespace histk

@@ -34,19 +34,18 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "dist/io.h"
-#include "dist/sampler.h"
+#include "flags.h"
 #include "serve/server.h"
 
 namespace histk {
@@ -81,81 +80,34 @@ void Usage() {
       "are drawn as count vectors; replay gives the historical streams).\n");
 }
 
-bool ToI64(const char* s, int64_t& out) { return TokenToI64(s, out); }
-
-bool ToInt(const char* s, int& out) {
-  int64_t wide = 0;
-  if (!ToI64(s, wide) || wide < 1 || wide > 1 << 20) return false;
-  out = static_cast<int>(wide);
-  return true;
-}
-
 bool Parse(int argc, char** argv, DaemonArgs& args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    auto bad = [&]() {
-      std::fprintf(stderr, "bad or missing value for %s\n", flag.c_str());
-      return false;
-    };
-    if (flag == "--workers") {
-      const char* v = next();
-      if (!v || !ToInt(v, args.serve.workers)) return bad();
-    } else if (flag == "--max-sessions") {
-      const char* v = next();
-      if (!v || !ToInt(v, args.serve.governor.max_sessions)) return bad();
-    } else if (flag == "--max-outstanding-budget") {
-      const char* v = next();
-      if (!v || !ToI64(v, args.serve.governor.max_outstanding_budget)) {
-        return bad();
-      }
-    } else if (flag == "--retry-after-ms") {
-      const char* v = next();
-      if (!v || !ToI64(v, args.serve.governor.retry_after_ms)) return bad();
-    } else if (flag == "--queue-limit") {
-      const char* v = next();
-      if (!v || !ToI64(v, args.serve.queue_limit) ||
-          args.serve.queue_limit < 1) {
-        return bad();
-      }
-    } else if (flag == "--cache-entries") {
-      const char* v = next();
-      if (!v || !ToI64(v, args.serve.cache_entries) ||
-          args.serve.cache_entries < 1) {
-        return bad();
-      }
-    } else if (flag == "--max-datasets") {
-      const char* v = next();
-      if (!v || !ToI64(v, args.serve.max_datasets) ||
-          args.serve.max_datasets < 1) {
-        return bad();
-      }
-    } else if (flag == "--kernel") {
-      const char* v = next();
-      const std::optional<AliasKernel> kernel =
-          v ? ParseAliasKernel(v) : std::nullopt;
-      if (!kernel) return bad();
-      args.serve.kernel = *kernel;
-    } else if (flag == "--socket") {
-      const char* v = next();
-      if (!v) return bad();
-      args.socket_path = v;
-    } else if (flag == "--data-root") {
-      const char* v = next();
-      if (!v || *v == '\0') return bad();
-      args.data_root = v;
-    } else if (flag == "--help" || flag == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-      return false;
-    }
-  }
-  return true;
+  using namespace flags;
+  ServeOptions& opts = args.serve;
+  const auto help = [](const char*) -> bool {
+    Usage();
+    std::exit(0);
+  };
+  return ParseFlags(
+      argc, argv, 1,
+      {
+          Integer("--workers", &opts.workers, 1, serve::kMaxWorkers),
+          Integer("--max-sessions", &opts.governor.max_sessions, 1, 1 << 20),
+          Integer("--max-outstanding-budget", &opts.governor.max_outstanding_budget),
+          Integer("--retry-after-ms", &opts.governor.retry_after_ms),
+          Integer("--queue-limit", &opts.queue_limit, 1),
+          Integer("--cache-entries", &opts.cache_entries, 1),
+          Integer("--max-datasets", &opts.max_datasets, 1),
+          Kernel("--kernel", &opts.kernel),
+          String("--socket", &args.socket_path),
+          {"--data-root", true,
+           [&args](const char* v) {
+             args.data_root = v;
+             return *v != '\0';
+           }},
+          {"--help", false, help},
+          {"-h", false, help},
+      },
+      "unknown flag ");
 }
 
 /// stdin/stdout: strictly ordered, synchronous serving.

@@ -10,8 +10,9 @@ histk idioms the codebase relies on:
                    accepts trailing garbage and saturates on overflow (and
                    from_chars takes leading zeros and "-0"); dataset, CLI
                    and wire input must go through the checked helpers —
-                   TokenToI64/TokenToF64 for tokens, ScanJsonI64 for the
-                   request parser's packed integer arrays.
+                   TokenToI64/TokenToU64/TokenToF64 for tokens,
+                   ScanJsonI64 for the request parser's packed integer
+                   arrays.
   rng-containment  No rand()/srand()/std::random_device/std::mt19937 etc.
                    outside src/util/rng.*. Every random stream must be a
                    seeded histk::Rng so runs replay byte-identically. The
