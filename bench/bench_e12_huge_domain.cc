@@ -18,7 +18,13 @@
 #include <iostream>
 
 #include "benchutil/harness.h"
-#include "core/histk.h"
+#include "dist/distribution.h"
+#include "dist/generators.h"
+#include "dist/quantiles.h"
+#include "dist/sampler.h"
+#include "util/interval.h"
+#include "util/rng.h"
+#include "util/table.h"
 #include "util/timer.h"
 
 namespace histk {

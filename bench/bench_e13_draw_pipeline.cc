@@ -35,11 +35,17 @@
 #include <vector>
 
 #include "benchutil/harness.h"
-#include "core/histk.h"
+#include "dist/dataset.h"
+#include "dist/distribution.h"
+#include "dist/generators.h"
+#include "dist/sampler.h"
 #include "engine/budget.h"
 #include "engine/runtime.h"
 #include "sample/counter.h"
 #include "sample/sample_set.h"
+#include "util/rng.h"
+#include "util/status.h"
+#include "util/table.h"
 #include "util/timer.h"
 
 namespace histk {

@@ -24,8 +24,14 @@
 #include <iostream>
 #include <string>
 
+#include "baseline/far_instances.h"
 #include "benchutil/harness.h"
-#include "core/histk.h"
+#include "core/property_tester.h"
+#include "dist/generators.h"
+#include "dist/sampler.h"
+#include "stats/bounds.h"
+#include "util/rng.h"
+#include "util/table.h"
 #include "util/timer.h"
 
 namespace histk {

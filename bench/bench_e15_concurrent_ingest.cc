@@ -31,7 +31,12 @@
 #include <vector>
 
 #include "benchutil/harness.h"
-#include "core/histk.h"
+#include "engine/engine.h"
+#include "engine/telemetry.h"
+#include "stream/concurrent_histogram.h"
+#include "util/rng.h"
+#include "util/status.h"
+#include "util/table.h"
 #include "util/timer.h"
 
 namespace histk {

@@ -34,9 +34,11 @@
 
 #include "api/request.h"
 #include "benchutil/harness.h"
-#include "core/histk.h"
 #include "engine/runtime.h"
 #include "serve/server.h"
+#include "util/rng.h"
+#include "util/status.h"
+#include "util/table.h"
 #include "util/timer.h"
 
 namespace histk {

@@ -27,8 +27,16 @@
 #include <vector>
 
 #include "benchutil/harness.h"
-#include "core/histk.h"
+#include "core/greedy.h"
+#include "dist/distribution.h"
+#include "dist/generators.h"
+#include "dist/sampler.h"
 #include "greedy_reference.h"
+#include "histogram/tiling.h"
+#include "stats/bounds.h"
+#include "stats/estimators.h"
+#include "util/rng.h"
+#include "util/table.h"
 #include "util/timer.h"
 
 namespace histk {

@@ -15,7 +15,13 @@
 #include <iostream>
 
 #include "benchutil/harness.h"
-#include "core/histk.h"
+#include "core/greedy.h"
+#include "dist/generators.h"
+#include "dist/sampler.h"
+#include "histogram/tiling.h"
+#include "stats/bounds.h"
+#include "util/rng.h"
+#include "util/table.h"
 
 namespace histk {
 namespace {

@@ -11,7 +11,13 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/histk.h"
+#include "baseline/far_instances.h"
+#include "dist/distribution.h"
+#include "dist/generators.h"
+#include "dist/sampler.h"
+#include "engine/engine.h"
+#include "util/rng.h"
+#include "util/status.h"
 #include "util/table.h"
 
 int main() {

@@ -5,7 +5,15 @@
 //   build/examples/example_quickstart
 #include <cstdio>
 
-#include "core/histk.h"
+#include "baseline/voptimal_dp.h"
+#include "core/greedy.h"
+#include "dist/generators.h"
+#include "dist/sampler.h"
+#include "engine/engine.h"
+#include "histogram/tiling.h"
+#include "util/interval.h"
+#include "util/rng.h"
+#include "util/status.h"
 #include "util/table.h"
 
 int main() {
@@ -72,10 +80,6 @@ int main() {
   std::printf("\ntrue boundaries: ");
   for (int64_t end : secret.right_ends) std::printf("%lld ", static_cast<long long>(end));
   std::printf("\n");
-
-  std::printf("\ntrue pmf vs learned histogram (ASCII, 16 buckets):\n");
-  std::printf("--- truth ---\n%s", AsciiPlot(secret.dist.DensePmf(), 16, 40).c_str());
-  std::printf("--- learned ---\n%s", AsciiPlot(compact.ToValues(), 16, 40).c_str());
 
   // Budgets are hard caps with typed outcomes: the same task under a
   // too-small budget reports kBudgetExhausted instead of aborting, and the

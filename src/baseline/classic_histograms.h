@@ -1,8 +1,8 @@
 // Classic sampling-based histogram constructions the paper contrasts with
 // (Section 1: equi-depth and compressed histograms "are quite different
 // from the representations considered in this paper") plus simple
-// heuristics. All are built from the same sample budget as the learner in
-// experiment E7, so the comparison is apples-to-apples.
+// heuristics. CompareSpec builds them from the same sample budget as the
+// learner, so the comparison is apples-to-apples.
 #ifndef HISTK_BASELINE_CLASSIC_HISTOGRAMS_H_
 #define HISTK_BASELINE_CLASSIC_HISTOGRAMS_H_
 
@@ -33,7 +33,7 @@ TilingHistogram CompressedFromSamples(int64_t k, const SampleSet& samples);
 /// Bottom-up greedy merge on the true pmf: start from n singleton pieces,
 /// repeatedly merge the adjacent pair whose merge increases SSE the least,
 /// until k pieces remain. A strong (but linear-time-in-n) heuristic upper
-/// bound for E7/E8. O(n log n).
+/// bound on the v-optimal error. O(n log n).
 TilingHistogram GreedyMergeExact(const Distribution& p, int64_t k);
 
 }  // namespace histk

@@ -1,7 +1,7 @@
 // Certified eps-far instances: distributions provably eps-far from every
-// tiling k-histogram, used as NO inputs for the testers (E4/E5) and for
-// soundness tests. "Certified" means the distance is established by an
-// explicit computation, not assumed:
+// tiling k-histogram, used as NO inputs for the testers (claims_test's
+// TesterClaimTest) and for soundness tests. "Certified" means the distance
+// is established by an explicit computation, not assumed:
 //   * L2 families are certified by the exact v-optimal DP — the DP minimum
 //     over all k-piece FUNCTIONS lower-bounds the distance to k-histogram
 //     distributions.

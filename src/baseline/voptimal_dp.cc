@@ -1,10 +1,9 @@
 #include "baseline/voptimal_dp.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <vector>
 
-#include "dist/empirical.h"
 #include "util/common.h"
 
 namespace histk {
@@ -13,7 +12,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Shared reconstruction: parent[j][i] = start of the last piece of the best
+// Reconstruction: parent[j][i] = start of the last piece of the best
 // (j+1)-piece tiling of [0, i].
 VOptimalResult Reconstruct(const Distribution& p, int64_t k,
                            const std::vector<std::vector<int32_t>>& parent,
@@ -87,79 +86,8 @@ VOptimalResult VOptimalHistogram(const Distribution& p, int64_t k) {
   return Reconstruct(p, k, parent, prev[static_cast<size_t>(n - 1)]);
 }
 
-VOptimalResult VOptimalHistogramApprox(const Distribution& p, int64_t k, double delta) {
-  HISTK_CHECK(k >= 1);
-  HISTK_CHECK_MSG(delta > 0.0, "delta must be positive");
-  const int64_t n = p.n();
-  k = std::min(k, n);
-
-  std::vector<double> prev(static_cast<size_t>(n)), cur(static_cast<size_t>(n));
-  std::vector<std::vector<int32_t>> parent(
-      static_cast<size_t>(k), std::vector<int32_t>(static_cast<size_t>(n), 0));
-
-  for (int64_t i = 0; i < n; ++i) {
-    prev[static_cast<size_t>(i)] = p.IntervalSse(Interval(0, i));
-    parent[0][static_cast<size_t>(i)] = 0;
-  }
-
-  for (int64_t j = 1; j < k; ++j) {
-    auto& par = parent[static_cast<size_t>(j)];
-    // prev is non-decreasing in i (optimal error can only grow with more
-    // elements). Band it: candidates are the LAST index of each (1+delta)
-    // value band; for the optimal split q, the last index q' >= q of q's
-    // band has prev[q'] <= (1+delta) prev[q] and a shorter last piece, so
-    // using q' costs at most (1+delta) more per layer.
-    std::vector<int64_t> band_last;  // ascending candidate positions
-    {
-      const double top = prev[static_cast<size_t>(n - 1)];
-      const double floor = std::max(top * 1e-12, 1e-300);
-      double band_cap = floor;  // values <= band_cap are in the current band
-      for (int64_t q = 0; q < n; ++q) {
-        const double v = prev[static_cast<size_t>(q)];
-        if (q + 1 < n && prev[static_cast<size_t>(q + 1)] <= band_cap && v <= band_cap) {
-          continue;  // not the last of its band
-        }
-        band_last.push_back(q);
-        while (v > band_cap) band_cap = std::max(band_cap * (1.0 + delta), floor);
-      }
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      if (i < j) {
-        cur[static_cast<size_t>(i)] = 0.0;
-        par[static_cast<size_t>(i)] = static_cast<int32_t>(i);
-        continue;
-      }
-      double best = kInf;
-      int32_t best_s = static_cast<int32_t>(j);
-      auto consider = [&](int64_t s) {
-        if (s < j || s > i) return;
-        const double cand =
-            prev[static_cast<size_t>(s - 1)] + p.IntervalSse(Interval(s, i));
-        if (cand < best) {
-          best = cand;
-          best_s = static_cast<int32_t>(s);
-        }
-      };
-      // Candidate splits: after each banded position (clamped into range),
-      // plus the two extremes.
-      for (int64_t q : band_last) consider(std::min(q + 1, i));
-      consider(j);
-      consider(i);
-      cur[static_cast<size_t>(i)] = best;
-      par[static_cast<size_t>(i)] = best_s;
-    }
-    std::swap(prev, cur);
-  }
-  return Reconstruct(p, k, parent, prev[static_cast<size_t>(n - 1)]);
-}
-
 double VOptimalSse(const Distribution& p, int64_t k) {
   return VOptimalHistogram(p, k).sse;
-}
-
-VOptimalResult VOptimalFromSamples(int64_t n, int64_t k,
-                                   const std::vector<int64_t>& samples) {
-  return VOptimalHistogram(EmpiricalDistribution(n, samples), k);
 }
 
 }  // namespace histk

@@ -1,6 +1,6 @@
-// Exact and approximate v-optimal histogram construction.
+// Exact v-optimal histogram construction.
 //
-// Exact: the textbook O(n^2 k) dynamic program (Jagadish et al., VLDB'98).
+// The textbook O(n^2 k) dynamic program (Jagadish et al., VLDB'98).
 // Given the full pmf it finds the tiling k-histogram H* minimizing
 // ||p - H||_2^2. The paper's Theorems 1/2 are stated against this H*; the
 // reproduction uses it as ground truth (the paper never computes it from
@@ -9,21 +9,18 @@
 // NOTE: interval SSE over an arbitrary (unsorted) sequence does NOT satisfy
 // the quadrangle inequality, so SMAWK / divide-and-conquer DP speedups are
 // unsound here (they require sorted data as in 1-D k-means). The exact DP
-// is therefore quadratic; for large n use VOptimalHistogramApprox, the
-// Guha–Koudas–Shim-style banded DP ([GKS06], cited by the paper) with a
-// certified multiplicative error.
+// is therefore quadratic.
 #ifndef HISTK_BASELINE_VOPTIMAL_DP_H_
 #define HISTK_BASELINE_VOPTIMAL_DP_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "dist/distribution.h"
 #include "histogram/tiling.h"
 
 namespace histk {
 
-/// An optimal (or near-optimal) tiling k-histogram and its L2^2 error.
+/// An optimal tiling k-histogram and its L2^2 error.
 struct VOptimalResult {
   TilingHistogram histogram;
   double sse = 0.0;
@@ -32,20 +29,8 @@ struct VOptimalResult {
 /// Exact v-optimal DP, O(n^2 k) time / O(nk) space. k is clamped to n.
 VOptimalResult VOptimalHistogram(const Distribution& p, int64_t k);
 
-/// Approximate v-optimal DP after [GKS06]: within each DP layer, split
-/// candidates are thinned to one per (1+delta) band of the (monotone)
-/// prefix-error curve. Guarantees sse <= (1+delta)^(k-1) * OPT; runs in
-/// O(n k B) where B = O(log(1/floor)/delta) bands.
-VOptimalResult VOptimalHistogramApprox(const Distribution& p, int64_t k, double delta);
-
 /// Just the optimal error ||p - H*||_2^2 (exact DP).
 double VOptimalSse(const Distribution& p, int64_t k);
-
-/// The "sample-then-solve" baseline: build the empirical distribution from
-/// samples and run the exact DP on it. This is the natural strawman the
-/// paper's sample-efficient learner competes against (E7).
-VOptimalResult VOptimalFromSamples(int64_t n, int64_t k,
-                                   const std::vector<int64_t>& samples);
 
 }  // namespace histk
 

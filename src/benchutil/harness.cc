@@ -42,7 +42,7 @@ bool JsonEnabled() {
   return flag == nullptr || std::string(flag) != "0";
 }
 
-/// "E1: learner error vs ..." -> "E1"; non-alphanumerics become '-'.
+/// "E2: learn scaling ..." -> "E2"; non-alphanumerics become '-'.
 std::string SlugOf(const std::string& id) {
   std::string slug = id.substr(0, id.find(':'));
   for (char& c : slug) {
@@ -163,12 +163,6 @@ ScalarStats MeasureScalar(int64_t trials, const std::function<double(int64_t)>& 
   record.scalar = s;
   AppendRecord(std::move(record));
   return s;
-}
-
-std::string FmtScalar(const ScalarStats& s) {
-  char buf[80];
-  std::snprintf(buf, sizeof(buf), "%.3e (sd %.1e)", s.mean, s.stddev);
-  return buf;
 }
 
 void PrintExperimentHeader(const std::string& id, const std::string& claim,

@@ -37,9 +37,6 @@ struct ScalarStats {
 
 ScalarStats MeasureScalar(int64_t trials, const std::function<double(int64_t)>& trial);
 
-/// Formats "3.1e-03 (sd 4e-04)".
-std::string FmtScalar(const ScalarStats& s);
-
 /// Prints the standard experiment banner (id, claim, substitution notes)
 /// and opens the machine-readable result log for the experiment (below).
 void PrintExperimentHeader(const std::string& id, const std::string& claim,

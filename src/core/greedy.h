@@ -89,7 +89,7 @@ struct LearnOptions {
   /// kMaxCandidatePairs, thins to kMaxCandidatePairs.
   int64_t max_candidates = 2'000'000;
   /// Theorem 2 includes the +-1 neighbours of each sample in the endpoint
-  /// set T'. Setting this false drops them (ablation E8 measures the cost).
+  /// set T'. Setting this false drops them, for ablations.
   bool include_endpoint_neighbors = true;
   /// Override the number of greedy iterations (0 = paper's k*ln(1/eps)).
   int64_t iterations_override = 0;

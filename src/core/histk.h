@@ -56,7 +56,6 @@
 #include "stream/concurrent_histogram.h"
 #include "stream/log_bucket.h"
 #include "stream/reservoir.h"
-#include "util/ascii_plot.h"
 #include "util/interval.h"
 #include "util/rng.h"
 #include "util/status.h"

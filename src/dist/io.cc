@@ -164,10 +164,18 @@ std::optional<T> DiscardStatus(Result<T> result) {
   return std::move(result).value();
 }
 
+// strtoll/strtod skip leading whitespace and take a leading '+'; the
+// strict parses reject both on the first byte (every whitespace byte is at
+// or below ' ').
+bool StrtoxWouldSkip(const std::string& tok) {
+  const unsigned char first = static_cast<unsigned char>(tok[0]);
+  return first <= ' ' || first == '+';
+}
+
 }  // namespace
 
 bool TokenToI64(const std::string& tok, int64_t& out) {
-  if (tok.empty()) return false;
+  if (tok.empty() || StrtoxWouldSkip(tok)) return false;
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(tok.c_str(), &end, 10);
@@ -186,7 +194,7 @@ bool TokenToU64(const std::string& tok, uint64_t& out) {
 }
 
 bool TokenToF64(const std::string& tok, double& out) {
-  if (tok.empty()) return false;
+  if (tok.empty() || StrtoxWouldSkip(tok)) return false;
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
   if (end != tok.c_str() + tok.size()) return false;

@@ -79,9 +79,10 @@ std::optional<Distribution> ReadBucketDistribution(std::istream& is);
 /// Writes a data set: one item per line.
 void WriteDataset(std::ostream& os, const std::vector<int64_t>& items);
 
-/// Full-token numeric parses (the whole token must consume; out-of-range
-/// rejects): the one strtoll/strtod wrapper shared by the io grammars and
-/// the command-line flag parsing of histk_cli and histkd.
+/// Full-token numeric parses (the whole token must consume; out-of-range,
+/// leading whitespace and a leading '+' reject; an exponent sign as in
+/// "1e+5" is fine): the one strtoll/strtod wrapper shared by the io
+/// grammars and the command-line flag parsing of histk_cli and histkd.
 bool TokenToI64(const std::string& token, int64_t& out);
 bool TokenToF64(const std::string& token, double& out);
 /// Exactly `[0-9]+` that fits in 64 bits: no sign, no whitespace, so a

@@ -360,7 +360,7 @@ Result<Report> Engine::RunCompare(const CompareSpec& spec) const {
     row("paper-raw", result.tiling, result.total_samples);
 
     // Classic sampling histograms from a fresh sample of the same size the
-    // learner consumed — the E7 apples-to-apples protocol.
+    // learner consumed, so the comparison is apples-to-apples.
     bs.BeginPhase("baselines");
     const SampleSet baseline_sample =
         SampleSet::Draw(bs, result.total_samples, rng, spec.draw_threads);

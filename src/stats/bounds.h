@@ -94,8 +94,8 @@ ClosenessParams ComputeClosenessParams(int64_t n, int64_t k_p, int64_t k_q, doub
 bool ClosenessParamsRepresentable(int64_t n, int64_t k_p, int64_t k_q, double eps,
                                   double scale = 1.0);
 
-/// Theorem 5's lower-bound budget sqrt(k n) (the quantity the E6 sweep is
-/// expressed in units of).
+/// Theorem 5's lower-bound budget sqrt(k n) (claims_test's
+/// LowerBoundClaimTest states its sample counts in units of it).
 double LowerBoundBudget(int64_t n, int64_t k);
 
 }  // namespace histk

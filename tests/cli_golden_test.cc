@@ -130,6 +130,9 @@ const Case kCases[] = {
     {"seed_negative", "{cli} learn --seed -5 < items.txt"},
     {"seed_padded_negative", "{cli} learn --seed ' -5' < items.txt"},
     {"seed_plus_sign", "{cli} learn --seed +5 < items.txt"},
+    {"k_padded", "{cli} learn --k ' 6' --eps 0.15 < items.txt"},
+    {"k_plus_sign", "{cli} learn --k +6 --eps 0.15 < items.txt"},
+    {"eps_padded", "{cli} learn --k 6 --eps ' 0.15' < items.txt"},
     {"test_reduce", "{cli} test --k 6 --eps 0.3 --reduce < items.txt"},
     {"estimate_no_queries", "{cli} estimate --k 6 --eps 0.2 < items.txt"},
     {"parse_error_line3", "printf '1\\n2\\nbogus\\n' | {cli} learn --k 2 --eps 0.3"},

@@ -1,6 +1,7 @@
 #include "core/greedy.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,6 +50,37 @@ TEST(GreedyTest, ErrorWithinAdditiveBandOfOptimum) {
     // output); the theorem only promises it does not lose more than 5*eps.
     EXPECT_LE(err, opt + 5 * eps + 1e-9) << AliasKernelName(kernel);  // Theorem 1 band (loose)
     EXPECT_LE(err, opt + 0.05) << AliasKernelName(kernel);  // practical band this workload meets
+  }
+
+  // The same two bands over the generator zoo at n = 256: an exact random
+  // k-histogram, a staircase, Zipf(1) and a Gaussian mixture, for k in
+  // {2, 8} and eps in {0.2, 0.1}, three seeds each, at the full sample
+  // formula on the count kernel. Theorem 2, which covers these
+  // sample-endpoint candidates, allows 8 eps; both bands are tighter.
+  constexpr int64_t kN = 256;
+  for (const int64_t k : {2, 8}) {
+    for (const double eps : {0.2, 0.1}) {
+      for (uint64_t seed = 0; seed < 3; ++seed) {
+        Rng gen(0xE1 + seed);
+        const std::pair<const char*, Distribution> zoo[] = {
+            {"khist", MakeRandomKHistogram(kN, k, gen, 50.0).dist},
+            {"staircase", MakeStaircase(kN, k).dist},
+            {"zipf1.0", MakeZipf(kN, 1.0)},
+            {"gauss-mix",
+             MakeGaussianMixture(kN, {{0.3, 0.08, 2.0}, {0.7, 0.05, 1.0}}, 0.05)},
+        };
+        for (const auto& [name, p] : zoo) {
+          const AliasSampler sampler(p, AliasKernel::kCounts);
+          Rng rng(0x1E1 + seed);
+          const double err =
+              LearnHistogram(sampler, FastOptions(k, eps), rng).tiling.L2SquaredErrorTo(p);
+          const double opt = VOptimalSse(p, k);
+          EXPECT_LE(err, opt + 5 * eps + 1e-9)
+              << name << " k=" << k << " eps=" << eps << " seed=" << seed;
+          EXPECT_LE(err, opt + 0.05) << name << " k=" << k << " eps=" << eps << " seed=" << seed;
+        }
+      }
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/histk.h"
+#include "util/math_util.h"
 
 namespace histk {
 namespace {
@@ -57,6 +58,50 @@ TEST(IntegrationTest, LearnedHistogramCompetesWithBaselinesOnPiecewiseData) {
   // fixed-boundary baselines decisively.
   EXPECT_LT(learned_err, ew);
   EXPECT_LT(learned_err, ed);
+
+  // The wider grid at n = 512, k = 8, eps = 0.15, three seeds: on every
+  // workload the learner stays inside Theorem 2's band of the exact DP
+  // optimum, and on the piecewise-flat one it also beats equi-width,
+  // equi-depth and compressed histograms built from its own sample budget.
+  constexpr int64_t kN = 512, kK = 8;
+  constexpr double kEps = 0.15;
+  LearnOptions wide;
+  wide.k = kK;
+  wide.eps = kEps;
+  wide.sample_scale = std::min(
+      1.0, 8e6 / static_cast<double>(ComputeGreedyParams(kN, kK, kEps, 1.0).TotalSamples()));
+  int64_t wins = 0, duels = 0;
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    Rng gen(0xE7 + seed);
+    struct Workload {
+      const char* name;
+      Distribution p;
+      bool piecewise_flat;
+    };
+    const Workload workloads[] = {
+        {"khist", MakeRandomKHistogram(kN, kK, gen, 40.0).dist, true},
+        {"gauss-mix", MakeGaussianMixture(kN, {{0.3, 0.05, 1.5}, {0.72, 0.09, 1.0}}, 0.1),
+         false},
+        {"zipf1.2", MakeZipf(kN, 1.2), false},
+        {"noisy-stairs", MakeNoisy(MakeStaircase(kN, kK).dist, 0.25, gen), false},
+    };
+    for (const auto& [name, p, piecewise_flat] : workloads) {
+      const AliasSampler oracle(p, AliasKernel::kCounts);
+      Rng wrng(0x1E7 + seed);
+      const LearnResult res = LearnHistogram(oracle, wide, wrng);
+      const double err = res.tiling.L2SquaredErrorTo(p);
+      EXPECT_LE(err, VOptimalSse(p, kK) + 8 * kEps) << name << " seed=" << seed;
+      if (!piecewise_flat) continue;
+      const SampleSet same_budget = SampleSet::Draw(oracle, res.total_samples, wrng);
+      for (const TilingHistogram& baseline : {EquiWidthFromSamples(kK, same_budget),
+                                              EquiDepthFromSamples(kK, same_budget),
+                                              CompressedFromSamples(kK, same_budget)}) {
+        wins += err < baseline.L2SquaredErrorTo(p) ? 1 : 0;
+        ++duels;
+      }
+    }
+  }
+  EXPECT_GE(WilsonScore(wins, duels).lower, 2.0 / 3.0) << wins << "/" << duels;
 }
 
 TEST(IntegrationTest, TesterSeparatesYesFromFar) {

@@ -218,5 +218,26 @@ TEST(IoTokenTest, U64AcceptsOnlyPlainDigitsInRange) {
   }
 }
 
+// Signed and float tokens: strtoll/strtod would skip the leading space in
+// " 6" and take "+6"; the strict parses reject both, as TokenToU64 does.
+TEST(IoTokenTest, SignedAndFloatRejectPaddingAndPlusSign) {
+  int64_t i = 7;
+  double d = 7.0;
+  for (const char* bad : {" 6", "+6", "6 ", "\t6", ""}) {
+    EXPECT_FALSE(TokenToI64(bad, i)) << '"' << bad << '"';
+  }
+  for (const char* bad : {" 0.15", "+0.15", "0.15 ", "\n0.15", ""}) {
+    EXPECT_FALSE(TokenToF64(bad, d)) << '"' << bad << '"';
+  }
+  EXPECT_EQ(i, 7);
+  EXPECT_EQ(d, 7.0);
+  ASSERT_TRUE(TokenToI64("-3", i));
+  EXPECT_EQ(i, -3);
+  ASSERT_TRUE(TokenToF64("1e+5", d));
+  EXPECT_EQ(d, 1e5);
+  ASSERT_TRUE(TokenToF64("-3", d));
+  EXPECT_EQ(d, -3.0);
+}
+
 }  // namespace
 }  // namespace histk

@@ -1,9 +1,14 @@
 #include "core/tester.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baseline/far_instances.h"
+#include "baseline/uniformity.h"
 #include "dist/generators.h"
+#include "util/math_util.h"
 
 namespace histk {
 namespace {
@@ -89,6 +94,35 @@ TEST(TesterL1Test, UniformEquivalentToUniformityTesting) {
   for (int64_t v : rng.SampleDistinct(128, 64)) w[static_cast<size_t>(v)] = 1.0;
   EXPECT_LE(AcceptCount(Distribution::FromWeights(w), L1Config(1, 0.4, 0.02), 8, 413),
             2);
+
+  // The wider grid, n in {256, 1024, 4096}: Algorithm 2 at k = 1 and the
+  // classic collision uniformity tester agree, both accepting uniform and
+  // both rejecting a random half-support, over 10 seeded trials each.
+  constexpr int64_t kTrials = 10;
+  for (const int64_t n : {256, 1024, 4096}) {
+    Rng gen(0x10E + static_cast<uint64_t>(n));
+    std::vector<double> half(static_cast<size_t>(n), 0.0);
+    for (int64_t v : gen.SampleDistinct(n, n / 2)) half[static_cast<size_t>(v)] = 1.0;
+    const Distribution no = Distribution::FromWeights(std::move(half));
+    const Distribution yes = Distribution::Uniform(n);
+    const AliasSampler yes_sampler(yes, AliasKernel::kCounts);
+    const AliasSampler no_sampler(no, AliasKernel::kCounts);
+    int64_t collision_yes = 0, collision_no = 0;
+    for (int64_t t = 0; t < kTrials; ++t) {
+      collision_yes += TestUniformity(yes_sampler, 0.4, Norm::kL1, gen).accepted ? 1 : 0;
+      collision_no += TestUniformity(no_sampler, 0.4, Norm::kL1, gen).accepted ? 1 : 0;
+    }
+    const TestConfig cfg = L1Config(1, 0.4, 0.002);
+    const uint64_t seed = 0x10F + static_cast<uint64_t>(n);
+    const int64_t alg2_yes = AcceptCount(yes, cfg, kTrials, seed, AliasKernel::kCounts);
+    const int64_t alg2_no = AcceptCount(no, cfg, kTrials, seed, AliasKernel::kCounts);
+    for (const int64_t accepts : {alg2_yes, collision_yes}) {
+      EXPECT_GE(WilsonScore(accepts, kTrials).lower, 2.0 / 3.0) << "n=" << n;
+    }
+    for (const int64_t accepts : {alg2_no, collision_no}) {
+      EXPECT_LE(WilsonScore(accepts, kTrials).upper, 1.0 / 3.0) << "n=" << n;
+    }
+  }
 }
 
 TEST(TesterTest, PartitionIsContiguousFromZero) {

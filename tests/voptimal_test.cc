@@ -1,14 +1,12 @@
 #include "baseline/voptimal_dp.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dist/generators.h"
-#include "dist/sampler.h"
 #include "histogram/ops.h"
 #include "util/rng.h"
 
@@ -50,32 +48,6 @@ TEST(VOptimalTest, MatchesBruteForceOnSmallInstances) {
     }
   }
 }
-
-class VOptimalApproxTest : public ::testing::TestWithParam<int64_t> {};
-
-TEST_P(VOptimalApproxTest, ApproxWithinCertifiedFactor) {
-  const int64_t seed = GetParam();
-  Rng rng(static_cast<uint64_t>(seed));
-  const int64_t n = 60 + static_cast<int64_t>(rng.UniformInt(60));
-  std::vector<double> w(static_cast<size_t>(n));
-  for (auto& x : w) x = rng.NextDouble() < 0.2 ? 0.0 : rng.NextDouble();
-  if (*std::max_element(w.begin(), w.end()) == 0.0) w[0] = 1.0;
-  const Distribution p = Distribution::FromWeights(w);
-  const double delta = 0.05;
-  for (int64_t k : {1, 2, 3, 7, 15}) {
-    const auto exact = VOptimalHistogram(p, k);
-    const auto approx = VOptimalHistogramApprox(p, k, delta);
-    // Certified band: OPT <= approx <= (1+delta)^(k-1) OPT (+ tiny floor slop).
-    EXPECT_GE(approx.sse, exact.sse - 1e-10) << "k=" << k;
-    const double factor = std::pow(1.0 + delta, static_cast<double>(k - 1));
-    EXPECT_LE(approx.sse, factor * exact.sse + 1e-9) << "k=" << k;
-    // Reconstructions must achieve their claimed error.
-    EXPECT_NEAR(exact.histogram.L2SquaredErrorTo(p), exact.sse, 1e-10);
-    EXPECT_NEAR(approx.histogram.L2SquaredErrorTo(p), approx.sse, 1e-10);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, VOptimalApproxTest, ::testing::Range<int64_t>(1, 13));
 
 TEST(VOptimalTest, ZeroErrorOnExactKHistograms) {
   Rng rng(92);
@@ -124,27 +96,6 @@ TEST(VOptimalTest, StaircaseRecoversTrueBoundaries) {
   const auto res = VOptimalHistogram(spec.dist, 4);
   EXPECT_NEAR(res.sse, 0.0, 1e-14);
   EXPECT_EQ(res.histogram.Condensed(1e-12).k(), 4);
-}
-
-TEST(VOptimalTest, FromSamplesApproachesTrueOptimum) {
-  Rng rng(96);
-  const HistogramSpec spec = MakeRandomKHistogram(64, 4, rng, 10.0);
-  const AliasSampler sampler(spec.dist);
-  const auto samples = sampler.DrawMany(200000, rng);
-  const auto res = VOptimalFromSamples(64, 4, samples);
-  // The empirical DP histogram should be close to optimal for the truth.
-  EXPECT_LT(res.histogram.L2SquaredErrorTo(spec.dist), 1e-4);
-}
-
-TEST(VOptimalTest, ApproxHandlesFlatAndSpikyExtremes) {
-  // All-zero error curve (uniform) and extreme spikes both stress banding.
-  EXPECT_NEAR(VOptimalHistogramApprox(Distribution::Uniform(64), 5, 0.1).sse, 0.0,
-              1e-12);
-  const Distribution spikes = MakeSpikes(128, 9);
-  const double exact = VOptimalSse(spikes, 4);
-  const double approx = VOptimalHistogramApprox(spikes, 4, 0.1).sse;
-  EXPECT_GE(approx, exact - 1e-12);
-  EXPECT_LE(approx, std::pow(1.1, 3.0) * exact + 1e-9);
 }
 
 }  // namespace

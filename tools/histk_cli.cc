@@ -96,8 +96,25 @@
 #include <vector>
 
 #include "api/request.h"
-#include "core/histk.h"
+#include "baseline/voptimal_dp.h"
+#include "core/property_tester.h"
+#include "core/tester.h"
+#include "dist/dataset.h"
+#include "dist/distribution.h"
+#include "dist/generators.h"
+#include "dist/io.h"
+#include "dist/sampler.h"
+#include "engine/engine.h"
+#include "engine/fault_injection.h"
+#include "engine/telemetry.h"
 #include "flags.h"
+#include "histogram/tiling.h"
+#include "stream/concurrent_histogram.h"
+#include "stream/log_bucket.h"
+#include "stream/reservoir.h"
+#include "util/interval.h"
+#include "util/rng.h"
+#include "util/status.h"
 #include "util/table.h"
 
 namespace {

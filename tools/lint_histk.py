@@ -75,6 +75,16 @@ histk idioms the codebase relies on:
                    on Sampler as a wrapper, not as a virtual.
   include-hygiene  No <bits/...> includes, no "../" relative includes, and
                    headers must carry a HISTK_<PATH>_H_ include guard.
+  orphan-module    Every src/ header must be reachable by #include from the
+                   programs: the tools/, examples/, bench/ and perfbench/
+                   sources. Reachability follows quoted includes through
+                   headers and into each reached header's own .cc. The
+                   umbrella core/histk.h is not an edge (it includes every
+                   module, so it would hide one that lost its last
+                   caller), and tests are not roots. Programs include what
+                   they use. A paper construct that only tests check goes
+                   in ORPHAN_ALLOW with its reason; a stale entry is itself
+                   a finding.
   style            No tabs, no trailing whitespace, file ends with exactly
                    one newline.
 
@@ -192,6 +202,20 @@ OVERRIDE_RE = re.compile(
     r"\b(\w+)\s*\((?:[^()]|\([^()]*\))*\)\s*(?:const\s*)?(?:noexcept\s*)?"
     r"override\b"
 )
+
+# orphan-module: the program roots, the umbrella header that is not an
+# edge, and the headers only tests reach, each with its reason.
+ORPHAN_ROOTS = ["tools", "examples", "bench", "perfbench"]
+UMBRELLA_HEADER = "src/core/histk.h"
+ORPHAN_ALLOW = {
+    "src/core/lower_bound.h":
+        "Theorem 5's YES/NO pair; claims_test's LowerBoundClaimTest checks "
+        "the sqrt(kn) wall on it",
+    "src/baseline/uniformity.h":
+        "the GR00 collision tester; tester_test cross-checks it against "
+        "Algorithm 2 at k = 1",
+}
+QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.M)
 
 INCLUDE_RE = re.compile(r'#include\s*[<"]([^>"]+)[">]')
 GUARD_RE = re.compile(r"#ifndef\s+(HISTK_[A-Z0-9_]+_H_)")
@@ -381,6 +405,66 @@ def lint_file(root, rel):
     return suppressions(raw_lines, findings)
 
 
+def lint_orphans(root):
+    """orphan-module: src/ headers no program reaches by #include."""
+
+    def cxx_files(top):
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(root, top)):
+            for name in sorted(filenames):
+                if name.endswith(CXX_EXTS):
+                    yield os.path.relpath(os.path.join(dirpath, name),
+                                          root).replace(os.sep, "/")
+
+    def exists(rel):
+        return os.path.isfile(os.path.join(root, rel))
+
+    def resolve(includer, inc):
+        local = os.path.normpath(
+            os.path.join(os.path.dirname(includer), inc)).replace(os.sep, "/")
+        if exists(local):
+            return local
+        return "src/" + inc if exists("src/" + inc) else None
+
+    reached = set()
+    stack = [f for top in ORPHAN_ROOTS for f in cxx_files(top)]
+    seen = set()
+    while stack:
+        rel = stack.pop()
+        if rel in seen:
+            continue
+        seen.add(rel)
+        with open(os.path.join(root, rel), encoding="utf-8") as fh:
+            text = fh.read()
+        for inc in QUOTED_INCLUDE_RE.findall(text):
+            target = resolve(rel, inc)
+            if target is None or target == UMBRELLA_HEADER:
+                continue
+            stack.append(target)
+            if target.startswith("src/") and target.endswith(".h"):
+                reached.add(target)
+                impl = target[:-2] + ".cc"
+                if exists(impl):
+                    stack.append(impl)
+
+    findings = [
+        Finding(rel, 1, "orphan-module",
+                "no tools/, examples/, bench/ or perfbench/ source reaches "
+                "this header except through core/histk.h: delete the "
+                "module, include it where it is used, or allowlist it "
+                "with a reason")
+        for rel in cxx_files("src")
+        if rel.endswith(".h") and rel != UMBRELLA_HEADER
+        and rel not in reached and rel not in ORPHAN_ALLOW
+    ]
+    for rel in sorted(ORPHAN_ALLOW):
+        if rel in reached or not exists(rel):
+            findings.append(Finding(
+                rel, 1, "orphan-module",
+                "stale ORPHAN_ALLOW entry (a program includes this header, "
+                "or it is gone): drop the entry"))
+    return findings
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=os.path.dirname(
@@ -401,6 +485,7 @@ def main():
                 rel = rel.replace(os.sep, "/")
                 findings.extend(lint_file(args.root, rel))
                 checked += 1
+    findings.extend(lint_orphans(args.root))
 
     for f in findings:
         print(f)
