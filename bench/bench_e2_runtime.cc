@@ -12,7 +12,8 @@
 // histkd's default) then splits a cold learn into draw, candidate-table
 // fill and scan time plus the table's bytes, recorded in BENCH_e2.json.
 // Each cell also records the fill's cost per candidate pair
-// (fill_ns_per_pair) and prints the lane width its median selection ran on:
+// (fill_ns_per_pair), the scan's cost per pair per iteration run
+// (scan_ns_per_pair), and prints the lane width its median selection ran on:
 // float when every collision set's count stays below 2^24, else double
 // (MedianFillUsesFloatLanes). At n=4096, k=16 it also times the
 // per-candidate reference search (tests/greedy_reference.h) on the same
@@ -121,6 +122,7 @@ struct LearnSplit {
   double scan_ms = 0.0;
   double table_bytes = 0.0;
   double fill_ns_per_pair = 0.0;
+  double scan_ns_per_pair = 0.0;  ///< scan time / (iterations run x pairs)
   bool float_lanes = false;   ///< the fill's median selection ran on floats
   double reference_ms = 0.0;  ///< per-candidate reference search (0 = not run)
 };
@@ -151,6 +153,13 @@ LearnSplit TimeColdLearn(int64_t n, int64_t k, uint64_t seed, bool with_referenc
   split.table_bytes = static_cast<double>(result.candidate_table_bytes);
   split.fill_ns_per_pair =
       split.fill_ms * 1e6 / static_cast<double>(result.candidates_per_iter);
+  // Every iteration run polls once per row, d times.
+  const size_t iterations = d > 0 ? polls_ms.size() / d - 1 : 0;
+  if (iterations > 0) {
+    split.scan_ns_per_pair =
+        split.scan_ms * 1e6 /
+        (static_cast<double>(iterations) * static_cast<double>(result.candidates_per_iter));
+  }
   split.float_lanes = MedianFillUsesFloatLanes(est.group());
 
   if (with_reference) {
@@ -167,7 +176,7 @@ void RunScalingGrid() {
       "\nlearn-scaling grid: eps=0.3, scale=0.25, kCounts sampler, sample "
       "endpoints, 3 seeds per cell (mean shown)\n");
   Table table({"n", "k", "draw(ms)", "fill(ms)", "fill(ns/pair)", "lanes", "scan(ms)",
-               "table(MiB)"});
+               "scan(ns/pair)", "table(MiB)"});
   constexpr int64_t kTrials = 3;
   for (int64_t n : {256, 4096, 65536}) {
     for (int64_t k : {4, 16}) {
@@ -191,6 +200,8 @@ void RunScalingGrid() {
       const ScalarStats bytes = record("table_bytes", &LearnSplit::table_bytes);
       const ScalarStats per_pair =
           record("fill_ns_per_pair", &LearnSplit::fill_ns_per_pair);
+      const ScalarStats scan_per_pair =
+          record("scan_ns_per_pair", &LearnSplit::scan_ns_per_pair);
       const auto floats = std::count_if(
           runs.begin(), runs.end(), [](const LearnSplit& s) { return s.float_lanes; });
       const std::string lanes = floats == kTrials ? "float"
@@ -198,7 +209,7 @@ void RunScalingGrid() {
                                                   : "mixed";
       table.AddRow({FmtI(n), FmtI(k), FmtF(draw.mean, 2), FmtF(fill.mean, 1),
                     FmtF(per_pair.mean, 1), lanes, FmtF(scan.mean, 1),
-                    FmtF(bytes.mean / (1024.0 * 1024.0), 2)});
+                    FmtF(scan_per_pair.mean, 2), FmtF(bytes.mean / (1024.0 * 1024.0), 2)});
       if (target) {
         const LearnSplit& first = runs.front();
         const double cold = first.draw_ms + first.fill_ms + first.scan_ms;

@@ -179,6 +179,26 @@ std::vector<std::pair<size_t, size_t>> MedianNetwork(size_t r) {
   return {kept.rbegin(), kept.rend()};
 }
 
+/// The scan filter's scratch (see Search), O(d + r) doubles allocated once
+/// per Search and not counted in CandidateTable::bytes(): double copies of
+/// the endpoints and of the main-count prefix through each, reciprocals of
+/// the divisors, and per iteration the piece-cost prefix sums, the endpoint
+/// terms lhs/rhs, one row of filter values and every row's minimum.
+struct ScanScratch {
+  ScanScratch(size_t d, size_t r)
+      : endpoint(d), main_hi(d), inv_denom(r), lhs(d), rhs(d), row(d), row_min(d) {}
+
+  std::vector<double> endpoint;
+  std::vector<double> main_hi;
+  std::vector<double> inv_denom;  ///< 1 / C(|S^j|, 2) per set
+  double inv_m = 0.0;             ///< 1 / |S|
+  std::vector<double> prefix;     ///< prefix[i] = costs[0] + ... + costs[i-1]
+  std::vector<double> lhs;
+  std::vector<double> rhs;
+  std::vector<double> row;
+  std::vector<double> row_min;
+};
+
 /// PieceCost(J) for every candidate J = [endpoints[a], endpoints[b]], a <= b,
 /// held as O(1) table arithmetic. PieceCost never changes across
 /// iterations, so the median over the r collision sets — the expensive
@@ -263,6 +283,58 @@ class CandidateTable {
         static_cast<double>(coll_hi_[j * d_ + b] - coll_lo_[j * d_ + a]) / denom_[j];
     const double y = static_cast<double>(main_hi_[b] - main_lo_[a]) / main_m_;
     return z - y * y / static_cast<double>(endpoints_[b] - endpoints_[a] + 1);
+  }
+
+  /// The scan filter's scratch for this table, with its endpoints and
+  /// main-count hi prefixes copied to doubles (exact: both stay below 2^53)
+  /// and the reciprocals of the divisors.
+  ScanScratch MakeScanScratch() const {
+    ScanScratch s(d_, r_);
+    for (size_t e = 0; e < d_; ++e) {
+      s.endpoint[e] = static_cast<double>(endpoints_[e]);
+      s.main_hi[e] = static_cast<double>(main_hi_[e]);
+    }
+    for (size_t j = 0; j < r_; ++j) s.inv_denom[j] = 1.0 / denom_[j];
+    s.inv_m = 1.0 / main_m_;
+    return s;
+  }
+
+  /// Fills s.row[b] for b = a..d-1 with the filter value
+  /// f(a, b) = PieceCost(a, b) + s.lhs[a] + s.rhs[b], PieceCost taken with
+  /// s's reciprocals in place of its divisions by C(|S^j|, 2) and m, and
+  /// returns the row's minimum. `pair` is pair (a, a)'s index. The median
+  /// sets' z numerators are gathered first; the rest is one branch-free
+  /// loop over contiguous doubles that the compiler vectorizes.
+  double FilterRow(size_t a, size_t pair, ScanScratch& s) const {
+    double* f = s.row.data();
+    const Index* median = &median_[pair - a];  // indexed by b
+    for (size_t b = a; b < d_; ++b) {
+      const size_t j = median[b];
+      f[b] = static_cast<double>(coll_hi_[j * d_ + b] - coll_lo_[j * d_ + a]) *
+             s.inv_denom[j];
+    }
+    const auto before = static_cast<double>(endpoints_[a] - 1);
+    const auto main_lo = static_cast<double>(main_lo_[a]);
+    const double lhs = s.lhs[a];
+    const double inv_m = s.inv_m;
+    const double* endpoint = s.endpoint.data();
+    const double* main_hi = s.main_hi.data();
+    const double* rhs = s.rhs.data();
+    for (size_t b = a; b < d_; ++b) {
+      const double y = (main_hi[b] - main_lo) * inv_m;
+      f[b] = f[b] - y * y / (endpoint[b] - before) + lhs + rhs[b];
+    }
+    // Four independent running minima, not one serial chain.
+    constexpr size_t kLanes = 4;
+    double lanes[kLanes] = {kInf, kInf, kInf, kInf};
+    size_t b = a;
+    for (; b + kLanes <= d_; b += kLanes) {
+      for (size_t l = 0; l < kLanes; ++l) lanes[l] = std::min(lanes[l], f[b + l]);
+    }
+    double row_min = kInf;
+    for (; b < d_; ++b) row_min = std::min(row_min, f[b]);
+    for (double lane : lanes) row_min = std::min(row_min, lane);
+    return row_min;
   }
 
  private:
@@ -358,10 +430,38 @@ struct EndpointRemnants {
 };
 
 /// Algorithm 1's loop over a fixed endpoint list: per iteration, the
-/// remnant costs that changed, then a scan of the candidate table for the J
-/// minimizing c_J. The floating-point operations, the enumeration order and
-/// the `<` tie-break are those of the per-candidate cost evaluation it
-/// replaces, so the result is byte-identical to it.
+/// remnant costs that changed, then a two-pass scan of the candidate table
+/// for the J minimizing c_J, byte-identical to the per-candidate cost
+/// evaluation it replaces.
+///
+/// Filter. With prefix[i] the sum of the first i piece costs, L(a) / R(b)
+/// the remnant costs (0 when empty), lhs[a] = L(a) + prefix[piece(a)] and
+/// rhs[b] = R(b) - prefix[piece(b) + 1], f(a, b) = PC(a, b) + lhs[a] +
+/// rhs[b] is c_J - total up to rounding, in O(1) per pair. The first pass
+/// keeps each row's minimum f (polling once per row, as the fill does). The
+/// second re-evaluates c_J exactly, with the reference's operations,
+/// enumeration order and `<` tie-break, but only in the rows whose minimum
+/// lies within `margin` of the global minimum f_min, and there only for
+/// the pairs whose f does.
+///
+/// Margin. Let u = DBL_EPSILON / 2, q the number of pieces and
+/// T = |total| + sum |costs|. Every PieceCost is in [-1, 1] (z <= 1,
+/// y <= 1, |J| >= 1), and so is every piece cost, L and R. Against the
+/// exact sum X_J of PC and the same stored costs, the reference's c_J is a
+/// recursive sum of at most q + 4 terms, its PC off by at most 7u, so
+/// |c_J - total - X_J| <= (q + 10) u (T + 3) to first order. The filter's
+/// prefix sums are each off by at most (q - 1) u sum |costs|, its PC
+/// (reciprocals: two more roundings) by 9u, and lhs, rhs and f add four
+/// roundings, so |f(J) - X_J| <= (2q + 20) u (T + 3). Together
+/// |c_J - total - f(J)| <= E = 4 (q + 8) u (T + 3) for every J. The
+/// reference's J* has c_{J*} <= c_J for all J, so
+/// f(J*) <= c_{J*} - total + E <= c_J - total + E <= f(J) + 2E: J* and
+/// every pair tied with it have f within 2E = 4 (q + 8) DBL_EPSILON (T + 3)
+/// of f_min. `margin` is 16 times that, which also absorbs the higher-order
+/// terms and the rounding of f_min + margin. Among the re-evaluated pairs,
+/// enumeration order and `<` then pick the first pair of minimal c_J,
+/// which is the reference's J. An input where every pair ties costs one
+/// extra pass over the table, not extra memory.
 template <typename Index>
 LearnResult Search(const GreedyEstimator& estimator, std::vector<int64_t> endpoints,
                    int64_t iterations, const GreedyParams& params,
@@ -371,6 +471,10 @@ LearnResult Search(const GreedyEstimator& estimator, std::vector<int64_t> endpoi
   GreedyState state(estimator, estimator.n());
   PriorityHistogram priority(estimator.n());
   EndpointRemnants rem(d);
+  ScanScratch scratch = table.MakeScanScratch();
+  // Each iteration adds at most two pieces, and pieces never outnumber n.
+  scratch.prefix.reserve(static_cast<size_t>(
+      std::min(estimator.n(), 2 * std::min(iterations, estimator.n()) + 1) + 1));
 
   for (int64_t iter = 0; iter < iterations; ++iter) {
     const std::vector<Interval>& pieces = state.pieces();
@@ -395,15 +499,38 @@ LearnResult Search(const GreedyEstimator& estimator, std::vector<int64_t> endpoi
     }
 
     const double total = state.total_cost();
+    double abs_costs = 0.0;
+    scratch.prefix.assign(1, 0.0);
+    for (double c : costs) {
+      scratch.prefix.push_back(scratch.prefix.back() + c);
+      abs_costs += std::fabs(c);
+    }
+    for (size_t e = 0; e < d; ++e) {
+      scratch.lhs[e] = rem.left_cost[e] + scratch.prefix[rem.piece[e]];
+      scratch.rhs[e] = rem.right_cost[e] - scratch.prefix[rem.piece[e] + 1];
+    }
+
+    double f_min = kInf;
+    for (size_t a = 0, pair = 0; a < d; pair += d - a, ++a) {
+      if (poll) poll();
+      scratch.row_min[a] = table.FilterRow(a, pair, scratch);
+      f_min = std::min(f_min, scratch.row_min[a]);
+    }
+    const double margin = 64.0 * static_cast<double>(costs.size() + 8) *
+                          std::numeric_limits<double>::epsilon() *
+                          (std::fabs(total) + abs_costs + 3.0);
+    const double threshold = f_min + margin;
+
     double best_cost = kInf;
     size_t best_a = d;
     size_t best_b = d;
-    size_t pair = 0;
-    for (size_t a = 0; a < d; ++a) {
-      if (poll) poll();
+    for (size_t a = 0, pair = 0; a < d; pair += d - a, ++a) {
+      if (scratch.row_min[a] > threshold) continue;
+      table.FilterRow(a, pair, scratch);
       const size_t first = rem.piece[a];
-      for (size_t b = a; b < d; ++b, ++pair) {
-        double delta = table.PieceCost(a, b, pair);
+      for (size_t b = a; b < d; ++b) {
+        if (scratch.row[b] > threshold) continue;
+        double delta = table.PieceCost(a, b, pair + (b - a));
         for (size_t idx = first; idx <= rem.piece[b]; ++idx) delta -= costs[idx];
         if (rem.has_left[a]) delta += rem.left_cost[a];
         if (rem.has_right[b]) delta += rem.right_cost[b];

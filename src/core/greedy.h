@@ -20,10 +20,17 @@
 // count prefix at every endpoint's lo and hi+1) and, for each of the
 // d(d+1)/2 endpoint pairs, the index of the set whose ratio is the median
 // (1 byte per pair for r <= 256, else 4), selected on float lanes when the
-// counts allow it (MedianFillUsesFloatLanes). Filling it costs O(d^2 r) once;
-// each iteration then costs O(d r) for the remnant costs plus an O(d^2)
-// scan that recomputes z_J and y_J from the prefix rows in O(1) — instead
-// of O(d^2 r) per iteration. The table is bounded by kMaxCandidatePairs
+// counts allow it (MedianFillUsesFloatLanes). Filling it costs O(d^2 r) once.
+// Each iteration then costs O(d r) for the remnant costs that changed,
+// O(pieces + d) for the piece-cost prefix sums and per-endpoint terms, and
+// an O(d^2) scan, instead of O(d^2 r). The scan is two passes. A filter
+// gets c_J - total up to rounding in O(1) per pair, from the pair's
+// median-set term plus one vectorized loop, and keeps each row's minimum.
+// An exact pass then re-evaluates, with PieceCost's own operations, only
+// the pairs within a proven rounding margin of the minimum, so the chosen J
+// is byte-identical to a per-candidate evaluation's. The scan's scratch is
+// O(d + r) doubles, allocated once per learn and not counted in
+// candidate_table_bytes. The table is bounded by kMaxCandidatePairs
 // (2^24 pairs, at most 64 MiB): sample-endpoint lists are thinned to it,
 // and a kAllIntervals learn beyond it is rejected by ValidateLearnOptions.
 #ifndef HISTK_CORE_GREEDY_H_

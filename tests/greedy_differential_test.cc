@@ -4,6 +4,7 @@
 // values, estimated_cost, candidates_per_iter and the thinning counts.
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -306,6 +307,116 @@ TEST(GreedyDifferentialTest, SparseSampleSets) {
   const GreedyEstimator est = GreedyEstimator::Draw(sampler, params, rng);
   ExpectMatchesReference(est, Options(4, 0.25, CandidateStrategy::kSampleEndpoints),
                          params, "sparse backend");
+}
+
+
+/// A GreedyEstimator over hand-set counts: the main set's, then one
+/// collision set per entry of `sets`.
+GreedyEstimator FromCounts(int64_t n, const std::vector<int64_t>& main,
+                           const std::vector<std::vector<int64_t>>& sets) {
+  std::vector<SampleSet> group;
+  for (const std::vector<int64_t>& counts : sets) {
+    group.push_back(SampleSet::FromCounts(n, counts));
+  }
+  return GreedyEstimator(SampleSet::FromCounts(n, main), SampleSetGroup(std::move(group)));
+}
+
+/// Every interval whose reference c_J is the minimum over all intervals,
+/// in enumeration order.
+std::vector<Interval> MinimalCandidates(const reference::GreedyState& state, int64_t n) {
+  double best = std::numeric_limits<double>::infinity();
+  std::vector<Interval> at;
+  for (int64_t a = 0; a < n; ++a) {
+    for (int64_t b = a; b < n; ++b) {
+      const double c = state.CostWith(Interval(a, b));
+      if (c < best) {
+        best = c;
+        at.clear();
+      }
+      if (c == best) at.push_back(Interval(a, b));
+    }
+  }
+  return at;
+}
+
+TEST(GreedyDifferentialTest, ExactTiesAcrossPieces) {
+  // A mirror-symmetric group, flat apart from an end spike on each side and
+  // a central one. The first step cuts out the centre; in the second, the
+  // left piece's candidates and the right piece's mirrored ones have
+  // bit-identical c_J. Their filter values come from different prefix sums
+  // and need not tie, yet the search must return the reference's choice:
+  // the first tied pair in enumeration order.
+  const int64_t n = 32;
+  auto mirrored = [&](int64_t end, int64_t centre) {
+    std::vector<int64_t> counts(static_cast<size_t>(n), 1);
+    counts.front() = counts.back() = end;
+    counts[n / 2 - 1] = counts[n / 2] = centre;
+    return counts;
+  };
+  const GreedyEstimator est =
+      FromCounts(n, mirrored(6, 20), {mirrored(4, 10), mirrored(5, 11), mirrored(6, 12)});
+
+  // The group does what the comment says.
+  reference::GreedyState state(est, n);
+  PriorityHistogram priority(n);
+  const std::vector<Interval> first = MinimalCandidates(state, n);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0], Interval(n / 2 - 1, n / 2));
+  state.Apply(first[0], priority);
+  const std::vector<Interval> second = MinimalCandidates(state, n);
+  ASSERT_GE(second.size(), 2u);
+  EXPECT_EQ(second.front(), Interval(0, 0));
+  EXPECT_EQ(second.back(), Interval(n - 1, n - 1));
+
+  GreedyParams params = ComputeGreedyParams(n, 4, 0.25, 0.05);
+  params.r = est.group().r();
+  for (CandidateStrategy strategy :
+       {CandidateStrategy::kAllIntervals, CandidateStrategy::kSampleEndpoints}) {
+    for (int64_t iterations : {2, 3, 6}) {
+      LearnOptions opt = Options(4, 0.25, strategy);
+      opt.iterations_override = iterations;
+      const LearnResult fast = LearnHistogramWithEstimator(est, opt, params);
+      const std::string what = std::to_string(iterations) + " iterations, " +
+                               CandidateStrategyName(strategy);
+      ASSERT_GE(fast.priority.entries().size(), 4u) << what;
+      const PriorityEntry& second_step = fast.priority.entries()[3];
+      EXPECT_EQ(second_step.rank, 2) << what;
+      EXPECT_EQ(second_step.interval, Interval(0, 0)) << what;
+      ExpectIdentical(fast, reference::LearnHistogramWithEstimator(est, opt, params),
+                      what);
+    }
+  }
+}
+
+TEST(GreedyDifferentialTest, AllCandidatesTie) {
+  // Inputs on which most pairs tie, or tie up to rounding, so the second
+  // pass re-evaluates most rows.
+  const int64_t n = 48;
+  const std::vector<int64_t> flat(static_cast<size_t>(n), 3);
+  std::vector<int64_t> one_item(static_cast<size_t>(n), 0);
+  one_item[17] = 40;
+  struct Case {
+    const char* name;
+    GreedyEstimator est;
+  };
+  const Case cases[] = {
+      {"every sample on one item", FromCounts(n, one_item, {one_item, one_item, one_item})},
+      {"equal counts everywhere", FromCounts(n, flat, {flat, flat, flat, flat, flat})},
+  };
+  for (const Case& c : cases) {
+    GreedyParams params = ComputeGreedyParams(n, 4, 0.25, 0.05);
+    params.r = c.est.group().r();
+    for (CandidateStrategy strategy :
+         {CandidateStrategy::kAllIntervals, CandidateStrategy::kSampleEndpoints}) {
+      for (int64_t iterations : {1, 2, 6}) {
+        LearnOptions opt = Options(4, 0.25, strategy);
+        opt.iterations_override = iterations;
+        ExpectMatchesReference(c.est, opt, params,
+                               std::string(c.name) + ", " + std::to_string(iterations) +
+                                   " iterations, " + CandidateStrategyName(strategy));
+      }
+    }
+  }
 }
 
 }  // namespace

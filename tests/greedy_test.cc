@@ -160,6 +160,34 @@ TEST(GreedyTest, IterationsOverrideShortensRun) {
   EXPECT_LE(res.priority.entries().back().rank, 1);
 }
 
+TEST(GreedyTest, PollFiresOncePerFillRowAndOncePerScanRow) {
+  // bench_e2_runtime's fill/scan split (the (d+1)-th call ends the fill)
+  // and search_deadline_test rely on this cadence: d calls while the
+  // candidate table fills, then d more per completed iteration.
+  const int64_t n = 128;
+  Rng rng(215);
+  const AliasSampler sampler(MakeZipf(n, 1.1));
+  const GreedyParams params = ComputeGreedyParams(n, 3, 0.25, 0.05);
+  const GreedyEstimator est = GreedyEstimator::Draw(sampler, params, rng);
+  for (CandidateStrategy strategy :
+       {CandidateStrategy::kAllIntervals, CandidateStrategy::kSampleEndpoints}) {
+    for (int64_t iterations : {1, 2, 5}) {
+      LearnOptions opt = FastOptions(3, 0.25);
+      opt.strategy = strategy;
+      opt.iterations_override = iterations;
+      int64_t polls = 0;
+      const LearnResult res =
+          LearnHistogramWithEstimator(est, opt, params, [&] { ++polls; });
+      const int64_t d = strategy == CandidateStrategy::kAllIntervals
+                            ? n
+                            : res.endpoints_after_thinning;
+      ASSERT_EQ(res.priority.entries().back().rank, iterations);
+      EXPECT_EQ(polls, d * (1 + iterations))
+          << CandidateStrategyName(strategy) << ", " << iterations << " iterations";
+    }
+  }
+}
+
 TEST(GreedyTest, MoreIterationsNeverHurtMuch) {
   // The estimated cost the greedy minimizes is monotone in iterations.
   Rng rng(209);
