@@ -1,7 +1,7 @@
 // E13 — the draw pipeline itself: alias kernel throughput and the fused
 // draw→SampleSet path against the materialize-then-count baseline.
 //
-// Three question groups:
+// Five question groups:
 //   1. alias ns/draw — the batched DrawManyInto replay kernel
 //      (byte-identical to the historical stream), dense (n = 2^20) and
 //      bucketed (n = 2^30, k = 1000); there is no fixed bar, perf_diff
@@ -21,20 +21,33 @@
 //      replay/counts time ratio on the dataset oracle (the histkd case).
 //      These rows run at full size in smoke mode too: a block costs
 //      O(support) binomials, so even m = 2^22 takes about a millisecond.
+//   5. one ingest-shaped group — the draw layer of a histkd `test` request
+//      on 20,000 inline items: SampleSetGroup::Draw of r = 207 sets of
+//      m = 10,954 draws over n = 256 from a kCounts DatasetSampler, split
+//      into the whole group, the set assembly alone (the same count
+//      vectors, pre-drawn, replayed into the group path), the conditional
+//      binomials alone (ns per support entry), and the minor page faults a
+//      warm group costs (median over 20 groups). It runs first, and at full
+//      size in smoke mode too: once earlier rows free their large batches,
+//      glibc's dynamic mmap threshold rises, and the fault count would no
+//      longer show whether the group's own storage stays resident.
 //
 // HISTK_E13_SMOKE=1 shrinks every other batch to <= 10^6 draws and skips the
 // 10^8 rows so CI can run the experiment in seconds; the emitted
 // BENCH_e13.json then matches the checked-in bench/baselines/BENCH_e13.json
 // record-for-record, which tools/perf_diff.py compares against.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchutil/harness.h"
+#include "dist/count_kernel.h"
 #include "dist/dataset.h"
 #include "dist/distribution.h"
 #include "dist/generators.h"
@@ -43,6 +56,7 @@
 #include "engine/runtime.h"
 #include "sample/counter.h"
 #include "sample/sample_set.h"
+#include "util/math_util.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/table.h"
@@ -178,6 +192,139 @@ double SampleSetDrawSeconds(const Sampler& sampler, int64_t m) {
   return sec;
 }
 
+/// Replays pre-drawn count vectors, the next one per DrawCounts call, as
+/// runs into an order-free sink, so SampleSetGroup::Draw over it times only
+/// the assembly of the sets: storage, accumulation and the prefix pass.
+class PreDrawnSampler final : public Sampler {
+ public:
+  struct Vector {
+    std::vector<int64_t> values;
+    std::vector<int64_t> counts;
+  };
+
+  PreDrawnSampler(int64_t n, std::vector<Vector> vectors)
+      : n_(n), vectors_(std::move(vectors)) {}
+
+  int64_t n() const override { return n_; }
+  void DrawManyInto(int64_t* /*out*/, int64_t /*m*/, Rng& /*rng*/) const override {
+    std::abort();  // only the order-free path is replayed
+  }
+  void DrawCounts(int64_t /*m*/, Rng& /*rng*/, CountSink& sink,
+                  int /*threads*/) const override {
+    const Vector& v = vectors_[next_++ % vectors_.size()];
+    sink.ConsumeRuns(v.values.data(), v.counts.data(),
+                     static_cast<int64_t>(v.values.size()), 0);
+  }
+
+ private:
+  int64_t n_;
+  std::vector<Vector> vectors_;
+  mutable size_t next_ = 0;
+};
+
+int64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+/// The file comment's item 5: the ingest-shaped group.
+void RunIngestGroup(int64_t trials) {
+  constexpr int64_t kN = 256;
+  constexpr int64_t kR = 207;     // ceil(16 ln 6n^2) at n = 256
+  constexpr int64_t kM = 10954;   // the L2 tester's m at ingest_test's k, eps
+  Rng gen(0xE13A);
+  const HistogramSpec spec = MakeRandomKHistogram(kN, 8, gen, 25.0);
+  std::vector<int64_t> items = AliasSampler(spec.dist).DrawMany(20000, gen);
+  std::vector<CountKernel::Run> support;
+  {
+    std::vector<int64_t> occ(static_cast<size_t>(kN), 0);
+    for (int64_t item : items) ++occ[static_cast<size_t>(item)];
+    for (int64_t v = 0; v < kN; ++v) {
+      const int64_t c = occ[static_cast<size_t>(v)];
+      if (c > 0) support.push_back({v, 1, static_cast<long double>(c)});
+    }
+  }
+  const DatasetSampler oracle(kN, std::move(items), AliasKernel::kCounts);
+  const CountKernel kernel(support);
+
+  auto draw_group = [&](Rng& rng) {
+    const SampleSetGroup g = SampleSetGroup::Draw(oracle, kR, kM, rng);
+    benchmark::DoNotOptimize(g.TotalSamples());
+  };
+  // Faults per warm group: the median over 20 groups after one warm-up.
+  // The median, because the allocator may grow its heap once on the way to
+  // a steady state (the first block freed raises glibc's mmap threshold, so
+  // the next one is the first to come from the heap); what a long-running
+  // server pays per request is the steady state.
+  Rng warm_rng(31);
+  draw_group(warm_rng);
+  std::vector<double> group_faults;
+  for (int g = 0; g < 20; ++g) {
+    const int64_t before = MinorFaults();
+    draw_group(warm_rng);
+    group_faults.push_back(static_cast<double>(MinorFaults() - before));
+  }
+  const double faults = Median(group_faults);
+
+  NextBenchLabel("ingest_group_draw_s");
+  const ScalarStats whole = MeasureScalar(trials, [&](int64_t t) {
+    Rng rng(37 + static_cast<uint64_t>(t));
+    WallTimer timer;
+    draw_group(rng);
+    return timer.ElapsedSeconds();
+  });
+
+  std::vector<PreDrawnSampler::Vector> vectors(static_cast<size_t>(kR));
+  {
+    Rng rng(41);
+    const auto room = static_cast<size_t>(kernel.max_runs());
+    for (PreDrawnSampler::Vector& v : vectors) {
+      v.values.resize(room);
+      v.counts.resize(room);
+      const int64_t runs = kernel.DrawBlock(kM, rng, v.values.data(), v.counts.data());
+      v.values.resize(static_cast<size_t>(runs));
+      v.counts.resize(static_cast<size_t>(runs));
+    }
+  }
+  const PreDrawnSampler predrawn(kN, std::move(vectors));
+  NextBenchLabel("ingest_assembly_s");
+  const ScalarStats assembly = MeasureScalar(trials, [&](int64_t) {
+    Rng rng(43);
+    WallTimer timer;
+    const SampleSetGroup g = SampleSetGroup::Draw(predrawn, kR, kM, rng);
+    const double sec = timer.ElapsedSeconds();
+    benchmark::DoNotOptimize(g.TotalSamples());
+    return sec;
+  });
+
+  NextBenchLabel("ingest_binomial_ns_per_entry");
+  const ScalarStats binomial = MeasureScalar(trials, [&](int64_t t) {
+    Rng rng(47 + static_cast<uint64_t>(t));
+    std::vector<int64_t> values(static_cast<size_t>(kernel.max_runs()));
+    std::vector<int64_t> counts(values.size());
+    int64_t runs = 0;
+    WallTimer timer;
+    for (int64_t i = 0; i < kR; ++i) {
+      runs += kernel.DrawBlock(kM, rng, values.data(), counts.data());
+    }
+    const double sec = timer.ElapsedSeconds();
+    benchmark::DoNotOptimize(runs);
+    return sec / static_cast<double>(kR * kernel.size()) * 1e9;
+  });
+
+  NextBenchLabel("ingest_group_minflt");
+  MeasureScalar(1, [&](int64_t) { return faults; });
+
+  Table table({"r x m", "support", "group ms", "assembly ms", "binomial ns/entry",
+               "minor faults/group"});
+  table.AddRow({std::to_string(kR) + " x " + std::to_string(kM),
+                std::to_string(kernel.size()), FmtF(whole.mean * 1e3, 3),
+                FmtF(assembly.mean * 1e3, 3), FmtF(binomial.mean, 1),
+                FmtF(faults, 1)});
+  table.Print(std::cout);
+}
+
 std::string FmtM(int64_t m) {
   if (m % 1000000 == 0) return std::to_string(m / 1000000) + "e6";
   return std::to_string(m);
@@ -192,6 +339,9 @@ void RunExperiment() {
       smoke ? "SMOKE mode: batches <= 10^6 draws, 10^8 rows skipped"
             : "dense n=2^20 (k=200) and bucketed n=2^30 (k=1000) random "
               "k-histograms; replay kernel unless marked counts");
+
+  // ---- the ingest-shaped group, first (the file comment's item 5) ----
+  RunIngestGroup(smoke ? 5 : 9);
 
   const Distribution dense = DenseDist();
   const Distribution bucket = BucketDist();

@@ -39,10 +39,15 @@ class Sampler;
 
 class CountKernel {
  public:
-  /// Draws per support entry below which a block is drawn per draw. On a
-  /// 4-vCPU Xeon VM a conditional binomial took 50-70 ns and a dataset
-  /// draw about 3 ns; at about 250 entries the count path lost to
-  /// per-draw blocks at 4,096 draws (0.75x) and won at 8,192 (1.6x).
+  /// Draws per support entry below which a block is drawn per draw. In
+  /// four smoke runs of bench_e13 (Release, a shared 4-vCPU VM at 2 GHz),
+  /// a block at histkd's ingest shape, 10,954 draws over 256 entries, cost
+  /// 63-80 ns per entry in conditional binomials, and a dataset draw
+  /// counted into a set cost 2.8-4.4 ns (the replay path, 14-16x the count
+  /// kernel's cost per draw at m = 2^20). Within a run, that puts the
+  /// break-even at 17-28 draws per entry. The threshold stays 24: moving
+  /// it changes which blocks are drawn per draw, and with them every
+  /// seeded kCounts stream.
   static constexpr int64_t kDrawsPerBinomial = 24;
 
   /// One support entry: elements [lo, lo + len), total mass `mass` (any

@@ -69,6 +69,22 @@ void RadixSortLowBits(std::vector<int64_t>& v, int low_bits,
 /// cache-resident std::sort.
 constexpr size_t kRadixMinPartition = 2048;
 
+/// Dense counting into a 64-bit or a 32-bit row.
+template <typename Word>
+void CountDraws(Word* counts, int64_t n, const int64_t* draws, int64_t len) {
+  for (int64_t i = 0; i < len; ++i) {
+    const int64_t v = draws[i];
+    HISTK_CHECK_MSG(v >= 0 && v < n, "draw out of domain");
+    ++counts[v];
+  }
+}
+
+/// Adds a shard's counts into the set's row.
+template <typename Word>
+void AddCounts(Word* dst, const uint64_t* src, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) dst[i] += static_cast<Word>(src[i]);
+}
+
 int64_t RunDraws(const std::vector<std::pair<int64_t, int64_t>>& runs) {
   int64_t total = 0;
   for (const auto& run : runs) total += run.second;
@@ -78,22 +94,40 @@ int64_t RunDraws(const std::vector<std::pair<int64_t, int64_t>>& runs) {
 }  // namespace
 
 SampleCounter::SampleCounter(int64_t n, int64_t expected_draws)
-    : n_(n), expected_draws_(expected_draws) {
+    : SampleCounter(n, expected_draws, SampleSet::DenseRow{}) {}
+
+SampleCounter::SampleCounter(int64_t n, int64_t expected_draws,
+                             SampleSet::DenseRow row)
+    : n_(n), expected_draws_(expected_draws), row_(std::move(row)) {
   HISTK_CHECK(n >= 1 && expected_draws >= 0);
   dense_ = n <= SampleSet::kDenseDomainLimit;
-  if (!dense_) {
+  if (dense_) {
+    if (row_.block == nullptr) {
+      std::shared_ptr<uint64_t[]> own = SampleSet::NewDenseRow(n);
+      row_.wide = own.get();
+      row_.block = std::move(own);
+    }
+    // Counts go to row[v + 1]; row[0] stays the prefix sums' zero.
+    if (row_.narrow != nullptr) {
+      primary_.narrow = row_.narrow + 1;
+    } else {
+      primary_.counts = row_.wide + 1;
+    }
+  } else {
+    HISTK_CHECK(row_.block == nullptr);
     const int64_t parts = PickPartitions(expected_draws);
     const int value_bits = BitWidth(n - 1);
     const int part_bits = BitWidth(parts - 1);
     shift_ = value_bits > part_bits ? value_bits - part_bits : 0;
     num_parts_ = static_cast<size_t>(((n - 1) >> shift_) + 1);
+    InitState(primary_);
   }
-  InitState(primary_);
 }
 
 void SampleCounter::InitState(State& state) const {
   if (dense_) {
-    state.counts.assign(static_cast<size_t>(n_), 0);
+    state.shard_counts.assign(static_cast<size_t>(n_), 0);
+    state.counts = state.shard_counts.data();
     return;
   }
   state.parts.resize(num_parts_);
@@ -110,13 +144,10 @@ void SampleCounter::InitState(State& state) const {
 void SampleCounter::ConsumeInto(State& state, const int64_t* draws,
                                 int64_t len) const {
   HISTK_CHECK(len >= 0);
-  if (dense_) {
-    int64_t* const counts = state.counts.data();
-    for (int64_t i = 0; i < len; ++i) {
-      const int64_t v = draws[i];
-      HISTK_CHECK_MSG(v >= 0 && v < n_, "draw out of domain");
-      ++counts[v];
-    }
+  if (dense_ && state.narrow != nullptr) {
+    CountDraws(state.narrow, n_, draws, len);
+  } else if (dense_) {
+    CountDraws(state.counts, n_, draws, len);
   } else {
     for (int64_t i = 0; i < len; ++i) {
       const int64_t v = draws[i];
@@ -130,18 +161,23 @@ void SampleCounter::ConsumeInto(State& state, const int64_t* draws,
 void SampleCounter::ConsumeRunsInto(State& state, const int64_t* values,
                                     const int64_t* counts, int64_t len) const {
   HISTK_CHECK(len >= 0);
+  // The sum stays in a register: state.total may alias the counts.
+  int64_t total = 0;
   for (int64_t i = 0; i < len; ++i) {
     const int64_t v = values[i];
     const int64_t c = counts[i];
     HISTK_CHECK_MSG(v >= 0 && v < n_, "run value out of domain");
     HISTK_CHECK_MSG(c > 0, "run count must be positive");
-    if (dense_) {
-      state.counts[static_cast<size_t>(v)] += c;
+    if (dense_ && state.narrow != nullptr) {
+      state.narrow[v] += static_cast<uint32_t>(c);
+    } else if (dense_) {
+      state.counts[v] += static_cast<uint64_t>(c);
     } else {
       state.runs.emplace_back(v, c);
     }
-    state.total += c;
+    total += c;
   }
+  state.total += total;
 }
 
 void SampleCounter::Consume(const int64_t* draws, int64_t len,
@@ -184,15 +220,20 @@ SampleSet SampleCounter::Build() {
   // is independent of how chunks were spread over workers.
   if (dense_) {
     for (ShardSink& shard : shards_) {
-      const int64_t* const src = shard.state_.counts.data();
-      int64_t* const dst = primary_.counts.data();
-      for (int64_t i = 0; i < n_; ++i) dst[i] += src[i];
-      shard.state_.counts = {};
+      const uint64_t* const src = shard.state_.counts;
+      if (primary_.narrow != nullptr) {
+        AddCounts(primary_.narrow, src, n_);
+      } else {
+        AddCounts(primary_.counts, src, n_);
+      }
     }
     shards_.clear();
-    SampleSet s = SampleSet::FromCounts(n_, primary_.counts);
-    primary_.counts = {};
-    return s;
+    primary_.counts = nullptr;
+    primary_.narrow = nullptr;
+    if (row_.narrow != nullptr) {
+      return SampleSet::FromDenseRow(n_, row_.narrow, std::move(row_.block));
+    }
+    return SampleSet::FromDenseRow(n_, row_.wide, std::move(row_.block));
   }
   std::vector<std::pair<int64_t, int64_t>>& runs = primary_.runs;
   for (ShardSink& shard : shards_) {

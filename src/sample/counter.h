@@ -7,9 +7,10 @@
 // domains, copied AND globally sorted it). SampleCounter instead accumulates
 // the chunks Sampler::DrawCounts hands it (offsets ignored):
 //
-//   * dense domains (n <= SampleSet::kDenseDomainLimit): straight into a
-//     per-element count array — no draw vector exists at any point, and the
-//     working set per chunk is one cache-resident buffer.
+//   * dense domains (n <= SampleSet::kDenseDomainLimit): straight into the
+//     set's own row (see sample/sample_set.h) — no draw vector or separate
+//     count array exists at any point, Build() finalizes the row in place,
+//     and the working set per chunk is one cache-resident buffer.
 //   * sparse domains: draws are scattered into value-range partitions sized
 //     to stay cache-resident, and Build() sorts each partition independently
 //     and run-length encodes them in ascending order. That replaces one cold
@@ -30,25 +31,25 @@
 // (called only from the coordinating thread, before the workers start), each
 // worker consumes into its own shard with no shared mutable state, and
 // Build() merges primary + shards once after the workers have joined.
-// Merging is commutative — dense shards add count arrays, sparse shards
-// concatenate per-partition scatter vectors that Build() sorts anyway — so
-// the resulting SampleSet is byte-identical at any worker count, exactly as
-// the sharded draw contract requires. Build() is a one-shot terminal
-// operation and must happen-after all shard Consume calls (the fan-out in
-// dist/sampler.cc joins its workers before returning).
+// Merging is commutative — dense shards add their count arrays into the
+// row, sparse shards concatenate per-partition scatter vectors that Build()
+// sorts anyway — so the resulting SampleSet is byte-identical at any worker
+// count, exactly as the sharded draw contract requires. Build() is a one-shot
+// terminal operation and must happen-after all shard Consume calls (the
+// fan-out in dist/sampler.cc joins its workers before returning).
 #ifndef HISTK_SAMPLE_COUNTER_H_
 #define HISTK_SAMPLE_COUNTER_H_
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "dist/sampler.h"
+#include "sample/sample_set.h"
 
 namespace histk {
-
-class SampleSet;
 
 /// Accumulates draws into per-element occurrence counts and finalizes them
 /// as a SampleSet identical to the one FromDraws would have built from the
@@ -87,12 +88,20 @@ class SampleCounter : public CountSink {
   SampleSet Build();
 
  private:
+  friend class SampleSetGroup;
+
+  /// Counts into `row` (see SampleSet::DenseRow), where Build() finalizes
+  /// the set; an empty row gets a 64-bit row of the counter's own.
+  SampleCounter(int64_t n, int64_t expected_draws, SampleSet::DenseRow row);
+
   /// One accumulator: either a dense count array or sparse value-range
   /// partitions (partition of v = v >> shift). Each instance is written by
   /// exactly one thread.
   struct State {
     int64_t total = 0;
-    std::vector<int64_t> counts;              // dense backend
+    uint64_t* counts = nullptr;               // dense: value v at counts[v]
+    uint32_t* narrow = nullptr;               // or here, in a 32-bit row
+    std::vector<uint64_t> shard_counts;       // dense shards: behind counts
     std::vector<std::vector<int64_t>> parts;  // sparse backend
     /// Sparse backend: runs fed by ConsumeRuns, as (value, count).
     std::vector<std::pair<int64_t, int64_t>> runs;
@@ -121,6 +130,7 @@ class SampleCounter : public CountSink {
   int64_t n_ = 0;
   int64_t expected_draws_ = 0;
   bool dense_ = false;
+  SampleSet::DenseRow row_;  // dense: the set's row
   int shift_ = 0;          // sparse: partition of v = v >> shift_
   size_t num_parts_ = 0;   // sparse: partition count
 

@@ -16,10 +16,20 @@
 // an m-element draw vector, while FromDraws/FromCounts/FromRuns build from
 // data the caller already holds. All construction paths yield the same
 // canonical representation for the same multiset.
+//
+// A dense set is one row of 2(n + 1) words, prefix counts then prefix
+// collisions, built in place: the counts accumulate at row[v + 1] and one
+// pass turns them into both prefix arrays. A drawn dense SampleSetGroup
+// keeps all r rows in one block, in 32-bit words when C(m, 2) < 2^32; a
+// set copied out of a group shares that immutable block (it stays alive
+// while any set reads it). Dense sets keep no list of
+// distinct values; distinct_values() derives it from the prefix counts.
 #ifndef HISTK_SAMPLE_SAMPLE_SET_H_
 #define HISTK_SAMPLE_SAMPLE_SET_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -85,18 +95,54 @@ class SampleSet {
   std::optional<double> CondCollisionRate(Interval I) const;
 
   /// Sorted distinct sampled values (used by the Theorem 2 candidate set).
-  const std::vector<int64_t>& distinct_values() const { return distinct_; }
+  /// Dense sets derive the list from their prefix counts on each call.
+  std::vector<int64_t> distinct_values() const;
 
  private:
+  friend class SampleCounter;
+  friend class SampleSetGroup;
+
   SampleSet(int64_t n, int64_t m);
+
+  /// Where a dense set's counts accumulate, at row[v + 1] (row[0] is 0):
+  /// a 64-bit (`wide`) or 32-bit (`narrow`) row that `block` keeps alive.
+  /// Empty, the counter allocates a 64-bit row of its own.
+  struct DenseRow {
+    std::shared_ptr<const void> block;
+    uint64_t* wide = nullptr;
+    uint32_t* narrow = nullptr;
+  };
+
+  /// Words in one dense row over [0, n): n + 1 prefix counts, then n + 1
+  /// prefix collisions.
+  static size_t RowWords(int64_t n) { return 2 * (static_cast<size_t>(n) + 1); }
+
+  /// Whether a set of m draws fits a 32-bit row: no prefix count exceeds
+  /// m, and no prefix collision count exceeds C(m, 2).
+  static bool FitsNarrowRow(int64_t m);
+
+  /// One zeroed 64-bit row over [0, n), ready for counts at row[v + 1].
+  static std::shared_ptr<uint64_t[]> NewDenseRow(int64_t n);
+
+  /// Finalizes `row` in place and wraps it as a set: on entry the row holds
+  /// value v's count at [v + 1] (and 0 at [0]), on exit its prefix counts
+  /// and prefix collisions. `block` keeps the row alive.
+  static SampleSet FromDenseRow(int64_t n, uint64_t* row,
+                                std::shared_ptr<const void> block);
+  static SampleSet FromDenseRow(int64_t n, uint32_t* row,
+                                std::shared_ptr<const void> block);
 
   int64_t n_ = 0;
   int64_t m_ = 0;
 
-  // Dense backend: prefix arrays of length n+1 (counts / collision pairs).
-  bool dense_ = false;
-  std::vector<int64_t> prefix_count_;
-  std::vector<uint64_t> prefix_coll_;
+  // Dense backend: prefix counts and prefix collision pairs, n + 1 words
+  // each, in one row of `block_` (which a group's sets share), through the
+  // 64-bit or the 32-bit pair of pointers. All null for sparse sets.
+  std::shared_ptr<const void> block_;
+  const uint64_t* prefix_count_ = nullptr;
+  const uint64_t* prefix_coll_ = nullptr;
+  const uint32_t* narrow_count_ = nullptr;
+  const uint32_t* narrow_coll_ = nullptr;
 
   // Sparse backend: distinct values ascending + prefix sums aligned to them.
   std::vector<int64_t> distinct_;
@@ -109,7 +155,8 @@ class SampleSet {
 class SampleSetGroup {
  public:
   /// Draws r sets of m samples each (fused path per set, sequential or
-  /// sharded by `threads`; see SampleSet::Draw).
+  /// sharded by `threads`; see SampleSet::Draw). Dense sets are built in
+  /// place, in one block of r rows.
   static SampleSetGroup Draw(const Sampler& sampler, int64_t r, int64_t m,
                              Rng& rng, int threads = 0);
 
