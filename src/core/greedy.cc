@@ -116,14 +116,13 @@ class GreedyState {
 /// within `max_pairs`. Reports the pre/post-thinning endpoint counts so the
 /// caller can surface the truncation.
 std::vector<int64_t> SampleEndpointList(const GreedyEstimator& est, int64_t n,
-                                        int64_t max_pairs, bool with_neighbors,
-                                        int64_t& before_thinning,
+                                        int64_t max_pairs, int64_t& before_thinning,
                                         int64_t& after_thinning) {
   std::vector<int64_t> pts;
   for (int64_t v : est.main().distinct_values()) {
-    if (with_neighbors && v - 1 >= 0) pts.push_back(v - 1);
+    if (v - 1 >= 0) pts.push_back(v - 1);
     pts.push_back(v);
-    if (with_neighbors && v + 1 <= n - 1) pts.push_back(v + 1);
+    if (v + 1 <= n - 1) pts.push_back(v + 1);
   }
   std::sort(pts.begin(), pts.end());
   pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
@@ -464,8 +463,8 @@ struct EndpointRemnants {
 /// extra pass over the table, not extra memory.
 template <typename Index>
 LearnResult Search(const GreedyEstimator& estimator, std::vector<int64_t> endpoints,
-                   int64_t iterations, const GreedyParams& params,
-                   const GreedyPoll& poll) {
+                   const GreedyParams& params, const GreedyPoll& poll) {
+  const int64_t iterations = params.iterations;
   const CandidateTable<Index> table(estimator, std::move(endpoints), poll);
   const size_t d = table.size();
   GreedyState state(estimator, estimator.n());
@@ -578,9 +577,6 @@ LearnResult LearnHistogramWithEstimator(const GreedyEstimator& estimator,
   const int64_t n = estimator.n();
   HISTK_CHECK(options.k >= 1 && options.eps > 0.0 && options.eps < 1.0);
 
-  const int64_t iterations =
-      options.iterations_override > 0 ? options.iterations_override : params.iterations;
-
   std::vector<int64_t> endpoints;
   int64_t endpoints_before = 0;
   int64_t endpoints_after = 0;
@@ -593,15 +589,14 @@ LearnResult LearnHistogramWithEstimator(const GreedyEstimator& estimator,
     const int64_t max_pairs = options.max_candidates > 0
                                   ? std::min(options.max_candidates, kMaxCandidatePairs)
                                   : kMaxCandidatePairs;
-    endpoints = SampleEndpointList(estimator, n, max_pairs,
-                                   options.include_endpoint_neighbors,
-                                   endpoints_before, endpoints_after);
+    endpoints = SampleEndpointList(estimator, n, max_pairs, endpoints_before,
+                                   endpoints_after);
   }
 
   LearnResult result =
       estimator.group().r() <= 256
-          ? Search<uint8_t>(estimator, std::move(endpoints), iterations, params, poll)
-          : Search<uint32_t>(estimator, std::move(endpoints), iterations, params, poll);
+          ? Search<uint8_t>(estimator, std::move(endpoints), params, poll)
+          : Search<uint32_t>(estimator, std::move(endpoints), params, poll);
   result.endpoints_before_thinning = endpoints_before;
   result.endpoints_after_thinning = endpoints_after;
   return result;
@@ -622,12 +617,6 @@ Status ValidateLearnOptions(int64_t n, const LearnOptions& options) {
     return Status::InvalidArgument(
         "max_candidates must be >= 0 (0 = the candidate-table cap)");
   }
-  if (options.iterations_override < 0) {
-    return Status::InvalidArgument("iterations_override must be >= 0 (0 = paper)");
-  }
-  if (options.r_override < 0) {
-    return Status::InvalidArgument("r_override must be >= 0 (0 = paper)");
-  }
   if (options.strategy == CandidateStrategy::kAllIntervals && !FitsCandidateTable(n)) {
     return Status::InvalidArgument(
         "all-intervals (full_enum) learn needs n(n+1)/2 <= 2^24 candidate pairs "
@@ -642,10 +631,7 @@ Status ValidateLearnOptions(int64_t n, const LearnOptions& options) {
 }
 
 GreedyParams ComputeLearnParams(int64_t n, const LearnOptions& options) {
-  GreedyParams params =
-      ComputeGreedyParams(n, options.k, options.eps, options.sample_scale);
-  if (options.r_override > 0) params.r = options.r_override;
-  return params;
+  return ComputeGreedyParams(n, options.k, options.eps, options.sample_scale);
 }
 
 LearnResult LearnHistogram(const Sampler& sampler, const LearnOptions& options,

@@ -95,13 +95,6 @@ struct LearnOptions {
   /// the candidate-cost table's bytes. 0, or any value above
   /// kMaxCandidatePairs, thins to kMaxCandidatePairs.
   int64_t max_candidates = 2'000'000;
-  /// Theorem 2 includes the +-1 neighbours of each sample in the endpoint
-  /// set T'. Setting this false drops them, for ablations.
-  bool include_endpoint_neighbors = true;
-  /// Override the number of greedy iterations (0 = paper's k*ln(1/eps)).
-  int64_t iterations_override = 0;
-  /// Override the number of collision sample sets r (0 = paper formula).
-  int64_t r_override = 0;
 };
 
 /// Output of the learner.
@@ -132,8 +125,8 @@ struct LearnResult {
 /// an abort.
 Status ValidateLearnOptions(int64_t n, const LearnOptions& options);
 
-/// The options' derived Algorithm 1 parameters (paper formulas + the
-/// r_override knob). The single source both LearnHistogram and the engine
+/// The options' derived Algorithm 1 parameters (the paper formulas). The
+/// single source both LearnHistogram and the engine
 /// facade draw from — parity depends on there being exactly one derivation.
 GreedyParams ComputeLearnParams(int64_t n, const LearnOptions& options);
 

@@ -158,12 +158,6 @@ Status ParseTilingBody(LineScanner& sc, bool require_finite_values, int64_t& n,
   return Status::Ok();
 }
 
-template <typename T>
-std::optional<T> DiscardStatus(Result<T> result) {
-  if (!result.ok()) return std::nullopt;
-  return std::move(result).value();
-}
-
 // strtoll/strtod skip leading whitespace and take a leading '+'; the
 // strict parses reject both on the first byte (every whitespace byte is at
 // or below ' ').
@@ -246,10 +240,6 @@ Result<Distribution> ParseDistribution(std::istream& is) {
   return *std::move(d);
 }
 
-std::optional<Distribution> ReadDistribution(std::istream& is) {
-  return DiscardStatus(ParseDistribution(is));
-}
-
 void WriteTilingHistogram(std::ostream& os, const TilingHistogram& h) {
   os << kHistogramMagic << ' ' << kVersion << '\n';
   os << "n " << h.n() << " k " << h.k() << '\n';
@@ -270,10 +260,6 @@ Result<TilingHistogram> ParseTilingHistogram(std::istream& is) {
                              values);
   if (!s.ok()) return s;
   return TilingHistogram::FromRightEnds(n, right_ends, std::move(values));
-}
-
-std::optional<TilingHistogram> ReadTilingHistogram(std::istream& is) {
-  return DiscardStatus(ParseTilingHistogram(is));
 }
 
 void WriteBucketDistribution(std::ostream& os, const Distribution& d) {
@@ -331,10 +317,6 @@ Result<Distribution> ParseBucketDistribution(std::istream& is) {
   return *std::move(d);
 }
 
-std::optional<Distribution> ReadBucketDistribution(std::istream& is) {
-  return DiscardStatus(ParseBucketDistribution(is));
-}
-
 void WriteDataset(std::ostream& os, const std::vector<int64_t>& items) {
   for (int64_t item : items) os << item << '\n';
 }
@@ -372,10 +354,6 @@ Result<std::vector<int64_t>> ParseDataset(std::istream& is, int64_t n) {
   });
   if (!s.ok()) return s;
   return items;
-}
-
-std::optional<std::vector<int64_t>> ReadDataset(std::istream& is, int64_t n) {
-  return DiscardStatus(ParseDataset(is, n));
 }
 
 }  // namespace histk

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <optional>
 #include <vector>
 
 #include "dist/distribution.h"
@@ -42,9 +41,6 @@ void WriteDistribution(std::ostream& os, const Distribution& d);
 /// pmf that does not sum to 1.
 Result<Distribution> ParseDistribution(std::istream& is);
 
-/// ParseDistribution with the diagnosis discarded (historical API).
-std::optional<Distribution> ReadDistribution(std::istream& is);
-
 /// Writes the histk-tiling-histogram v1 format.
 void WriteTilingHistogram(std::ostream& os, const TilingHistogram& h);
 
@@ -52,9 +48,6 @@ void WriteTilingHistogram(std::ostream& os, const TilingHistogram& h);
 /// on wrong magic/version, truncation, k < 1 or k > n, non-ascending ends,
 /// a final end != n-1, or non-finite values.
 Result<TilingHistogram> ParseTilingHistogram(std::istream& is);
-
-/// ParseTilingHistogram with the diagnosis discarded (historical API).
-std::optional<TilingHistogram> ReadTilingHistogram(std::istream& is);
 
 /// Writes a Distribution in the histk-tiling-histogram v1 format, one piece
 /// per constant run with the per-element density as the piece value. A
@@ -72,9 +65,6 @@ void WriteBucketDistribution(std::ostream& os, const Distribution& d);
 /// ParseDistribution, the reader renormalizes the parsed values, so a
 /// write/read cycle can perturb densities by an ulp (it is not bit-exact).
 Result<Distribution> ParseBucketDistribution(std::istream& is);
-
-/// ParseBucketDistribution with the diagnosis discarded (historical API).
-std::optional<Distribution> ReadBucketDistribution(std::istream& is);
 
 /// Writes a data set: one item per line.
 void WriteDataset(std::ostream& os, const std::vector<int64_t>& items);
@@ -110,9 +100,6 @@ Status ScanDataset(std::istream& is,
 /// number) if the stream contains a non-integer token or an item outside
 /// [0, n) for n > 0 (pass n = 0 to accept any non-negative items).
 Result<std::vector<int64_t>> ParseDataset(std::istream& is, int64_t n = 0);
-
-/// ParseDataset with the diagnosis discarded (historical API).
-std::optional<std::vector<int64_t>> ReadDataset(std::istream& is, int64_t n = 0);
 
 }  // namespace histk
 

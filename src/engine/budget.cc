@@ -17,13 +17,18 @@ BudgetExhaustedError::BudgetExhaustedError(int64_t requested, int64_t drawn,
 
 BudgetedSampler::BudgetedSampler(const Sampler& inner, int64_t budget,
                                  const RunPolicy* policy)
-    : inner_(inner),
+    : inner_(&inner),
       budget_(budget < 0 ? kUnlimited : budget),
       policy_(policy),
       backoff_rng_(0x6261636b6f6666ULL) {}  // "backoff"
 
 void BudgetedSampler::BeginPhase(std::string name) const {
   phases_.push_back(PhaseDraws{std::move(name), 0});
+}
+
+void BudgetedSampler::SwitchOracle(const Sampler& inner) const {
+  HISTK_CHECK(inner.n() == inner_->n());
+  inner_ = &inner;
 }
 
 int64_t BudgetedSampler::remaining() const {
@@ -111,7 +116,7 @@ void BudgetedSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
     // Every materializing path (Draw and DrawMany route here) admits the
     // batch whole before the first sample exists.
     Charge(m);
-    inner_.DrawManyInto(out, m, rng);
+    inner_->DrawManyInto(out, m, rng);
     return;
   }
   // Hardened: admit whole (all-or-nothing budget), serve in 2^16-draw
@@ -123,7 +128,7 @@ void BudgetedSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
   do {
     const int64_t len = std::min(Sampler::kShardChunk, m - done);
     CheckRuntime(len);
-    ServeWithRetry([&] { inner_.DrawManyInto(out + done, len, rng); });
+    ServeWithRetry([&] { inner_->DrawManyInto(out + done, len, rng); });
     Account(len);
     done += len;
   } while (done < m);
@@ -136,7 +141,7 @@ void BudgetedSampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
     // base implementation would charge chunk by chunk and could reject
     // mid-batch with part of the draws already consumed.
     Charge(m);
-    inner_.DrawCounts(m, rng, sink, threads);
+    inner_->DrawCounts(m, rng, sink, threads);
     return;
   }
   // Hardened: one inner request per 2^16-draw chunk. A sharded one-chunk
@@ -166,7 +171,7 @@ void BudgetedSampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
     const int64_t len = std::min(Sampler::kShardChunk, m - done);
     CheckRuntime(len);
     part.base = done;
-    ServeWithRetry([&] { inner_.DrawCounts(len, rng, part, threads); });
+    ServeWithRetry([&] { inner_->DrawCounts(len, rng, part, threads); });
     Account(len);
     done += len;
   } while (done < m);

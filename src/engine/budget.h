@@ -101,7 +101,7 @@ class BudgetedSampler : public Sampler {
   explicit BudgetedSampler(const Sampler& inner, int64_t budget = kUnlimited,
                            const RunPolicy* policy = nullptr);
 
-  int64_t n() const override { return inner_.n(); }
+  int64_t n() const override { return inner_->n(); }
   void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const override;
   void DrawCounts(int64_t m, Rng& rng, CountSink& sink,
                   int threads = 0) const override;
@@ -110,6 +110,12 @@ class BudgetedSampler : public Sampler {
   /// call order; a phase with zero draws is kept (it documents that the
   /// session reached it).
   void BeginPhase(std::string name) const;
+
+  /// Sends subsequent draws to `inner` (not owned; must outlive this and
+  /// share n()). Budget, counters, phases and retries carry on, so a
+  /// session that queries two oracles in turn (closeness: every p draw
+  /// before any q draw) meters both against its one budget.
+  void SwitchOracle(const Sampler& inner) const;
 
   int64_t budget() const { return budget_; }
   bool unlimited() const { return budget_ < 0; }
@@ -168,7 +174,7 @@ class BudgetedSampler : public Sampler {
   template <typename ServeFn>
   void ServeWithRetry(const ServeFn& serve) const;
 
-  const Sampler& inner_;
+  mutable const Sampler* inner_;
   int64_t budget_;
   const RunPolicy* policy_;
   mutable int64_t drawn_ = 0;

@@ -20,57 +20,30 @@ namespace histk {
 
 namespace {
 
-/// Best-so-far state a hardened learn session snapshots as it goes, so an
-/// interruption can degrade to a coarse answer instead of nothing.
-struct LearnProgress {
-  /// The completed main sample (set once the main phase finishes).
-  std::optional<SampleSet> main;
-};
-
 /// Algorithm 1 under the session: identical draw order to LearnHistogram
-/// (main set of l, then r collision sets of m), with phase attribution. The
-/// greedy search polls the session's deadline and cancel token once per
-/// candidate-table row, so an armed policy bounds the search's compute too.
-/// Property-test and closeness sessions reuse it under their own phase
-/// names. `progress` (armed sessions only — the copy is not free) receives
-/// the best-so-far state consumed by the degraded-report path.
+/// (main set of l, then r collision sets of m), attributed to the phases
+/// `<phase>-main` and `<phase>-collisions`. The greedy search polls the
+/// session's deadline and cancel token once per candidate-table row, so an
+/// armed policy bounds the search's compute too. Property-test and
+/// closeness sessions reuse it under their own phase names. `main_out`
+/// (armed learn sessions only — the copy is not free) receives the
+/// completed main sample, the best-so-far state of a degraded report.
 LearnResult LearnOnSession(const BudgetedSampler& bs, const LearnOptions& options,
-                           Rng& rng, int threads,
-                           const char* main_phase = "learn-main",
-                           const char* collisions_phase = "learn-collisions",
-                           LearnProgress* progress = nullptr) {
+                           Rng& rng, int threads, const std::string& phase,
+                           std::optional<SampleSet>* main_out = nullptr) {
   const GreedyParams params = ComputeLearnParams(bs.n(), options);
-  bs.BeginPhase(main_phase);
+  bs.BeginPhase(phase + "-main");
   SampleSet main = SampleSet::Draw(bs, params.l, rng, threads);
-  if (progress != nullptr) progress->main = main;
-  bs.BeginPhase(collisions_phase);
+  if (main_out != nullptr) *main_out = main;
+  bs.BeginPhase(phase + "-collisions");
   SampleSetGroup group = SampleSetGroup::Draw(bs, params.r, params.m, rng, threads);
   const GreedyEstimator estimator(std::move(main), std::move(group));
   return LearnHistogramWithEstimator(estimator, options, params,
                                      [&bs] { bs.PollRuntime(); });
 }
 
-/// The shared unhappy-path handler: runs a task body and converts the
-/// facade's internal interruption exceptions — budget, deadline, cancel,
-/// exhausted retries — into typed outcomes on the report. Any other
-/// exception propagates (it is a bug, not an interruption).
-template <typename Body>
-void RunGuarded(Report& report, Body&& body) {
-  try {
-    body();
-  } catch (const BudgetExhaustedError&) {
-    report.outcome = TaskOutcome::kBudgetExhausted;
-  } catch (const DeadlineExceededError&) {
-    report.outcome = TaskOutcome::kDeadlineExceeded;
-  } catch (const CancelledError&) {
-    report.outcome = TaskOutcome::kCancelled;
-  } catch (const TransientUnavailableError&) {
-    report.outcome = TaskOutcome::kUnavailable;
-  }
-}
-
-/// Derives the typed status + degraded flag from the outcome the guarded
-/// body (or its interruption) left on the report.
+/// Derives the typed status + degraded flag from the outcome the task body
+/// (or its interruption) left on the report.
 void FinalizeOutcome(Report& report) {
   report.status = TaskOutcomeStatus(report.outcome);
   report.degraded = report.status != StatusCode::kOk;
@@ -84,10 +57,48 @@ Result<SessionGovernor::Permit> AdmitSession(const SpecCommon& common) {
   return common.policy.governor->Admit(common.budget);
 }
 
-void FillSessionTelemetry(Report& report, const BudgetedSampler& bs) {
+/// The one session runner all six tasks go through. In order: the common
+/// knobs, then the task's own `task_check` (so a bad draw_threads wins),
+/// admission, and then `body(bs, rng, report)` on the session's one meter
+/// and rng. The body draws only through `bs` and sets the outcome and the
+/// payload; an interruption — budget, deadline, cancel, exhausted retries —
+/// is caught here and becomes the report's typed outcome, keeping whatever
+/// the body set before it. Any other exception propagates (it is a bug, not
+/// an interruption). Every report then gets the meter's telemetry, its
+/// retries and the wall time.
+template <typename Body>
+Result<Report> RunSession(const Sampler& oracle, const SpecCommon& common,
+                          const Status& task_check, const char* task, Body&& body) {
+  if (common.draw_threads < 0) {
+    return Status::InvalidArgument("draw_threads must be >= 0 (0 = sequential)");
+  }
+  if (!task_check.ok()) return task_check;
+  Result<SessionGovernor::Permit> permit = AdmitSession(common);
+  if (!permit.ok()) return permit.status();
+
+  const WallTimer timer;
+  Report report;
+  report.task = task;
+  const BudgetedSampler bs(oracle, common.budget, &common.policy);
+  Rng rng(common.seed);
+  try {
+    body(bs, rng, report);
+  } catch (const BudgetExhaustedError&) {
+    report.outcome = TaskOutcome::kBudgetExhausted;
+  } catch (const DeadlineExceededError&) {
+    report.outcome = TaskOutcome::kDeadlineExceeded;
+  } catch (const CancelledError&) {
+    report.outcome = TaskOutcome::kCancelled;
+  } catch (const TransientUnavailableError&) {
+    report.outcome = TaskOutcome::kUnavailable;
+  }
+  FinalizeOutcome(report);
+  report.retries = bs.retries();
   report.telemetry.budget = bs.budget();
   report.telemetry.samples_drawn = bs.samples_drawn();
   report.telemetry.phases = bs.phases();
+  report.telemetry.wall_ms = timer.ElapsedMillis();
+  return report;
 }
 
 void FillLearnTelemetry(Report& report, const LearnResult& result) {
@@ -166,23 +177,21 @@ Status AnswerEstimate(const EstimateSpec& spec, LearnResult learned,
   return Status::Ok();
 }
 
-Status ValidateCommon(const SpecCommon& common) {
-  if (common.draw_threads < 0) {
-    return Status::InvalidArgument("draw_threads must be >= 0 (0 = sequential)");
-  }
-  return Status::Ok();
-}
-
-Status ValidateSynopsisKnobs(
-    int64_t n, int64_t k, double eps, double sample_scale,
+/// The learner options of a compare or estimate synopsis.
+LearnOptions SynopsisOptions(
+    int64_t k, double eps, double sample_scale,
     CandidateStrategy strategy = CandidateStrategy::kSampleEndpoints) {
   LearnOptions options;
   options.k = k;
   options.eps = eps;
   options.sample_scale = sample_scale;
   options.strategy = strategy;
-  return ValidateLearnOptions(n, options);
+  return options;
 }
+
+/// The exact v-optimal DP row is O(n^2 k), so compare runs it only on truth
+/// domains up to this size.
+constexpr int64_t kMaxVOptimalDomain = int64_t{1} << 13;
 
 }  // namespace
 
@@ -249,186 +258,113 @@ Result<Report> Engine::Run(const TaskSpec& spec) const {
 }
 
 Result<Report> Engine::RunLearn(const LearnSpec& spec) const {
-  if (Status s = ValidateCommon(spec); !s.ok()) return s;
-  if (Status s = ValidateLearnOptions(oracle_.n(), spec.options); !s.ok()) return s;
-  if (spec.reduce_to < 0) {
-    return Status::InvalidArgument("reduce_to must be >= 0 (0 = off)");
+  Status check = ValidateLearnOptions(oracle_.n(), spec.options);
+  if (check.ok() && spec.reduce_to < 0) {
+    check = Status::InvalidArgument("reduce_to must be >= 0 (0 = off)");
   }
-
-  Result<SessionGovernor::Permit> permit = AdmitSession(spec);
-  if (!permit.ok()) return permit.status();
-
-  const WallTimer timer;
-  Report report;
-  report.task = "learn";
-  const BudgetedSampler bs(oracle_, spec.budget, &spec.policy);
-  Rng rng(spec.seed);
-  LearnProgress progress;
-  RunGuarded(report, [&] {
-    AnswerLearn(spec.reduce_to,
-                LearnOnSession(bs, spec.options, rng, spec.draw_threads,
-                               "learn-main", "learn-collisions",
-                               spec.policy.armed() ? &progress : nullptr),
-                report);
-  });
-  FinalizeOutcome(report);
-  if (report.degraded && progress.main.has_value() && progress.main->m() > 0) {
+  std::optional<SampleSet> main;
+  Result<Report> report = RunSession(
+      oracle_, spec, check, "learn",
+      [&](const BudgetedSampler& bs, Rng& rng, Report& out) {
+        AnswerLearn(spec.reduce_to,
+                    LearnOnSession(bs, spec.options, rng, spec.draw_threads, "learn",
+                                   spec.policy.armed() ? &main : nullptr),
+                    out);
+      });
+  if (report.ok() && report->degraded && main.has_value() && main->m() > 0) {
     // Best-so-far degradation: the interruption hit after the main sample
     // completed, so an equi-depth fit of the samples in hand is a coarse
     // but data-backed tiling — strictly better than returning nothing.
-    report.reduced = EquiDepthFromSamples(spec.options.k, *progress.main);
+    report->reduced = EquiDepthFromSamples(spec.options.k, *main);
   }
-  report.retries = bs.retries();
-  FillSessionTelemetry(report, bs);
-  report.telemetry.wall_ms = timer.ElapsedMillis();
   return report;
 }
 
 Result<Report> Engine::RunTest(const TestSpec& spec) const {
-  if (Status s = ValidateCommon(spec); !s.ok()) return s;
-  if (Status s = ValidateTestConfig(oracle_.n(), spec.config); !s.ok()) return s;
-
-  Result<SessionGovernor::Permit> permit = AdmitSession(spec);
-  if (!permit.ok()) return permit.status();
-
-  const WallTimer timer;
-  Report report;
-  report.task = "test";
-  const BudgetedSampler bs(oracle_, spec.budget, &spec.policy);
-  Rng rng(spec.seed);
-  RunGuarded(report, [&] {
-    const TestConfig& config = spec.config;
-    const TesterParams params = ComputeTesterParams(bs.n(), config);
-    bs.BeginPhase("test-draw");
-    const SampleSetGroup group =
-        SampleSetGroup::Draw(bs, params.r, params.m, rng, spec.draw_threads);
-    TestOutcome outcome = TestKHistogramOnGroup(group, config);
-    outcome.params = params;
-    report.outcome = outcome.accepted ? TaskOutcome::kAccepted : TaskOutcome::kRejected;
-    report.test = std::move(outcome);
-  });
   // An interrupted test is inconclusive: no accept/reject payload, just the
-  // typed outcome + degraded flag (RunGuarded left report.test unset).
-  FinalizeOutcome(report);
-  report.retries = bs.retries();
-  FillSessionTelemetry(report, bs);
-  report.telemetry.wall_ms = timer.ElapsedMillis();
-  return report;
+  // typed outcome + degraded flag.
+  return RunSession(
+      oracle_, spec, ValidateTestConfig(oracle_.n(), spec.config), "test",
+      [&](const BudgetedSampler& bs, Rng& rng, Report& report) {
+        const TesterParams params = ComputeTesterParams(bs.n(), spec.config);
+        bs.BeginPhase("test-draw");
+        const SampleSetGroup group =
+            SampleSetGroup::Draw(bs, params.r, params.m, rng, spec.draw_threads);
+        TestOutcome outcome = TestKHistogramOnGroup(group, spec.config);
+        outcome.params = params;
+        report.outcome =
+            outcome.accepted ? TaskOutcome::kAccepted : TaskOutcome::kRejected;
+        report.test = std::move(outcome);
+      });
 }
 
 Result<Report> Engine::RunCompare(const CompareSpec& spec) const {
-  if (Status s = ValidateCommon(spec); !s.ok()) return s;
-  if (Status s = ValidateSynopsisKnobs(oracle_.n(), spec.k, spec.eps,
-                                       spec.sample_scale, spec.strategy);
-      !s.ok()) {
-    return s;
-  }
-  if (!truth_) {
-    return Status::InvalidArgument(
+  const LearnOptions options =
+      SynopsisOptions(spec.k, spec.eps, spec.sample_scale, spec.strategy);
+  Status check = ValidateLearnOptions(oracle_.n(), options);
+  if (check.ok() && !truth_) {
+    check = Status::InvalidArgument(
         "compare task needs a session ground-truth distribution");
+  } else if (check.ok() && truth_->n() != oracle_.n()) {
+    check = Status::InvalidArgument("session truth domain differs from the oracle's");
   }
-  if (truth_->n() != oracle_.n()) {
-    return Status::InvalidArgument("session truth domain differs from the oracle's");
-  }
-  if (spec.max_dp_domain < 1) {
-    return Status::InvalidArgument("max_dp_domain must be >= 1");
-  }
+  return RunSession(
+      oracle_, spec, check, "compare",
+      [&](const BudgetedSampler& bs, Rng& rng, Report& report) {
+        LearnResult result =
+            LearnOnSession(bs, options, rng, spec.draw_threads, "learn");
+        FillLearnTelemetry(report, result);
+        TilingHistogram reduced = ReduceToKPieces(result.tiling, spec.k);
 
-  Result<SessionGovernor::Permit> permit = AdmitSession(spec);
-  if (!permit.ok()) return permit.status();
+        // Rows reach the report only once all of them exist: an interrupted
+        // comparison keeps the telemetry-only contract.
+        std::vector<CompareRow> rows;
+        auto row = [&](const char* method, const TilingHistogram& h, int64_t samples) {
+          rows.push_back(
+              CompareRow{method, h.k(), h.L2SquaredErrorTo(*truth_), samples});
+        };
+        row("paper", reduced, result.total_samples);
+        row("paper-raw", result.tiling, result.total_samples);
 
-  const WallTimer timer;
-  Report report;
-  report.task = "compare";
-  const BudgetedSampler bs(oracle_, spec.budget, &spec.policy);
-  Rng rng(spec.seed);
-  RunGuarded(report, [&] {
-    LearnOptions options;
-    options.k = spec.k;
-    options.eps = spec.eps;
-    options.sample_scale = spec.sample_scale;
-    options.strategy = spec.strategy;
-    LearnResult result = LearnOnSession(bs, options, rng, spec.draw_threads);
-    FillLearnTelemetry(report, result);
-    TilingHistogram reduced = ReduceToKPieces(result.tiling, spec.k);
+        // Classic sampling histograms from a fresh sample of the same size the
+        // learner consumed, so the comparison is apples-to-apples.
+        bs.BeginPhase("baselines");
+        const SampleSet baseline_sample =
+            SampleSet::Draw(bs, result.total_samples, rng, spec.draw_threads);
+        row("equi-width", EquiWidthFromSamples(spec.k, baseline_sample),
+            baseline_sample.m());
+        row("equi-depth", EquiDepthFromSamples(spec.k, baseline_sample),
+            baseline_sample.m());
+        row("compressed", CompressedFromSamples(spec.k, baseline_sample),
+            baseline_sample.m());
 
-    auto row = [&](const char* method, const TilingHistogram& h, int64_t samples) {
-      report.compare.push_back(
-          CompareRow{method, h.k(), h.L2SquaredErrorTo(*truth_), samples});
-    };
-    row("paper", reduced, result.total_samples);
-    row("paper-raw", result.tiling, result.total_samples);
+        // The exact optimum the paper's guarantee is stated against. Reads the
+        // full pmf (zero oracle draws).
+        if (truth_->n() <= kMaxVOptimalDomain) {
+          const VOptimalResult opt = VOptimalHistogram(*truth_, spec.k);
+          row("v-optimal", opt.histogram, 0);
+        }
 
-    // Classic sampling histograms from a fresh sample of the same size the
-    // learner consumed, so the comparison is apples-to-apples.
-    bs.BeginPhase("baselines");
-    const SampleSet baseline_sample =
-        SampleSet::Draw(bs, result.total_samples, rng, spec.draw_threads);
-    row("equi-width", EquiWidthFromSamples(spec.k, baseline_sample),
-        baseline_sample.m());
-    row("equi-depth", EquiDepthFromSamples(spec.k, baseline_sample),
-        baseline_sample.m());
-    row("compressed", CompressedFromSamples(spec.k, baseline_sample),
-        baseline_sample.m());
-
-    // The exact optimum the paper's guarantee is stated against. Reads the
-    // full pmf (zero oracle draws) and runs the O(n^2 k) DP, so it is gated
-    // on the truth's domain size.
-    if (spec.include_voptimal && truth_->n() <= spec.max_dp_domain) {
-      const VOptimalResult opt = VOptimalHistogram(*truth_, spec.k);
-      row("v-optimal", opt.histogram, 0);
-    }
-
-    report.reduced = std::move(reduced);
-    report.learn = std::move(result);
-    report.outcome = TaskOutcome::kOk;
-  });
-  FinalizeOutcome(report);
-  if (report.degraded) {
-    // Keep the interrupted-outcome contract uniform — telemetry only. Rows
-    // pushed before the baselines phase was cut short would otherwise read
-    // as a complete (but baseline-less) comparison.
-    report.compare.clear();
-  }
-  report.retries = bs.retries();
-  FillSessionTelemetry(report, bs);
-  report.telemetry.wall_ms = timer.ElapsedMillis();
-  return report;
+        report.compare = std::move(rows);
+        report.reduced = std::move(reduced);
+        report.learn = std::move(result);
+        report.outcome = TaskOutcome::kOk;
+      });
 }
 
 Result<Report> Engine::RunEstimate(const EstimateSpec& spec) const {
-  if (Status s = ValidateCommon(spec); !s.ok()) return s;
-  if (Status s = ValidateSynopsisKnobs(oracle_.n(), spec.k, spec.eps,
-                                       spec.sample_scale);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = ValidateEstimateQueries(spec, oracle_.n(), truth_); !s.ok()) {
-    return s;
-  }
-
-  Result<SessionGovernor::Permit> permit = AdmitSession(spec);
-  if (!permit.ok()) return permit.status();
-
-  const WallTimer timer;
-  Report report;
-  report.task = "estimate";
-  const BudgetedSampler bs(oracle_, spec.budget, &spec.policy);
-  Rng rng(spec.seed);
+  const LearnOptions options = SynopsisOptions(spec.k, spec.eps, spec.sample_scale);
+  Status check = ValidateLearnOptions(oracle_.n(), options);
+  if (check.ok()) check = ValidateEstimateQueries(spec, oracle_.n(), truth_);
   Status failure = Status::Ok();
-  RunGuarded(report, [&] {
-    LearnOptions options;
-    options.k = spec.k;
-    options.eps = spec.eps;
-    options.sample_scale = spec.sample_scale;
-    failure = AnswerEstimate(
-        spec, LearnOnSession(bs, options, rng, spec.draw_threads), truth_, report);
-  });
+  Result<Report> report = RunSession(
+      oracle_, spec, check, "estimate",
+      [&](const BudgetedSampler& bs, Rng& rng, Report& out) {
+        failure = AnswerEstimate(
+            spec, LearnOnSession(bs, options, rng, spec.draw_threads, "learn"), truth_,
+            out);
+      });
   if (!failure.ok()) return failure;
-  FinalizeOutcome(report);
-  report.retries = bs.retries();
-  FillSessionTelemetry(report, bs);
-  report.telemetry.wall_ms = timer.ElapsedMillis();
   return report;
 }
 
@@ -460,126 +396,78 @@ Result<Report> Engine::AnswerFromSynopsis(const TaskSpec& spec,
 }
 
 Result<Report> Engine::RunPropertyTest(const PropertyTestSpec& spec) const {
-  if (Status s = ValidateCommon(spec); !s.ok()) return s;
-  if (Status s = ValidatePropertyTestConfig(oracle_.n(), spec.config); !s.ok()) {
-    return s;
-  }
-
-  Result<SessionGovernor::Permit> permit = AdmitSession(spec);
-  if (!permit.ok()) return permit.status();
-
-  const WallTimer timer;
-  Report report;
-  report.task = "property-test";
-  const BudgetedSampler bs(oracle_, spec.budget, &spec.policy);
-  Rng rng(spec.seed);
-  RunGuarded(report, [&] {
-    const PropertyTestConfig& config = spec.config;
-    const PropertyTesterParams params = ComputePropertyTestParams(bs.n(), config);
-    // Phase 1: candidate fit — identical draw order to the free function
-    // (GreedyEstimator::Draw), with property-test phase attribution.
-    const LearnResult learned =
-        LearnOnSession(bs, PropertyTestLearnOptions(config), rng, spec.draw_threads,
-                       "ptest-learn-main", "ptest-learn-collisions");
-    TilingHistogram candidate = ReduceToKPieces(learned.tiling, config.k);
-    const VerificationPlan plan = BuildVerificationPlan(candidate, config);
-    // Phase 2: fresh verification group.
-    bs.BeginPhase("ptest-verify");
-    const SampleSetGroup group =
-        SampleSetGroup::Draw(bs, params.verify_r, params.verify_m, rng, spec.draw_threads);
-    PropertyTestOutcome outcome = DecidePropertyTest(plan, group);
-    outcome.params = params;
-    outcome.total_samples = bs.samples_drawn();
-    outcome.candidate = std::move(candidate);
-    report.outcome =
-        outcome.accepted ? TaskOutcome::kAccepted : TaskOutcome::kRejected;
-    report.property_test = std::move(outcome);
-  });
-  FinalizeOutcome(report);
-  report.retries = bs.retries();
-  FillSessionTelemetry(report, bs);
-  report.telemetry.wall_ms = timer.ElapsedMillis();
-  return report;
+  return RunSession(
+      oracle_, spec, ValidatePropertyTestConfig(oracle_.n(), spec.config),
+      "property-test",
+      [&](const BudgetedSampler& bs, Rng& rng, Report& report) {
+        const PropertyTestConfig& config = spec.config;
+        const PropertyTesterParams params = ComputePropertyTestParams(bs.n(), config);
+        // Phase 1: candidate fit — identical draw order to the free function
+        // (GreedyEstimator::Draw), with property-test phase attribution.
+        const LearnResult learned =
+            LearnOnSession(bs, PropertyTestLearnOptions(config), rng,
+                           spec.draw_threads, "ptest-learn");
+        TilingHistogram candidate = ReduceToKPieces(learned.tiling, config.k);
+        const VerificationPlan plan = BuildVerificationPlan(candidate, config);
+        // Phase 2: fresh verification group.
+        bs.BeginPhase("ptest-verify");
+        const SampleSetGroup group = SampleSetGroup::Draw(
+            bs, params.verify_r, params.verify_m, rng, spec.draw_threads);
+        PropertyTestOutcome outcome = DecidePropertyTest(plan, group);
+        outcome.params = params;
+        outcome.total_samples = bs.samples_drawn();
+        outcome.candidate = std::move(candidate);
+        report.outcome =
+            outcome.accepted ? TaskOutcome::kAccepted : TaskOutcome::kRejected;
+        report.property_test = std::move(outcome);
+      });
 }
 
 Result<Report> Engine::RunCloseness(const ClosenessSpec& spec) const {
-  if (Status s = ValidateCommon(spec); !s.ok()) return s;
+  Status check = Status::Ok();
   if (spec.other == nullptr) {
-    return Status::InvalidArgument("closeness task needs a second oracle");
-  }
-  if (spec.other->n() != oracle_.n()) {
-    return Status::InvalidArgument(
+    check = Status::InvalidArgument("closeness task needs a second oracle");
+  } else if (spec.other->n() != oracle_.n()) {
+    check = Status::InvalidArgument(
         "the second closeness oracle's domain differs from the session's");
+  } else {
+    check = ValidateClosenessConfig(oracle_.n(), spec.config);
   }
-  if (Status s = ValidateClosenessConfig(oracle_.n(), spec.config); !s.ok()) {
-    return s;
-  }
+  return RunSession(
+      oracle_, spec, check, "closeness",
+      [&](const BudgetedSampler& bs, Rng& rng, Report& report) {
+        const ClosenessConfig& config = spec.config;
+        const ClosenessParams params = ComputeClosenessTestParams(bs.n(), config);
 
-  Result<SessionGovernor::Permit> permit = AdmitSession(spec);
-  if (!permit.ok()) return permit.status();
+        const LearnResult learned_p =
+            LearnOnSession(bs, ClosenessLearnOptions(config, config.k_p), rng,
+                           spec.draw_threads, "close-learn-p");
+        TilingHistogram candidate_p = ReduceToKPieces(learned_p.tiling, config.k_p);
+        bs.BeginPhase("close-verify-p");
+        const SampleSetGroup group_p = SampleSetGroup::Draw(
+            bs, params.verify_r, params.verify_m, rng, spec.draw_threads);
 
-  const WallTimer timer;
-  Report report;
-  report.task = "closeness";
-  // Both oracles draw against the one budget: q's sampler gets whatever p's
-  // left. All p draws happen before any q draw (the free-function order),
-  // so the handoff point is well defined.
-  const BudgetedSampler bs_p(oracle_, spec.budget, &spec.policy);
-  Rng rng(spec.seed);
-  bool q_phase_reached = false;
-  RunGuarded(report, [&] {
-    const ClosenessConfig& config = spec.config;
-    const ClosenessParams params = ComputeClosenessTestParams(bs_p.n(), config);
+        // Every p draw precedes every q draw (the free-function order), so
+        // the one meter moves on to q and both count against one budget.
+        bs.SwitchOracle(*spec.other);
+        const LearnResult learned_q =
+            LearnOnSession(bs, ClosenessLearnOptions(config, config.k_q), rng,
+                           spec.draw_threads, "close-learn-q");
+        TilingHistogram candidate_q = ReduceToKPieces(learned_q.tiling, config.k_q);
+        bs.BeginPhase("close-verify-q");
+        const SampleSetGroup group_q = SampleSetGroup::Draw(
+            bs, params.verify_r, params.verify_m, rng, spec.draw_threads);
 
-    const LearnResult learned_p = LearnOnSession(
-        bs_p, ClosenessLearnOptions(config, config.k_p), rng, spec.draw_threads,
-        "close-learn-p-main", "close-learn-p-collisions");
-    TilingHistogram candidate_p = ReduceToKPieces(learned_p.tiling, config.k_p);
-    bs_p.BeginPhase("close-verify-p");
-    const SampleSetGroup group_p =
-        SampleSetGroup::Draw(bs_p, params.verify_r, params.verify_m, rng, spec.draw_threads);
-
-    const BudgetedSampler bs_q(
-        *spec.other, bs_p.unlimited() ? BudgetedSampler::kUnlimited : bs_p.remaining(),
-        &spec.policy);
-    q_phase_reached = true;
-    RunGuarded(report, [&] {
-      const LearnResult learned_q = LearnOnSession(
-          bs_q, ClosenessLearnOptions(config, config.k_q), rng, spec.draw_threads,
-          "close-learn-q-main", "close-learn-q-collisions");
-      TilingHistogram candidate_q = ReduceToKPieces(learned_q.tiling, config.k_q);
-      bs_q.BeginPhase("close-verify-q");
-      const SampleSetGroup group_q =
-          SampleSetGroup::Draw(bs_q, params.verify_r, params.verify_m, rng,
-                               spec.draw_threads);
-
-      const std::vector<Interval> parts = CommonRefinement(candidate_p, candidate_q);
-      ClosenessOutcome outcome = DecideCloseness(parts, group_p, group_q, config);
-      outcome.params = params;
-      outcome.total_samples = bs_p.samples_drawn() + bs_q.samples_drawn();
-      outcome.candidate_p = std::move(candidate_p);
-      outcome.candidate_q = std::move(candidate_q);
-      report.outcome =
-          outcome.accepted ? TaskOutcome::kAccepted : TaskOutcome::kRejected;
-      report.closeness = std::move(outcome);
-    });
-    // The inner guard swallowed any q-phase interruption, so both meters'
-    // telemetry is always merged here.
-    FillSessionTelemetry(report, bs_p);
-    report.telemetry.samples_drawn += bs_q.samples_drawn();
-    for (const BudgetedSampler::PhaseDraws& phase : bs_q.phases()) {
-      report.telemetry.phases.push_back(phase);
-    }
-    report.retries = bs_p.retries() + bs_q.retries();
-  });
-  if (!q_phase_reached) {
-    // Interrupted during the p phase: only p's meter exists.
-    FillSessionTelemetry(report, bs_p);
-    report.retries = bs_p.retries();
-  }
-  FinalizeOutcome(report);
-  report.telemetry.wall_ms = timer.ElapsedMillis();
-  return report;
+        const std::vector<Interval> parts = CommonRefinement(candidate_p, candidate_q);
+        ClosenessOutcome outcome = DecideCloseness(parts, group_p, group_q, config);
+        outcome.params = params;
+        outcome.total_samples = bs.samples_drawn();
+        outcome.candidate_p = std::move(candidate_p);
+        outcome.candidate_q = std::move(candidate_q);
+        report.outcome =
+            outcome.accepted ? TaskOutcome::kAccepted : TaskOutcome::kRejected;
+        report.closeness = std::move(outcome);
+      });
 }
 
 // ------------------------------------------------------------- JSON output

@@ -30,6 +30,13 @@
 //   * Every Report carries a uniform telemetry block (samples by phase,
 //     wall time, candidate counts, thinning events) serializable to JSON
 //     via AppendReportJson.
+//   * All six tasks run through one session runner: validation (the
+//     common knobs first, then the task's own), admission, one
+//     BudgetedSampler meter and one Rng per session, the interruption
+//     guard, and the outcome/telemetry/wall-time fill. A task is only its
+//     validation plus a body that draws through that meter. Closeness
+//     meters both of its oracles with the one meter: it switches to the
+//     second oracle after the last draw from the first.
 #ifndef HISTK_ENGINE_ENGINE_H_
 #define HISTK_ENGINE_ENGINE_H_
 
@@ -89,16 +96,13 @@ struct TestSpec : SpecCommon {
 
 /// Learn, then score against the classic baselines built from the same
 /// sample budget (equi-width / equi-depth / compressed) and the exact
-/// v-optimal DP on the ground truth. Needs a session truth distribution.
+/// v-optimal DP on the ground truth (O(n^2 k), so only for truth domains
+/// up to 2^13). Needs a session truth distribution.
 struct CompareSpec : SpecCommon {
   int64_t k = 8;
   double eps = 0.1;
   double sample_scale = 1.0;
   CandidateStrategy strategy = CandidateStrategy::kSampleEndpoints;
-  /// Include the exact v-optimal DP row (O(n^2 k) — gated by max_dp_domain).
-  bool include_voptimal = true;
-  /// Largest truth domain the DP row is attempted on.
-  int64_t max_dp_domain = int64_t{1} << 13;
 };
 
 /// Learn a k-piece synopsis, then answer quantile and range-selectivity

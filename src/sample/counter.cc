@@ -202,14 +202,14 @@ void SampleCounter::ShardSink::ConsumeRuns(const int64_t* values,
 }
 
 CountSink& SampleCounter::AcquireShard() {
-  shards_.emplace_back(this);
-  InitState(shards_.back().state_);
-  return shards_.back();
+  shards_.push_back(std::make_unique<ShardSink>(this));
+  InitState(shards_.back()->state_);
+  return *shards_.back();
 }
 
 int64_t SampleCounter::total() const {
   int64_t total = primary_.total;
-  for (const ShardSink& shard : shards_) total += shard.state_.total;
+  for (const auto& shard : shards_) total += shard->state_.total;
   return total;
 }
 
@@ -219,8 +219,8 @@ SampleSet SampleCounter::Build() {
   // commutative and order-insensitive up to the sort below, so the result
   // is independent of how chunks were spread over workers.
   if (dense_) {
-    for (ShardSink& shard : shards_) {
-      const uint64_t* const src = shard.state_.counts;
+    for (const auto& shard : shards_) {
+      const uint64_t* const src = shard->state_.counts;
       if (primary_.narrow != nullptr) {
         AddCounts(primary_.narrow, src, n_);
       } else {
@@ -236,15 +236,16 @@ SampleSet SampleCounter::Build() {
     return SampleSet::FromDenseRow(n_, row_.wide, std::move(row_.block));
   }
   std::vector<std::pair<int64_t, int64_t>>& runs = primary_.runs;
-  for (ShardSink& shard : shards_) {
+  for (const auto& shard : shards_) {
+    State& state = shard->state_;
     for (size_t p = 0; p < num_parts_; ++p) {
       std::vector<int64_t>& dst = primary_.parts[p];
-      std::vector<int64_t>& src = shard.state_.parts[p];
+      std::vector<int64_t>& src = state.parts[p];
       dst.insert(dst.end(), src.begin(), src.end());
       src = {};  // release as we go: peak memory stays ~one batch
     }
-    runs.insert(runs.end(), shard.state_.runs.begin(), shard.state_.runs.end());
-    shard.state_.runs = {};
+    runs.insert(runs.end(), state.runs.begin(), state.runs.end());
+    state.runs = {};
   }
   shards_.clear();
   // Fed runs, sorted, merge into the encode below value by value.

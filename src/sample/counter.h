@@ -41,7 +41,6 @@
 #define HISTK_SAMPLE_COUNTER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -135,9 +134,10 @@ class SampleCounter : public CountSink {
   size_t num_parts_ = 0;   // sparse: partition count
 
   State primary_;
-  // Deque: shard addresses must survive later AcquireShard calls while
-  // earlier shards are still being written by their workers.
-  std::deque<ShardSink> shards_;
+  // Owned one by one: shard addresses must survive later AcquireShard calls
+  // while earlier shards are still being written by their workers, and a
+  // counter that never shards allocates nothing here.
+  std::vector<std::unique_ptr<ShardSink>> shards_;
 };
 
 }  // namespace histk

@@ -143,24 +143,22 @@ TEST(GreedyDifferentialTest, ForcedThinning) {
                   "max_candidates 50");
 }
 
-TEST(GreedyDifferentialTest, WithoutEndpointNeighbors) {
+TEST(GreedyDifferentialTest, SampleEndpointsAcrossSeeds) {
   for (uint64_t seed : {12, 13, 14}) {
     const Shared s = MakeShared(384, 0, seed);
-    LearnOptions opt = Options(4, 0.25, CandidateStrategy::kSampleEndpoints);
-    opt.include_endpoint_neighbors = false;
-    ExpectMatchesReference(s.est, opt, s.params,
-                           "no neighbours, seed " + std::to_string(seed));
+    ExpectMatchesReference(s.est, Options(4, 0.25, CandidateStrategy::kSampleEndpoints),
+                           s.params, "seed " + std::to_string(seed));
   }
 }
 
-TEST(GreedyDifferentialTest, IterationsOverride) {
+TEST(GreedyDifferentialTest, IterationCounts) {
   const Shared s = MakeShared(256, 0, 15);
   for (int64_t iterations : {int64_t{1}, int64_t{2}, 3 * s.params.iterations}) {
     for (CandidateStrategy strategy :
          {CandidateStrategy::kAllIntervals, CandidateStrategy::kSampleEndpoints}) {
-      LearnOptions opt = Options(4, 0.25, strategy);
-      opt.iterations_override = iterations;
-      ExpectMatchesReference(s.est, opt, s.params,
+      GreedyParams params = s.params;
+      params.iterations = iterations;
+      ExpectMatchesReference(s.est, Options(4, 0.25, strategy), params,
                              "iterations " + std::to_string(iterations) + " " +
                                  CandidateStrategyName(strategy));
     }
@@ -248,7 +246,7 @@ TEST(GreedyDifferentialTest, LaneBoundaryAtTwoToThe24Collisions) {
   // Set 0 of a group holds the largest prefix, and every second set repeats
   // the one before it, so median keys tie across sets on both widths (the
   // fill takes the lowest tied index; any tied set gives the same z_J).
-  // d in {1, 15, 16, 17, 33} covers the lane tails of both widths; r = 13
+  // d in {2, 15, 16, 17, 33} covers the lane tails of both widths; r = 13
   // is the paper's r at n = 256.
   const int64_t n = 512;
   const int64_t m = 6200;
@@ -271,19 +269,19 @@ TEST(GreedyDifferentialTest, LaneBoundaryAtTwoToThe24Collisions) {
       const bool float_lanes = largest < kFloatLaneLimit;
       ASSERT_EQ(MedianFillUsesFloatLanes(group), float_lanes);
 
-      for (const int64_t d : {1, 15, 16, 17, 33}) {
-        // d = 1: one main-set value and no neighbours. Otherwise every
-        // element is a main-set value and max_candidates thins them to d.
+      for (const int64_t d : {2, 15, 16, 17, 33}) {
+        // d = 2: one main-set value, element 0, and its one neighbour, 1.
+        // Otherwise every element is a main-set value and max_candidates
+        // thins them to d.
         std::vector<int64_t> main_counts(static_cast<size_t>(n), 1);
-        if (d == 1) {
+        if (d == 2) {
           main_counts.assign(static_cast<size_t>(n), 0);
-          main_counts[static_cast<size_t>(n / 3)] = 40;
+          main_counts[0] = 40;
         }
         const GreedyEstimator est(SampleSet::FromCounts(n, main_counts), group);
         GreedyParams params = ComputeGreedyParams(n, 3, 0.25, 0.05);
         params.r = r;
         LearnOptions opt = Options(3, 0.25, CandidateStrategy::kSampleEndpoints);
-        opt.include_endpoint_neighbors = false;
         opt.max_candidates = d * (d + 1) / 2;
         const std::string what = std::string(float_lanes ? "float" : "double") +
                                  " lanes, r " + std::to_string(r) + ", d " +
@@ -373,8 +371,8 @@ TEST(GreedyDifferentialTest, ExactTiesAcrossPieces) {
   for (CandidateStrategy strategy :
        {CandidateStrategy::kAllIntervals, CandidateStrategy::kSampleEndpoints}) {
     for (int64_t iterations : {2, 3, 6}) {
-      LearnOptions opt = Options(4, 0.25, strategy);
-      opt.iterations_override = iterations;
+      const LearnOptions opt = Options(4, 0.25, strategy);
+      params.iterations = iterations;
       const LearnResult fast = LearnHistogramWithEstimator(est, opt, params);
       const std::string what = std::to_string(iterations) + " iterations, " +
                                CandidateStrategyName(strategy);
@@ -409,9 +407,8 @@ TEST(GreedyDifferentialTest, AllCandidatesTie) {
     for (CandidateStrategy strategy :
          {CandidateStrategy::kAllIntervals, CandidateStrategy::kSampleEndpoints}) {
       for (int64_t iterations : {1, 2, 6}) {
-        LearnOptions opt = Options(4, 0.25, strategy);
-        opt.iterations_override = iterations;
-        ExpectMatchesReference(c.est, opt, params,
+        params.iterations = iterations;
+        ExpectMatchesReference(c.est, Options(4, 0.25, strategy), params,
                                std::string(c.name) + ", " + std::to_string(iterations) +
                                    " iterations, " + CandidateStrategyName(strategy));
       }

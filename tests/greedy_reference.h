@@ -117,14 +117,13 @@ class GreedyState {
 /// evenly so d(d+1)/2 <= max_candidates (0 = no thinning).
 inline std::vector<int64_t> SampleEndpointList(const GreedyEstimator& est, int64_t n,
                                                int64_t max_candidates,
-                                               bool with_neighbors,
                                                int64_t& before_thinning,
                                                int64_t& after_thinning) {
   std::vector<int64_t> pts;
   for (int64_t v : est.main().distinct_values()) {
-    if (with_neighbors && v - 1 >= 0) pts.push_back(v - 1);
+    if (v - 1 >= 0) pts.push_back(v - 1);
     pts.push_back(v);
-    if (with_neighbors && v + 1 <= n - 1) pts.push_back(v + 1);
+    if (v + 1 <= n - 1) pts.push_back(v + 1);
   }
   std::sort(pts.begin(), pts.end());
   pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
@@ -157,15 +156,13 @@ inline LearnResult LearnHistogramWithEstimator(const GreedyEstimator& estimator,
   const int64_t n = estimator.n();
   GreedyState state(estimator, n);
   PriorityHistogram priority(n);
-  const int64_t iterations =
-      options.iterations_override > 0 ? options.iterations_override : params.iterations;
+  const int64_t iterations = params.iterations;
 
   std::vector<int64_t> endpoints;
   int64_t endpoints_before = 0;
   int64_t endpoints_after = 0;
   if (options.strategy == CandidateStrategy::kSampleEndpoints) {
     endpoints = SampleEndpointList(estimator, n, options.max_candidates,
-                                   options.include_endpoint_neighbors,
                                    endpoints_before, endpoints_after);
   }
 

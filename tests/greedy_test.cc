@@ -154,9 +154,11 @@ TEST(GreedyTest, PriorityEntriesComeInRankGroups) {
 TEST(GreedyTest, IterationsOverrideShortensRun) {
   Rng rng(208);
   const AliasSampler sampler(MakeZipf(48, 1.2));
-  LearnOptions opt = FastOptions(4, 0.2);
-  opt.iterations_override = 1;
-  const LearnResult res = LearnHistogram(sampler, opt, rng);
+  const LearnOptions opt = FastOptions(4, 0.2);
+  GreedyParams params = ComputeLearnParams(sampler.n(), opt);
+  const GreedyEstimator est = GreedyEstimator::Draw(sampler, params, rng);
+  params.iterations = 1;
+  const LearnResult res = LearnHistogramWithEstimator(est, opt, params);
   EXPECT_LE(res.priority.entries().back().rank, 1);
 }
 
@@ -167,14 +169,14 @@ TEST(GreedyTest, PollFiresOncePerFillRowAndOncePerScanRow) {
   const int64_t n = 128;
   Rng rng(215);
   const AliasSampler sampler(MakeZipf(n, 1.1));
-  const GreedyParams params = ComputeGreedyParams(n, 3, 0.25, 0.05);
+  GreedyParams params = ComputeGreedyParams(n, 3, 0.25, 0.05);
   const GreedyEstimator est = GreedyEstimator::Draw(sampler, params, rng);
   for (CandidateStrategy strategy :
        {CandidateStrategy::kAllIntervals, CandidateStrategy::kSampleEndpoints}) {
     for (int64_t iterations : {1, 2, 5}) {
       LearnOptions opt = FastOptions(3, 0.25);
       opt.strategy = strategy;
-      opt.iterations_override = iterations;
+      params.iterations = iterations;
       int64_t polls = 0;
       const LearnResult res =
           LearnHistogramWithEstimator(est, opt, params, [&] { ++polls; });
@@ -193,14 +195,14 @@ TEST(GreedyTest, MoreIterationsNeverHurtMuch) {
   Rng rng(209);
   const Distribution p = MakeGaussianMixture(64, {{0.5, 0.1, 1.0}});
   const AliasSampler sampler(p);
-  const GreedyParams params = ComputeGreedyParams(64, 4, 0.2);
+  GreedyParams params = ComputeGreedyParams(64, 4, 0.2);
   Rng draw_rng(210);
   const GreedyEstimator est = GreedyEstimator::Draw(sampler, params, draw_rng);
   double prev_cost = 1e9;
   for (int64_t iters = 1; iters <= 5; ++iters) {
-    LearnOptions opt = FastOptions(4, 0.2);
-    opt.iterations_override = iters;
-    const LearnResult res = LearnHistogramWithEstimator(est, opt, params);
+    params.iterations = iters;
+    const LearnResult res =
+        LearnHistogramWithEstimator(est, FastOptions(4, 0.2), params);
     EXPECT_LE(res.estimated_cost, prev_cost + 1e-9) << "iters=" << iters;
     prev_cost = res.estimated_cost;
   }
@@ -244,8 +246,9 @@ TEST(GreedyTest, AllIntervalsBeyondTheCandidateTableCapIsRejected) {
 }
 
 TEST(GreedyTest, UncappedMaxCandidatesThinsToTheTableCap) {
-  // 7000 distinct samples: without neighbours, 7000 endpoints, whose
-  // 24.5M pairs exceed the table's 2^24; max_candidates = 0 thins to it.
+  // 7000 distinct samples 0..6999: with their neighbours, 7001 endpoints
+  // (0..7000), whose 24.5M pairs exceed the table's 2^24; max_candidates =
+  // 0 thins to it.
   const int64_t n = 8000;
   std::vector<int64_t> draws;
   for (int64_t v = 0; v < 7000; ++v) draws.push_back(v);
@@ -253,12 +256,11 @@ TEST(GreedyTest, UncappedMaxCandidatesThinsToTheTableCap) {
                             SampleSetGroup({SampleSet::FromDraws(n, draws)}));
   GreedyParams params = ComputeGreedyParams(n, 2, 0.3);
   params.r = 1;
+  params.iterations = 1;
   LearnOptions opt = FastOptions(2, 0.3);
   opt.max_candidates = 0;
-  opt.include_endpoint_neighbors = false;
-  opt.iterations_override = 1;
   const LearnResult res = LearnHistogramWithEstimator(est, opt, params);
-  EXPECT_EQ(res.endpoints_before_thinning, 7000);
+  EXPECT_EQ(res.endpoints_before_thinning, 7001);
   EXPECT_LE(res.endpoints_after_thinning, 5792);
   EXPECT_LE(res.candidates_per_iter, kMaxCandidatePairs);
   EXPECT_GT(res.candidate_table_bytes, res.candidates_per_iter);  // 1 B per pair + rows

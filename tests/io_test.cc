@@ -14,8 +14,8 @@ TEST(IoTest, DistributionRoundTripsExactly) {
   const Distribution d = MakeNoisy(MakeZipf(40, 1.3), 0.3, rng);
   std::stringstream ss;
   WriteDistribution(ss, d);
-  const auto back = ReadDistribution(ss);
-  ASSERT_TRUE(back.has_value());
+  const auto back = ParseDistribution(ss);
+  ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->n(), d.n());
   for (int64_t i = 0; i < d.n(); ++i) EXPECT_DOUBLE_EQ(back->p(i), d.p(i));
 }
@@ -24,47 +24,47 @@ TEST(IoTest, HistogramRoundTripsExactly) {
   const TilingHistogram h(10, {{0, 2}, {3, 7}, {8, 9}}, {0.05, 0.11, 0.15});
   std::stringstream ss;
   WriteTilingHistogram(ss, h);
-  const auto back = ReadTilingHistogram(ss);
-  ASSERT_TRUE(back.has_value());
+  const auto back = ParseTilingHistogram(ss);
+  ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->k(), 3);
   for (int64_t i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(back->Value(i), h.Value(i));
 }
 
 TEST(IoTest, RejectsWrongMagic) {
   std::stringstream ss("other-format v1\nn 3\n0.5 0.25 0.25\n");
-  EXPECT_FALSE(ReadDistribution(ss).has_value());
+  EXPECT_FALSE(ParseDistribution(ss).ok());
 }
 
 TEST(IoTest, RejectsWrongVersion) {
   std::stringstream ss("histk-distribution v9\nn 2\n0.5 0.5\n");
-  EXPECT_FALSE(ReadDistribution(ss).has_value());
+  EXPECT_FALSE(ParseDistribution(ss).ok());
 }
 
 TEST(IoTest, RejectsNonNormalizedPmf) {
   std::stringstream ss("histk-distribution v1\nn 2\n0.5 0.2\n");
-  EXPECT_FALSE(ReadDistribution(ss).has_value());
+  EXPECT_FALSE(ParseDistribution(ss).ok());
 }
 
 TEST(IoTest, RejectsNegativeEntries) {
   std::stringstream ss("histk-distribution v1\nn 2\n1.5 -0.5\n");
-  EXPECT_FALSE(ReadDistribution(ss).has_value());
+  EXPECT_FALSE(ParseDistribution(ss).ok());
 }
 
 TEST(IoTest, RejectsTruncatedStream) {
   std::stringstream ss("histk-distribution v1\nn 4\n0.25 0.25\n");
-  EXPECT_FALSE(ReadDistribution(ss).has_value());
+  EXPECT_FALSE(ParseDistribution(ss).ok());
 }
 
 TEST(IoTest, RejectsHistogramWithBadEnds) {
   // Non-increasing ends.
   std::stringstream a("histk-tiling-histogram v1\nn 10 k 2\n5 0.1\n5 0.1\n");
-  EXPECT_FALSE(ReadTilingHistogram(a).has_value());
+  EXPECT_FALSE(ParseTilingHistogram(a).ok());
   // Last end is not n-1.
   std::stringstream b("histk-tiling-histogram v1\nn 10 k 2\n3 0.1\n8 0.1\n");
-  EXPECT_FALSE(ReadTilingHistogram(b).has_value());
+  EXPECT_FALSE(ParseTilingHistogram(b).ok());
   // k > n.
   std::stringstream c("histk-tiling-histogram v1\nn 2 k 3\n0 0.1\n1 0.1\n1 0.1\n");
-  EXPECT_FALSE(ReadTilingHistogram(c).has_value());
+  EXPECT_FALSE(ParseTilingHistogram(c).ok());
 }
 
 TEST(IoTest, BucketDistributionRoundTripsWithoutDensifying) {
@@ -73,8 +73,8 @@ TEST(IoTest, BucketDistributionRoundTripsWithoutDensifying) {
       {2.0, 1.0, 3.0});
   std::stringstream ss;
   WriteBucketDistribution(ss, d);
-  const auto back = ReadBucketDistribution(ss);
-  ASSERT_TRUE(back.has_value());
+  const auto back = ParseBucketDistribution(ss);
+  ASSERT_TRUE(back.ok());
   ASSERT_TRUE(back->is_bucketed());
   EXPECT_EQ(back->n(), d.n());
   EXPECT_EQ(back->num_buckets(), d.num_buckets());
@@ -89,20 +89,20 @@ TEST(IoTest, BucketDistributionWriterCompressesDensePmfs) {
   const Distribution d = Distribution::FromPmf({0.125, 0.125, 0.125, 0.125, 0.5});
   std::stringstream ss;
   WriteBucketDistribution(ss, d);
-  const auto back = ReadBucketDistribution(ss);
-  ASSERT_TRUE(back.has_value());
+  const auto back = ParseBucketDistribution(ss);
+  ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->num_buckets(), 2);  // the four equal entries merged
   for (int64_t i = 0; i < 5; ++i) EXPECT_NEAR(back->p(i), d.p(i), 1e-15);
 }
 
 TEST(IoTest, BucketDistributionRejectsNonUnitMass) {
   std::stringstream ss("histk-tiling-histogram v1\nn 10 k 2\n4 0.01\n9 0.01\n");
-  EXPECT_FALSE(ReadBucketDistribution(ss).has_value());
+  EXPECT_FALSE(ParseBucketDistribution(ss).ok());
 }
 
 TEST(IoTest, BucketDistributionRejectsNegativeDensity) {
   std::stringstream ss("histk-tiling-histogram v1\nn 4 k 2\n1 -0.1\n3 0.6\n");
-  EXPECT_FALSE(ReadBucketDistribution(ss).has_value());
+  EXPECT_FALSE(ParseBucketDistribution(ss).ok());
 }
 
 TEST(IoTest, HandlesTinyProbabilitiesPrecisely) {
@@ -111,8 +111,8 @@ TEST(IoTest, HandlesTinyProbabilitiesPrecisely) {
   const Distribution d = Distribution::FromWeights(w);
   std::stringstream ss;
   WriteDistribution(ss, d);
-  const auto back = ReadDistribution(ss);
-  ASSERT_TRUE(back.has_value());
+  const auto back = ParseDistribution(ss);
+  ASSERT_TRUE(back.ok());
   EXPECT_DOUBLE_EQ(back->p(3), d.p(3));
 }
 
@@ -122,7 +122,7 @@ bool MessageContains(const Status& s, const std::string& needle) {
   return s.message().find(needle) != std::string::npos;
 }
 
-TEST(IoParseTest, AgreesWithReadOnGoodInput) {
+TEST(IoParseTest, ParsesGoodInput) {
   Rng rng(702);
   const Distribution d = MakeNoisy(MakeZipf(16, 0.8), 0.2, rng);
   std::stringstream ss;
