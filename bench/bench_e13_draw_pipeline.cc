@@ -26,11 +26,16 @@
 //      m = 10,954 draws over n = 256 from a kCounts DatasetSampler, split
 //      into the whole group, the set assembly alone (the same count
 //      vectors, pre-drawn, replayed into the group path), the conditional
-//      binomials alone (ns per support entry), and the minor page faults a
-//      warm group costs (median over 20 groups). It runs first, and at full
-//      size in smoke mode too: once earlier rows free their large batches,
-//      glibc's dynamic mmap threshold rises, and the fault count would no
-//      longer show whether the group's own storage stays resident.
+//      binomial chain alone (ns per support entry; single sets still draw
+//      through it), the group plan that the group path draws through (its
+//      build in us, its bytes, and ns per support entry for the r blocks
+//      with the build and the fix-up draws included), the chain-over-plan
+//      speedup (the median ratio over interleaved pairs of the two in one
+//      run; CI requires >= 2), and the minor page faults a warm group
+//      costs (median over 20 groups). It runs first, and at full size in
+//      smoke mode too: once earlier rows free their large batches, glibc's
+//      dynamic mmap threshold rises, and the fault count would no longer
+//      show whether the group's own storage stays resident.
 //
 // HISTK_E13_SMOKE=1 shrinks every other batch to <= 10^6 draws and skips the
 // 10^8 rows so CI can run the experiment in seconds; the emitted
@@ -222,6 +227,26 @@ class PreDrawnSampler final : public Sampler {
   mutable size_t next_ = 0;
 };
 
+/// An order-free sink that keeps only a checksum and lends one draw
+/// scratch, as a group's counters do: the count kernel's own cost.
+class DiscardSink final : public CountSink {
+ public:
+  void Consume(const int64_t* draws, int64_t len, int64_t /*offset*/) override {
+    for (int64_t i = 0; i < len; ++i) sum_ += draws[i];
+  }
+  bool OrderFree() const override { return true; }
+  void ConsumeRuns(const int64_t* values, const int64_t* counts, int64_t len,
+                   int64_t /*offset*/) override {
+    for (int64_t i = 0; i < len; ++i) sum_ += values[i] * counts[i];
+  }
+  DrawBlockBuffers* DrawScratch() override { return &scratch_; }
+  int64_t sum() const { return sum_; }
+
+ private:
+  int64_t sum_ = 0;
+  DrawBlockBuffers scratch_;
+};
+
 int64_t MinorFaults() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -298,9 +323,16 @@ void RunIngestGroup(int64_t trials) {
     return sec;
   });
 
-  NextBenchLabel("ingest_binomial_ns_per_entry");
-  const ScalarStats binomial = MeasureScalar(trials, [&](int64_t t) {
-    Rng rng(47 + static_cast<uint64_t>(t));
+  // The binomial chain and the group plan (build included, the way
+  // SampleSetGroup::Draw spends it) each draw the group's r blocks, in
+  // pairs that alternate which goes first. The speedup is the median of
+  // the pairs' ratios: a load spike on a shared host slows both halves of
+  // a pair, not one record.
+  auto ns_per_entry = [&](double sec) {
+    return sec / static_cast<double>(kR * kernel.size()) * 1e9;
+  };
+  auto time_chain = [&](uint64_t seed) {
+    Rng rng(seed);
     std::vector<int64_t> values(static_cast<size_t>(kernel.max_runs()));
     std::vector<int64_t> counts(values.size());
     int64_t runs = 0;
@@ -310,18 +342,67 @@ void RunIngestGroup(int64_t trials) {
     }
     const double sec = timer.ElapsedSeconds();
     benchmark::DoNotOptimize(runs);
-    return sec / static_cast<double>(kR * kernel.size()) * 1e9;
+    return ns_per_entry(sec);
+  };
+  auto time_plan = [&](uint64_t seed) {
+    Rng rng(seed);
+    DiscardSink sink;
+    WallTimer timer;
+    for (int64_t i = 0; i < kR; ++i) kernel.DrawCounts(oracle, kM, rng, sink, 0);
+    const double sec = timer.ElapsedSeconds();
+    benchmark::DoNotOptimize(sink.sum());
+    return ns_per_entry(sec);
+  };
+  const int64_t pairs = 3 * trials;
+  std::vector<double> chain_ns;
+  std::vector<double> plan_ns;
+  std::vector<double> ratios;
+  for (int64_t t = 0; t < pairs; ++t) {
+    const uint64_t seed = 47 + static_cast<uint64_t>(t);
+    double chain = 0.0;
+    double plan = 0.0;
+    if (t % 2 == 0) {
+      chain = time_chain(seed);
+      plan = time_plan(seed);
+    } else {
+      plan = time_plan(seed);
+      chain = time_chain(seed);
+    }
+    chain_ns.push_back(chain);
+    plan_ns.push_back(plan);
+    ratios.push_back(chain / plan);
+  }
+
+  NextBenchLabel("ingest_binomial_ns_per_entry");
+  const ScalarStats binomial = MeasureScalar(
+      pairs, [&](int64_t t) { return chain_ns[static_cast<size_t>(t)]; });
+  double plan_bytes = 0.0;
+  NextBenchLabel("ingest_plan_build_us");
+  const ScalarStats build = MeasureScalar(trials, [&](int64_t) {
+    WallTimer timer;
+    const CountKernel::GroupPlan plan(kernel, kM);
+    const double sec = timer.ElapsedSeconds();
+    plan_bytes = static_cast<double>(plan.bytes());
+    return sec * 1e6;
   });
+  NextBenchLabel("ingest_plan_ns_per_entry");
+  const ScalarStats planned = MeasureScalar(
+      pairs, [&](int64_t t) { return plan_ns[static_cast<size_t>(t)]; });
+  NextBenchLabel("ingest_plan_bytes");
+  MeasureScalar(1, [&](int64_t) { return plan_bytes; });
+  NextBenchLabel("ingest_plan_speedup");
+  MeasureScalar(1, [&](int64_t) { return Median(ratios); });
 
   NextBenchLabel("ingest_group_minflt");
   MeasureScalar(1, [&](int64_t) { return faults; });
 
   Table table({"r x m", "support", "group ms", "assembly ms", "binomial ns/entry",
-               "minor faults/group"});
+               "plan ns/entry", "plan build us", "plan KB", "minor faults/group"});
   table.AddRow({std::to_string(kR) + " x " + std::to_string(kM),
                 std::to_string(kernel.size()), FmtF(whole.mean * 1e3, 3),
                 FmtF(assembly.mean * 1e3, 3), FmtF(binomial.mean, 1),
-                FmtF(faults, 1)});
+                FmtF(planned.mean, 1), FmtF(build.mean, 1),
+                FmtF(plan_bytes / 1024.0, 1), FmtF(faults, 1)});
   table.Print(std::cout);
 }
 

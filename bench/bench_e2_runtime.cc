@@ -15,9 +15,8 @@
 // (fill_ns_per_pair), the scan's cost per pair per iteration run
 // (scan_ns_per_pair), and prints the lane width its median selection ran on:
 // float when every collision set's count stays below 2^24, else double
-// (MedianFillUsesFloatLanes). At n=4096, k=16 it also times the
-// per-candidate reference search (tests/greedy_reference.h) on the same
-// samples and records the cold-learn speedup against it.
+// (MedianFillUsesFloatLanes). greedy_differential_test pins the search's
+// answers to the per-candidate reference (tests/greedy_reference.h).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -32,7 +31,6 @@
 #include "dist/distribution.h"
 #include "dist/generators.h"
 #include "dist/sampler.h"
-#include "greedy_reference.h"
 #include "histogram/tiling.h"
 #include "stats/bounds.h"
 #include "stats/estimators.h"
@@ -123,11 +121,10 @@ struct LearnSplit {
   double table_bytes = 0.0;
   double fill_ns_per_pair = 0.0;
   double scan_ns_per_pair = 0.0;  ///< scan time / (iterations run x pairs)
-  bool float_lanes = false;   ///< the fill's median selection ran on floats
-  double reference_ms = 0.0;  ///< per-candidate reference search (0 = not run)
+  bool float_lanes = false;  ///< the fill's median selection ran on floats
 };
 
-LearnSplit TimeColdLearn(int64_t n, int64_t k, uint64_t seed, bool with_reference) {
+LearnSplit TimeColdLearn(int64_t n, int64_t k, uint64_t seed) {
   Rng rng(seed);
   const Distribution dist = MakeRandomKHistogram(n, k, rng, 20.0).dist;
   const AliasSampler sampler(dist, AliasKernel::kCounts);
@@ -161,13 +158,6 @@ LearnSplit TimeColdLearn(int64_t n, int64_t k, uint64_t seed, bool with_referenc
         (static_cast<double>(iterations) * static_cast<double>(result.candidates_per_iter));
   }
   split.float_lanes = MedianFillUsesFloatLanes(est.group());
-
-  if (with_reference) {
-    WallTimer ref_timer;
-    benchmark::DoNotOptimize(
-        reference::LearnHistogramWithEstimator(est, options, params));
-    split.reference_ms = ref_timer.ElapsedMillis();
-  }
   return split;
 }
 
@@ -180,12 +170,9 @@ void RunScalingGrid() {
   constexpr int64_t kTrials = 3;
   for (int64_t n : {256, 4096, 65536}) {
     for (int64_t k : {4, 16}) {
-      // The ROADMAP's target cell: also time the per-candidate reference.
-      const bool target = n == 4096 && k == 16;
       std::vector<LearnSplit> runs;
       for (int64_t t = 0; t < kTrials; ++t) {
-        runs.push_back(TimeColdLearn(n, k, 0xE2A0 + 131 * static_cast<uint64_t>(t),
-                                     target && t == 0));
+        runs.push_back(TimeColdLearn(n, k, 0xE2A0 + 131 * static_cast<uint64_t>(t)));
       }
       const std::string tag = "learn_n" + std::to_string(n) + "_k" + std::to_string(k);
       auto record = [&](const char* metric, double LearnSplit::*field) {
@@ -210,20 +197,6 @@ void RunScalingGrid() {
       table.AddRow({FmtI(n), FmtI(k), FmtF(draw.mean, 2), FmtF(fill.mean, 1),
                     FmtF(per_pair.mean, 1), lanes, FmtF(scan.mean, 1),
                     FmtF(scan_per_pair.mean, 2), FmtF(bytes.mean / (1024.0 * 1024.0), 2)});
-      if (target) {
-        const LearnSplit& first = runs.front();
-        const double cold = first.draw_ms + first.fill_ms + first.scan_ms;
-        const double speedup = (first.draw_ms + first.reference_ms) / cold;
-        NextBenchLabel(tag + "_reference_greedy_ms");
-        MeasureScalar(1, [&](int64_t) { return first.reference_ms; });
-        NextBenchLabel(tag + "_cold_speedup_x");
-        MeasureScalar(1, [&](int64_t) { return speedup; });
-        std::printf(
-            "n=%lld k=%lld: reference search %.0f ms vs table %.0f ms; cold learn "
-            "%.1fx faster (target >= 10x: %s)\n",
-            static_cast<long long>(n), static_cast<long long>(k), first.reference_ms,
-            first.fill_ms + first.scan_ms, speedup, speedup >= 10.0 ? "met" : "MISSED");
-      }
     }
   }
   table.Print(std::cout);

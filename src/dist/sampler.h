@@ -77,6 +77,8 @@
 
 namespace histk {
 
+struct DrawBlockBuffers;
+
 /// Destination of the fused draw→count path. DrawCounts feeds it draws in
 /// chunks (each at most Sampler::kShardChunk long, values in [0, n)), each
 /// tagged with its offset: the position of the chunk's first draw in the
@@ -122,6 +124,13 @@ class CountSink {
   /// correct for implementations whose Consume tolerates concurrent callers
   /// — shardable accumulators override it (see SampleCounter).
   virtual CountSink& AcquireShard() { return *this; }
+
+  /// Draw scratch the sink lends to the requests that feed it, or null. A
+  /// count kernel keeps its group plans in it (dist/count_kernel.h), so a
+  /// caller that feeds many sinks of one shape — SampleSetGroup::Draw —
+  /// lends them one scratch to share the plans. Read on the coordinating
+  /// thread only; decorators that wrap a sink forward it.
+  virtual DrawBlockBuffers* DrawScratch() { return nullptr; }
 };
 
 /// Abstract i.i.d. sample oracle for a distribution on [0, n).
@@ -180,6 +189,11 @@ class Sampler {
 struct DrawBlockBuffers {
   std::vector<int64_t> values;  ///< the block's draws, or its run values
   std::vector<int64_t> counts;  ///< run counts (count kernels only)
+  /// A count kernel's group plans, one per block length, all of one kernel
+  /// (kept only in a scratch a sink lends, CountSink::DrawScratch, which
+  /// carries nothing else; the kernel builds them before its blocks start,
+  /// and the blocks only read them).
+  std::vector<CountKernel::GroupPlan> plans;
 };
 
 /// Draws the `len` draws of one block, which start at position `offset` of
@@ -207,12 +221,14 @@ enum class AliasKernel {
   kReplay,
   /// Count-exact oracle (dist/count_kernel.h): DrawCounts into an
   /// order-free sink draws each kShardChunk block's Multinomial(len, p)
-  /// count vector as sequential conditional binomials over the oracle's
-  /// support, O(support) per block instead of O(block) (blocks with under
-  /// 24 draws per support entry are drawn per draw). Same law as the
-  /// per-draw kernel, its own stream; every other path (Draw, DrawMany,
-  /// DrawManySharded, ordered sinks) runs the kReplay kernel byte for
-  /// byte. histkd's and histk_cli's default.
+  /// count vector in O(support) instead of O(block). A group's sets
+  /// (SampleSetGroup::Draw) share one plan of Poisson tables per block
+  /// length and draw each block as table lookups plus about 3√len
+  /// fix-up draws; other sets draw sequential conditional binomials over
+  /// the support. Blocks with under 24 draws per support entry are drawn
+  /// per draw. Same law as the per-draw kernel, its own stream; every
+  /// other path (Draw, DrawMany, DrawManySharded, ordered sinks) runs the
+  /// kReplay kernel byte for byte. histkd's and histk_cli's default.
   kCounts,
 };
 

@@ -1,7 +1,6 @@
 #include "engine/budget.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/check.h"
 
@@ -29,11 +28,6 @@ void BudgetedSampler::BeginPhase(std::string name) const {
 void BudgetedSampler::SwitchOracle(const Sampler& inner) const {
   HISTK_CHECK(inner.n() == inner_->n());
   inner_ = &inner;
-}
-
-int64_t BudgetedSampler::remaining() const {
-  if (unlimited()) return std::numeric_limits<int64_t>::max();
-  return budget_ - drawn_;
 }
 
 void BudgetedSampler::CheckRuntime(int64_t m) const {
@@ -163,6 +157,7 @@ void BudgetedSampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
                      int64_t offset) override {
       sink->ConsumeRuns(values, counts, len, base + offset);
     }
+    DrawBlockBuffers* DrawScratch() override { return sink->DrawScratch(); }
   } part;
   part.sink = &sink;
   AdmitWindow(m);

@@ -121,9 +121,6 @@ class BudgetedSampler : public Sampler {
   bool unlimited() const { return budget_ < 0; }
   int64_t samples_drawn() const { return drawn_; }
 
-  /// Draws still allowed (INT64_MAX when unlimited).
-  int64_t remaining() const;
-
   /// Per-phase draw counts in BeginPhase order. Draws made before any
   /// BeginPhase land in an implicit "oracle" phase.
   const std::vector<PhaseDraws>& phases() const { return phases_; }

@@ -94,11 +94,14 @@ int64_t RunDraws(const std::vector<std::pair<int64_t, int64_t>>& runs) {
 }  // namespace
 
 SampleCounter::SampleCounter(int64_t n, int64_t expected_draws)
-    : SampleCounter(n, expected_draws, SampleSet::DenseRow{}) {}
+    : SampleCounter(n, expected_draws, SampleSet::DenseRow{}, nullptr) {}
 
 SampleCounter::SampleCounter(int64_t n, int64_t expected_draws,
-                             SampleSet::DenseRow row)
-    : n_(n), expected_draws_(expected_draws), row_(std::move(row)) {
+                             SampleSet::DenseRow row, DrawBlockBuffers* scratch)
+    : n_(n),
+      expected_draws_(expected_draws),
+      row_(std::move(row)),
+      scratch_(scratch) {
   HISTK_CHECK(n >= 1 && expected_draws >= 0);
   dense_ = n <= SampleSet::kDenseDomainLimit;
   if (dense_) {

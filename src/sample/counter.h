@@ -76,6 +76,11 @@ class SampleCounter : public CountSink {
   /// CountSink::AcquireShard); shard addresses stay stable until Build().
   CountSink& AcquireShard() override;
 
+  /// The draw scratch of the group this counter fills (null outside a
+  /// group): a group's sets share one scratch, and with it the count
+  /// kernel's plans.
+  DrawBlockBuffers* DrawScratch() override { return scratch_; }
+
   /// Draws accumulated so far across the primary accumulator and all
   /// shards. Requires quiescence (no in-flight Consume on any shard).
   int64_t total() const;
@@ -90,8 +95,10 @@ class SampleCounter : public CountSink {
   friend class SampleSetGroup;
 
   /// Counts into `row` (see SampleSet::DenseRow), where Build() finalizes
-  /// the set; an empty row gets a 64-bit row of the counter's own.
-  SampleCounter(int64_t n, int64_t expected_draws, SampleSet::DenseRow row);
+  /// the set; an empty row gets a 64-bit row of the counter's own. Lends
+  /// `scratch` (not owned; may be null) to the requests that feed it.
+  SampleCounter(int64_t n, int64_t expected_draws, SampleSet::DenseRow row,
+                DrawBlockBuffers* scratch);
 
   /// One accumulator: either a dense count array or sparse value-range
   /// partitions (partition of v = v >> shift). Each instance is written by
@@ -132,6 +139,8 @@ class SampleCounter : public CountSink {
   SampleSet::DenseRow row_;  // dense: the set's row
   int shift_ = 0;          // sparse: partition of v = v >> shift_
   size_t num_parts_ = 0;   // sparse: partition count
+
+  DrawBlockBuffers* scratch_ = nullptr;
 
   State primary_;
   // Owned one by one: shard addresses must survive later AcquireShard calls

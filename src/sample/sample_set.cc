@@ -246,6 +246,9 @@ SampleSetGroup SampleSetGroup::Draw(const Sampler& sampler, int64_t r, int64_t m
   }
   std::vector<SampleSet> sets;
   sets.reserve(static_cast<size_t>(r));
+  // Every set draws m from the same oracle: one draw scratch serves them
+  // all, and a count kernel keeps its plans there (dist/count_kernel.h).
+  DrawBlockBuffers scratch;
   for (int64_t i = 0; i < r; ++i) {
     const size_t at = row_words * static_cast<size_t>(i);
     SampleSet::DenseRow row;
@@ -254,7 +257,7 @@ SampleSetGroup SampleSetGroup::Draw(const Sampler& sampler, int64_t r, int64_t m
       row.wide = wide_rows != nullptr ? wide_rows + at : nullptr;
       row.narrow = narrow_rows != nullptr ? narrow_rows + at : nullptr;
     }
-    SampleCounter counter(n, m, std::move(row));
+    SampleCounter counter(n, m, std::move(row), &scratch);
     sampler.DrawCounts(m, rng, counter, threads);
     sets.push_back(counter.Build());
   }

@@ -156,7 +156,9 @@ class SampleSetGroup {
  public:
   /// Draws r sets of m samples each (fused path per set, sequential or
   /// sharded by `threads`; see SampleSet::Draw). Dense sets are built in
-  /// place, in one block of r rows.
+  /// place, in one block of r rows. The sets share one draw scratch, so a
+  /// kCounts oracle builds its group plan once for all r (its blocks then
+  /// differ from SampleSet::Draw's; same law, own stream).
   static SampleSetGroup Draw(const Sampler& sampler, int64_t r, int64_t m,
                              Rng& rng, int threads = 0);
 

@@ -75,7 +75,7 @@ TEST(BudgetedSamplerTest, RejectsRequestsBeyondBudgetWholesale) {
 
   Rng rng(1);
   bs.DrawMany(40, rng);
-  EXPECT_EQ(bs.remaining(), 10);
+  EXPECT_EQ(bs.budget() - bs.samples_drawn(), 10);
   // A request that does not fit is rejected whole: nothing is drawn, the
   // meter does not move, and the error names the numbers.
   try {

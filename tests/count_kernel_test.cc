@@ -11,8 +11,14 @@
 //      that are not order-free — stays the replay kernel's byte for byte.
 //   4. SampleCounter accumulates runs without expanding them and builds the
 //      set FromDraws would build from the expanded multiset.
+//   5. The group plan: one entry's Poisson table, walked tails included,
+//      matches the exact pmf; a group's sets have the Multinomial's
+//      marginals and collision moments; a vector over the block length is
+//      redrawn; and plan-path groups keep the stream contracts (worker
+//      count invariance, a hardened session's chunks equal one request).
 #include "dist/count_kernel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -23,6 +29,8 @@
 #include "dist/distribution.h"
 #include "dist/generators.h"
 #include "dist/sampler.h"
+#include "engine/budget.h"
+#include "engine/runtime.h"
 #include "sample/counter.h"
 #include "sample/sample_set.h"
 #include "util/interval.h"
@@ -350,6 +358,331 @@ TEST(CountKernelTest, CounterBuildsFromRunsAsFromTheExpandedDraws) {
     }
     EXPECT_EQ(counter.total(), static_cast<int64_t>(expanded.size()));
     ExpectSameSet(counter.Build(), SampleSet::FromDraws(n, expanded));
+  }
+}
+
+// ------------------------------------------------------------ group plan
+
+/// An order-free sink that tallies per-element counts and lends one draw
+/// scratch across requests, as a group's counters do.
+class LendingSink : public CountSink {
+ public:
+  explicit LendingSink(int64_t n) : counts_(static_cast<size_t>(n), 0) {}
+  void Consume(const int64_t* draws, int64_t len, int64_t /*offset*/) override {
+    for (int64_t i = 0; i < len; ++i) ++counts_[static_cast<size_t>(draws[i])];
+  }
+  bool OrderFree() const override { return true; }
+  void ConsumeRuns(const int64_t* values, const int64_t* counts, int64_t len,
+                   int64_t /*offset*/) override {
+    for (int64_t i = 0; i < len; ++i) {
+      counts_[static_cast<size_t>(values[i])] += counts[i];
+    }
+  }
+  DrawBlockBuffers* DrawScratch() override { return &scratch_; }
+
+  /// The counts so far; the next request starts from zero.
+  std::vector<int64_t> Take() {
+    std::vector<int64_t> out(counts_.size(), 0);
+    out.swap(counts_);
+    return out;
+  }
+  const DrawBlockBuffers& scratch() const { return scratch_; }
+
+ private:
+  std::vector<int64_t> counts_;
+  DrawBlockBuffers scratch_;
+};
+
+/// Exact Poisson(lambda) pmf at x.
+double PoissonPmf(double lambda, int64_t x) {
+  const double xd = static_cast<double>(x);
+  return std::exp(xd * std::log(lambda) - lambda - std::lgamma(xd + 1.0));
+}
+
+TEST(CountKernelPlanTest, EntryTablesMatchThePoissonPmfTailsIncluded) {
+  // Masses 7 : 2 : 1 at len 20000: λ of about 12,900, 3,700 and 1,840,
+  // each with a walked tail on both sides of its table; plus a light
+  // entry whose table starts at 0.
+  const CountKernel kernel({{0, 1, 7.0L}, {1, 1, 2.0L}, {2, 1, 1.0L},
+                            {3, 1, 0.0004L}});
+  const CountKernel::GroupPlan plan(kernel, 20000);
+  EXPECT_EQ(plan.len(), 20000);
+  EXPECT_EQ(plan.table_first(3), 0);
+  const int64_t draws = 2000000;
+  uint64_t seed = 70;
+  for (int64_t i = 0; i < kernel.size(); ++i) {
+    const double lambda = plan.lambda(i);
+    const int64_t first = plan.table_first(i);
+    const int64_t last = plan.table_last(i);
+    ASSERT_LE(first, static_cast<int64_t>(lambda));
+    ASSERT_GT(last, static_cast<int64_t>(lambda));
+    // Cells: below the table, each table value, above the table.
+    std::vector<int64_t> seen(static_cast<size_t>(last - first + 3), 0);
+    Rng rng(++seed);
+    for (int64_t d = 0; d < draws; ++d) {
+      const int64_t x = plan.Quantile(i, rng.NextDouble());
+      ASSERT_GE(x, 0);
+      const int64_t cell = x < first ? 0 : x > last ? last - first + 2 : x - first + 1;
+      ++seen[static_cast<size_t>(cell)];
+    }
+    std::vector<double> expect(seen.size(), 0.0);
+    double below = 0.0;
+    for (int64_t x = 0; x < first; ++x) below += PoissonPmf(lambda, x);
+    expect.front() = below;
+    double covered = below;
+    for (int64_t x = first; x <= last; ++x) {
+      expect[static_cast<size_t>(x - first + 1)] = PoissonPmf(lambda, x);
+      covered += PoissonPmf(lambda, x);
+    }
+    expect.back() = 1.0 - covered;
+    if (first > 0) {
+      EXPECT_GT(seen.front(), 0) << "entry " << i << ": no draw walked down";
+    }
+    EXPECT_GT(seen.back(), 0) << "entry " << i << ": no draw walked up";
+    // Pool sparse cells into their neighbours so every cell expects >= 5.
+    double stat = 0.0;
+    int64_t cells = 0;
+    double pooled_expect = 0.0;
+    int64_t pooled_seen = 0;
+    for (size_t c = 0; c < seen.size(); ++c) {
+      pooled_expect += expect[c] * static_cast<double>(draws);
+      pooled_seen += seen[c];
+      if (pooled_expect < 5.0 && c + 1 < seen.size()) continue;
+      const double diff = static_cast<double>(pooled_seen) - pooled_expect;
+      stat += diff * diff / pooled_expect;
+      ++cells;
+      pooled_expect = 0.0;
+      pooled_seen = 0;
+    }
+    EXPECT_LT(stat, ChiSquareCritical(cells - 1)) << "entry " << i;
+  }
+}
+
+TEST(CountKernelPlanTest, QuantilesMatchTheExactPoissonInverse) {
+  // Every u maps to the smallest x with P(N <= x) > u: inside the table,
+  // and in both walked tails, at means from about 6 to about 17,000.
+  const CountKernel kernel({{0, 1, 3000.0L}, {1, 1, 400.0L}, {2, 1, 50.0L},
+                            {3, 1, 8.0L}, {4, 1, 1.0L}});
+  const CountKernel::GroupPlan plan(kernel, 20000);
+  Rng rng(91);
+  for (int64_t i = 0; i < kernel.size(); ++i) {
+    const long double lambda = plan.lambda(i);
+    const int64_t first = plan.table_first(i);
+    const int64_t last = plan.table_last(i);
+    // The exact cdf from far below the table to far above it.
+    const auto from = static_cast<int64_t>(
+        std::max(0.0L, lambda - 40.0L * std::sqrt(lambda) - 40.0L));
+    const auto to = static_cast<int64_t>(lambda + 40.0L * std::sqrt(lambda) + 40.0L);
+    std::vector<long double> cdf;
+    long double acc = 0.0L;
+    for (int64_t x = from; x <= to; ++x) {
+      const auto xl = static_cast<long double>(x);
+      acc += std::exp(xl * std::log(lambda) - lambda - std::lgamma(xl + 1.0L));
+      cdf.push_back(acc);
+    }
+    auto cdf_at = [&](int64_t x) {
+      return x < from ? 0.0L : cdf[static_cast<size_t>(x - from)];
+    };
+    // Uniform u, plus u spread over each tail's own mass.
+    std::vector<double> us;
+    for (int j = 0; j < 20000; ++j) us.push_back(rng.NextDouble());
+    const long double below = cdf_at(first - 1);
+    const long double above = cdf_at(last);
+    for (int j = 0; j < 2000; ++j) {
+      const long double f = (j + 0.5L) / 2000.0L;
+      if (first > 0) us.push_back(static_cast<double>(below * f));
+      us.push_back(static_cast<double>(above + (1.0L - above) * f));
+    }
+    int64_t left_walks = 0;
+    int64_t right_walks = 0;
+    for (const double u : us) {
+      const int64_t got = plan.Quantile(i, u);
+      ASSERT_GE(got, 0) << "entry " << i << " u " << u;
+      const auto above_u =
+          std::upper_bound(cdf.begin(), cdf.end(), static_cast<long double>(u));
+      const int64_t want = from + (above_u - cdf.begin());
+      if (got < first) ++left_walks;
+      if (got > last) ++right_walks;
+      if (got == want) continue;
+      // Only a u within rounding of a cdf step may land one value off.
+      const long double step = cdf_at(std::min(got, want));
+      EXPECT_LT(std::fabs(static_cast<double>(step - u)), 1e-12)
+          << "entry " << i << " u " << u << " got " << got << " want " << want;
+      EXPECT_EQ(std::abs(got - want), 1) << "entry " << i << " u " << u;
+    }
+    EXPECT_GT(right_walks, 1000) << "entry " << i;
+    if (first > 0) EXPECT_GT(left_walks, 1000) << "entry " << i;
+  }
+}
+
+TEST_F(CountKernelLawTest, GroupPlanMarginalsMatchThePmf) {
+  // 40 sets of 3 full blocks plus a partial one, pooled: the full blocks
+  // draw through one plan, the partial one through a second plan (or per
+  // draw, where it is under kDrawsPerBinomial draws per entry).
+  const int64_t m = 3 * Sampler::kShardChunk + 4321;
+  const int64_t sets = 40;
+  uint64_t seed = 110;
+  for (const Oracle& o : Oracles()) {
+    std::vector<int64_t> pooled(o.pmf.size(), 0);
+    WithSampler(o, AliasKernel::kCounts, [&](const Sampler& s) {
+      Rng rng(++seed);
+      const SampleSetGroup group = SampleSetGroup::Draw(s, sets, m, rng);
+      for (int64_t j = 0; j < sets; ++j) {
+        const std::vector<int64_t> c = CountVector(group.set(j));
+        for (size_t v = 0; v < c.size(); ++v) pooled[v] += c[v];
+      }
+    });
+    const double total = static_cast<double>(m) * static_cast<double>(sets);
+    double stat = 0.0;
+    int64_t cells = 0;
+    for (size_t v = 0; v < pooled.size(); ++v) {
+      if (o.pmf[v] == 0.0) {
+        EXPECT_EQ(pooled[v], 0) << o.name << ": drew zero-mass element " << v;
+        continue;
+      }
+      const double expect = o.pmf[v] * total;
+      const double diff = static_cast<double>(pooled[v]) - expect;
+      stat += diff * diff / expect;
+      ++cells;
+    }
+    EXPECT_LT(stat, ChiSquareCritical(cells - 1)) << o.name;
+  }
+}
+
+TEST_F(CountKernelLawTest, GroupPlanCollisionMomentsMatchTheMultinomial) {
+  // Per set of L draws, coll = sum_i C(c_i, 2) has mean C(L, 2) sum p_i^2
+  // and, for the Multinomial, a variance the replay kernel's sets estimate.
+  const int64_t len = 20000;
+  const int64_t sets = 300;
+  uint64_t seed = 150;
+  for (const Oracle& o : Oracles()) {
+    double sum_p2 = 0.0;
+    for (double p : o.pmf) sum_p2 += p * p;
+    const double expect = 0.5 * static_cast<double>(len) * (len - 1) * sum_p2;
+    double mean[2];
+    double var[2];
+    const AliasKernel kernels[2] = {AliasKernel::kCounts, AliasKernel::kReplay};
+    for (int k = 0; k < 2; ++k) {
+      double sum = 0.0;
+      double sum2 = 0.0;
+      WithSampler(o, kernels[k], [&](const Sampler& s) {
+        Rng rng(++seed);
+        const SampleSetGroup group = SampleSetGroup::Draw(s, sets, len, rng);
+        for (int64_t j = 0; j < sets; ++j) {
+          const SampleSet& set = group.set(j);
+          ASSERT_EQ(set.m(), len);
+          const double c =
+              static_cast<double>(set.Collisions(Interval::Full(set.n())));
+          sum += c;
+          sum2 += c * c;
+        }
+      });
+      mean[k] = sum / static_cast<double>(sets);
+      var[k] = sum2 / static_cast<double>(sets) - mean[k] * mean[k];
+      EXPECT_LT(std::fabs(mean[k] - expect) / std::sqrt(var[k] / sets), 5.0)
+          << o.name << " kernel " << AliasKernelName(kernels[k]);
+    }
+    EXPECT_LT(std::fabs(mean[0] - mean[1]) / std::sqrt(var[0] / sets + var[1] / sets),
+              5.0)
+        << o.name;
+    // The variances agree too: the ratio of two sample variances over 300
+    // sets stays well inside [0.6, 1.6] when the laws match.
+    EXPECT_GT(var[0] / var[1], 0.6) << o.name;
+    EXPECT_LT(var[0] / var[1], 1.6) << o.name;
+  }
+}
+
+TEST(CountKernelPlanTest, VectorOverTheBlockLengthIsRedrawn) {
+  // A block through the plan is: totals redrawn while they exceed len,
+  // then len - T fix-up draws from the oracle. Find a seed whose first
+  // vector overshoots, and rebuild the block by hand from the same state.
+  const Distribution dist = DenseSkewed();
+  const AliasSampler oracle(dist, AliasKernel::kCounts);
+  std::vector<CountKernel::Run> runs;
+  for (int64_t v = 0; v < dist.n(); ++v) {
+    runs.push_back({v, 1, static_cast<long double>(dist.p(v))});
+  }
+  const CountKernel kernel(runs);
+  const int64_t len = 2000;  // over kDrawsPerBinomial * 64 entries
+  ASSERT_GE(len, CountKernel::kDrawsPerBinomial * kernel.size());
+  const CountKernel::GroupPlan plan(kernel, len);
+  std::vector<int64_t> totals(static_cast<size_t>(kernel.size()));
+  uint64_t seed = 0;
+  for (uint64_t s = 1; s < 100000 && seed == 0; ++s) {
+    Rng probe(s);
+    if (plan.DrawTotals(probe, totals.data()) > len) seed = s;
+  }
+  ASSERT_NE(seed, 0u) << "no seed overshoots the block length";
+
+  Rng drawn_rng(seed);
+  LendingSink sink(dist.n());
+  kernel.DrawCounts(oracle, len, drawn_rng, sink, 0);
+  ASSERT_EQ(sink.scratch().plans.size(), 1u);
+  EXPECT_EQ(sink.scratch().plans.front().len(), len);
+  const std::vector<int64_t> drawn = sink.Take();
+
+  Rng by_hand(seed);
+  int64_t placed = plan.DrawTotals(by_hand, totals.data());
+  ASSERT_GT(placed, len);
+  int64_t redraws = 0;
+  while (placed > len) {
+    placed = plan.DrawTotals(by_hand, totals.data());
+    ++redraws;
+  }
+  EXPECT_GE(redraws, 1);
+  std::vector<int64_t> want(static_cast<size_t>(dist.n()), 0);
+  for (int64_t i = 0; i < kernel.size(); ++i) {
+    ASSERT_EQ(kernel.run_len(i), 1);
+    want[static_cast<size_t>(kernel.run_lo(i))] += totals[static_cast<size_t>(i)];
+  }
+  for (int64_t v : oracle.DrawMany(len - placed, by_hand)) {
+    ++want[static_cast<size_t>(v)];
+  }
+  EXPECT_EQ(drawn, want);
+  EXPECT_EQ(drawn_rng.NextU64(), by_hand.NextU64());
+}
+
+TEST(CountKernelPlanTest, PlanGroupsKeepTheStreamContracts) {
+  // Two full blocks and a tail, both over the plan threshold (the bucket
+  // oracle has 4 support entries, the dataset at most 37): one group builds two
+  // plans. Sharded groups match at any worker count; a
+  // sequential group matches its sets drawn one request at a time through
+  // one lent scratch, and an armed session's chunked requests.
+  const Distribution bucket = BucketSmall();
+  const std::vector<int64_t> items = DatasetItems();
+  const AliasSampler bucket_s(bucket, AliasKernel::kCounts);
+  const DatasetSampler data_s(100, items, AliasKernel::kCounts);
+  const Sampler* samplers[] = {&bucket_s, &data_s};
+  const int64_t m = 2 * Sampler::kShardChunk + 3000;
+  const int64_t r = 4;
+  for (const Sampler* s : samplers) {
+    Rng rng1(12);
+    const SampleSetGroup one = SampleSetGroup::Draw(*s, r, m, rng1, 1);
+    Rng rng3(12);
+    const SampleSetGroup three = SampleSetGroup::Draw(*s, r, m, rng3, 3);
+    for (int64_t j = 0; j < r; ++j) ExpectSameSet(one.set(j), three.set(j));
+    EXPECT_EQ(rng1.NextU64(), rng3.NextU64());
+
+    Rng seq_rng(13);
+    const SampleSetGroup seq = SampleSetGroup::Draw(*s, r, m, seq_rng, 0);
+    Rng lent_rng(13);
+    LendingSink lent(s->n());
+    for (int64_t j = 0; j < r; ++j) {
+      s->DrawCounts(m, lent_rng, lent, 0);
+      EXPECT_EQ(CountVector(seq.set(j)), lent.Take()) << "set " << j;
+    }
+    // One plan per block length: the full blocks' and the tail's.
+    EXPECT_EQ(lent.scratch().plans.size(), 2u);
+    EXPECT_EQ(seq_rng.NextU64(), lent_rng.NextU64());
+
+    RunPolicy armed;
+    armed.cancel = CancelToken::Create();
+    ASSERT_TRUE(armed.armed());
+    const BudgetedSampler hardened(*s, BudgetedSampler::kUnlimited, &armed);
+    Rng chunked_rng(13);
+    const SampleSetGroup chunked = SampleSetGroup::Draw(hardened, r, m, chunked_rng, 0);
+    for (int64_t j = 0; j < r; ++j) ExpectSameSet(seq.set(j), chunked.set(j));
+    EXPECT_EQ(hardened.samples_drawn(), r * m);
   }
 }
 

@@ -9,7 +9,8 @@
 //      and kCounts, draw_threads 0, 1 and 3; sharded draws into both row
 //      widths), each set of SampleSetGroup::Draw equals FromCounts,
 //      FromRuns and FromDraws of the count vector the same seeded DrawCounts
-//      hands a plain recording sink, and a brute-force sum over that vector,
+//      hands a recording sink that lends one draw scratch to all r
+//      requests, as the group does, and a brute-force sum over that vector,
 //      on every interval's Count and Collisions, on m and on
 //      distinct_values.
 //   2. Lifetime: a set copied out of a group keeps answering the same after
@@ -35,10 +36,12 @@ namespace histk {
 namespace {
 
 /// An order-free sink that only tallies counts, sharded like SampleCounter:
-/// the reference for what one DrawCounts call drew.
+/// the reference for what one DrawCounts call drew. Like a group's
+/// counters, it lends `scratch` (one per group) to the request.
 class RecordingSink : public CountSink {
  public:
-  explicit RecordingSink(int64_t n) : counts_(static_cast<size_t>(n), 0) {}
+  explicit RecordingSink(int64_t n, DrawBlockBuffers* scratch = nullptr)
+      : counts_(static_cast<size_t>(n), 0), scratch_(scratch) {}
 
   void Consume(const int64_t* draws, int64_t len, int64_t /*offset*/) override {
     for (int64_t i = 0; i < len; ++i) ++counts_[static_cast<size_t>(draws[i])];
@@ -54,6 +57,7 @@ class RecordingSink : public CountSink {
     shards_.emplace_back(static_cast<int64_t>(counts_.size()));
     return shards_.back();
   }
+  DrawBlockBuffers* DrawScratch() override { return scratch_; }
 
   /// The primary tally plus every shard's.
   std::vector<int64_t> Counts() const {
@@ -66,6 +70,7 @@ class RecordingSink : public CountSink {
 
  private:
   std::vector<int64_t> counts_;
+  DrawBlockBuffers* scratch_;
   std::deque<RecordingSink> shards_;
 };
 
@@ -169,8 +174,9 @@ TEST_P(GroupStorageTest, GroupSetsMatchEveryConstructionPath) {
     ASSERT_EQ(group.TotalSamples(), r * m) << what;
 
     Rng ref_rng(seed);
+    DrawBlockBuffers scratch;
     for (int64_t i = 0; i < r; ++i) {
-      RecordingSink sink(n);
+      RecordingSink sink(n, &scratch);
       sampler.DrawCounts(m, ref_rng, sink, c.threads);
       ExpectMatchesConstructionPaths(group.set(i), sink.Counts(),
                                      what + " set=" + std::to_string(i));
@@ -205,8 +211,9 @@ TEST(DatasetGroupStorageTest, GroupSetsMatchEveryConstructionPath) {
     const SampleSetGroup group =
         SampleSetGroup::Draw(sampler, 7, 2500, group_rng, threads);
     Rng ref_rng(99);
+    DrawBlockBuffers scratch;
     for (int64_t i = 0; i < group.r(); ++i) {
-      RecordingSink sink(64);
+      RecordingSink sink(64, &scratch);
       sampler.DrawCounts(2500, ref_rng, sink, threads);
       ExpectMatchesConstructionPaths(group.set(i), sink.Counts(),
                                      "dataset threads=" + std::to_string(threads) +
@@ -234,8 +241,9 @@ TEST(GroupStorageLifetimeTest, SetCopiedOutOfGroupOutlivesGroup) {
 
   Rng ref_rng(5);
   std::vector<int64_t> counts;
+  DrawBlockBuffers scratch;
   for (int i = 0; i <= 4; ++i) {
-    RecordingSink sink(10);
+    RecordingSink sink(10, &scratch);
     sampler.DrawCounts(4000, ref_rng, sink, 0);
     counts = sink.Counts();
   }

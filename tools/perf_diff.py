@@ -5,6 +5,7 @@ instead of living in one-off terminal scrollback.
 
 Usage:
   perf_diff.py BASELINE.json CURRENT.json [--threshold-pct N] [--fail]
+               [--require LABEL>=VALUE ...]
 
 Records are matched by label. Direction is inferred from the label:
   * lower-is-better:  contains "false_accept", "ns", "_s", "(s)", "seconds"
@@ -23,6 +24,12 @@ same-machine comparisons can use a tight one. Labels present in only one
 file are WARNED about (a record silently vanishing from the current run
 would otherwise hide a regression behind baseline drift); under
 --fail --strict-labels the warning is an error and the exit code is 1.
+
+--require LABEL>=VALUE (repeatable) is a floor on one record of the
+current run, independent of the baseline: it is for same-run ratios (a
+speedup of one path over another measured in the same process), which do
+not move with the machine the way absolute times do. A record below its
+floor, or missing, is reported; under --fail it makes the exit code 1.
 """
 
 import argparse
@@ -55,6 +62,18 @@ def direction_of(label):
     return None
 
 
+def parse_requirement(text):
+    label, sep, value = text.partition(">=")
+    if not sep or not label.strip():
+        raise argparse.ArgumentTypeError(
+            f"expected LABEL>=VALUE, got {text!r}")
+    try:
+        return label.strip(), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number after '>=' in {text!r}") from None
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="diff two BENCH_*.json files and flag regressions")
@@ -68,6 +87,11 @@ def main():
     parser.add_argument("--strict-labels", action="store_true",
                         help="with --fail, also exit 1 when the two files do "
                              "not carry the same label set")
+    parser.add_argument("--require", action="append", default=[],
+                        type=parse_requirement, metavar="LABEL>=VALUE",
+                        help="floor on one current-run record (repeatable); "
+                             "with --fail, a record below it or missing "
+                             "exits 1")
     args = parser.parse_args()
 
     base_name, base = load_records(args.baseline)
@@ -148,6 +172,15 @@ def main():
         print("perf_diff: failing on label drift (--strict-labels)",
               file=sys.stderr)
         failed = True
+    for label, floor in args.require:
+        if label not in cur:
+            print(f"require {label} >= {floor:g}: MISSING from current")
+            failed = failed or args.fail
+        elif cur[label] < floor:
+            print(f"require {label} >= {floor:g}: FAILED ({cur[label]:.4g})")
+            failed = failed or args.fail
+        else:
+            print(f"require {label} >= {floor:g}: ok ({cur[label]:.4g})")
     return 1 if failed else 0
 
 
