@@ -153,9 +153,6 @@ Status ValidatePropertyTestConfig(int64_t n, const PropertyTestConfig& config) {
   if (!(config.sample_scale > 0.0)) {
     return Status::InvalidArgument("sample_scale must be positive");
   }
-  if (config.r_override < 0) {
-    return Status::InvalidArgument("r_override must be >= 0 (0 = formula)");
-  }
   if (Status s = ValidateLearnOptions(n, PropertyTestLearnOptions(config)); !s.ok()) {
     return s;
   }
@@ -169,10 +166,7 @@ Status ValidatePropertyTestConfig(int64_t n, const PropertyTestConfig& config) {
 
 PropertyTesterParams ComputePropertyTestParams(int64_t n,
                                                const PropertyTestConfig& config) {
-  PropertyTesterParams params =
-      ComputePropertyTesterParams(n, config.k, config.eps, config.sample_scale);
-  if (config.r_override > 0) params.verify_r = config.r_override;
-  return params;
+  return ComputePropertyTesterParams(n, config.k, config.eps, config.sample_scale);
 }
 
 VerificationPlan BuildVerificationPlan(const TilingHistogram& candidate,
@@ -408,9 +402,6 @@ Status ValidateClosenessConfig(int64_t n, const ClosenessConfig& config) {
   if (!(config.sample_scale > 0.0)) {
     return Status::InvalidArgument("sample_scale must be positive");
   }
-  if (config.r_override < 0) {
-    return Status::InvalidArgument("r_override must be >= 0 (0 = formula)");
-  }
   if (Status s = ValidateLearnOptions(n, ClosenessLearnOptions(config, config.k_p));
       !s.ok()) {
     return s;
@@ -428,10 +419,8 @@ Status ValidateClosenessConfig(int64_t n, const ClosenessConfig& config) {
 }
 
 ClosenessParams ComputeClosenessTestParams(int64_t n, const ClosenessConfig& config) {
-  ClosenessParams params = ComputeClosenessParams(n, config.k_p, config.k_q,
-                                                  config.eps, config.sample_scale);
-  if (config.r_override > 0) params.verify_r = config.r_override;
-  return params;
+  return ComputeClosenessParams(n, config.k_p, config.k_q, config.eps,
+                                config.sample_scale);
 }
 
 std::vector<Interval> CommonRefinement(const TilingHistogram& a,

@@ -72,8 +72,6 @@ struct PropertyTestConfig {
   /// Multiplies the formula sample counts (learn l/m and verify_m; never
   /// the set counts). 1.0 = formula values.
   double sample_scale = 1.0;
-  /// Override the number of verification sets (0 = formula).
-  int64_t r_override = 0;
 };
 
 /// The verification partition derived from a learned candidate: each
@@ -119,7 +117,7 @@ struct PropertyTestOutcome {
 /// The engine facade calls this before touching the oracle.
 Status ValidatePropertyTestConfig(int64_t n, const PropertyTestConfig& config);
 
-/// The config's derived parameters (bounds formulas + the r_override knob).
+/// The config's derived parameters (the bounds formulas).
 /// Single source for the free function and the engine facade.
 PropertyTesterParams ComputePropertyTestParams(int64_t n,
                                                const PropertyTestConfig& config);
@@ -150,8 +148,6 @@ struct ClosenessConfig {
   int64_t k_q = 1;  ///< piece budget promised for the second oracle
   double eps = 0.1;
   double sample_scale = 1.0;
-  /// Override the number of verification pairs (0 = formula).
-  int64_t r_override = 0;
 };
 
 struct ClosenessOutcome {

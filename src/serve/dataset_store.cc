@@ -2,8 +2,8 @@
 
 #include <cstdlib>
 
-#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -39,17 +39,29 @@ Status CollisionError(const std::string& hex) {
       "fingerprint; it cannot be served under this identity");
 }
 
-}  // namespace
+/// An item list's domain and fingerprint, from one pass over the items.
+struct CheckedItems {
+  int64_t n = 0;
+  uint64_t fingerprint = 0;
+};
 
-Result<std::shared_ptr<ServedDataset>> ServedDataset::FromItems(
-    int64_t n, std::vector<int64_t> items, AliasKernel kernel) {
+/// Checks what DatasetSampler would otherwise abort on and resolves the
+/// domain (`n` <= 0 derives it as max(item) + 1), which the fingerprint
+/// depends on. The pass's max is an unsigned word, so one comparison
+/// also finds a negative item.
+Result<CheckedItems> CheckItems(int64_t n, const std::vector<int64_t>& items) {
   if (items.empty()) {
     return Status::InvalidArgument("dataset has no items");
   }
-  int64_t max_item = -1;
-  for (int64_t item : items) {
-    if (item < 0) return Status::InvalidArgument("dataset items must be >= 0");
-    max_item = std::max(max_item, item);
+  const ItemsFingerprinter hashed(items);
+  if (hashed.max_word() >> 63 != 0) {
+    return Status::InvalidArgument("dataset items must be >= 0");
+  }
+  const auto max_item = static_cast<int64_t>(hashed.max_word());
+  if (max_item == std::numeric_limits<int64_t>::max()) {
+    // No int64 domain [0, n) holds it, and deriving n would overflow.
+    return Status::InvalidArgument("dataset item " + std::to_string(max_item) +
+                                   " outside every int64 domain");
   }
   if (n <= 0) n = max_item + 1;
   if (max_item >= n) {
@@ -57,11 +69,27 @@ Result<std::shared_ptr<ServedDataset>> ServedDataset::FromItems(
         "dataset item " + std::to_string(max_item) + " outside domain [0, " +
         std::to_string(n) + ")");
   }
+  return CheckedItems{n, hashed.Finish(n)};
+}
+
+}  // namespace
+
+Result<std::shared_ptr<ServedDataset>> ServedDataset::FromItems(
+    int64_t n, std::vector<int64_t> items, AliasKernel kernel) {
+  Result<CheckedItems> checked = CheckItems(n, items);
+  if (!checked.ok()) return checked.status();
+  return FromCheckedItems(checked->n, checked->fingerprint, std::move(items),
+                          kernel);
+}
+
+std::shared_ptr<ServedDataset> ServedDataset::FromCheckedItems(
+    int64_t n, uint64_t fingerprint, std::vector<int64_t> items,
+    AliasKernel kernel) {
   std::shared_ptr<ServedDataset> ds(new ServedDataset());
   ds->n_ = n;
   ds->item_count_ = static_cast<int64_t>(items.size());
-  ds->fingerprint_ = FingerprintItems(n, items);
-  ds->fingerprint_hex_ = FingerprintHex(ds->fingerprint_);
+  ds->fingerprint_ = fingerprint;
+  ds->fingerprint_hex_ = FingerprintHex(fingerprint);
   ds->items_oracle_ =
       std::make_unique<DatasetSampler>(n, std::move(items), kernel);
   ds->engine_ = std::make_unique<Engine>(*ds->items_oracle_);
@@ -199,40 +227,37 @@ Result<std::shared_ptr<ServedDataset>> DatasetStore::Resolve(
     }
 
     case Kind::kInline: {
-      // The fingerprint depends on the resolved domain, so compute it the
-      // same way FromItems will before probing the store.
-      int64_t max_item = -1;
-      for (int64_t item : ref.items) max_item = std::max(max_item, item);
-      const int64_t resolved_n = n > 0 ? n : max_item + 1;
-      const uint64_t resolved_fp = FingerprintItems(resolved_n, ref.items);
+      // One pass over the items checks and hashes them; a load hands that
+      // fingerprint to the entry it builds.
+      Result<CheckedItems> checked = CheckItems(n, ref.items);
+      if (!checked.ok()) return checked.status();
       {
         std::lock_guard<std::mutex> lock(mu_);
-        std::shared_ptr<ServedDataset> ds = LookupLocked(resolved_fp);
+        std::shared_ptr<ServedDataset> ds = LookupLocked(checked->fingerprint);
         if (ds != nullptr) {
-          // FNV-1a is not collision-resistant: reusing a live entry for
-          // new bytes demands actual content equality, or a crafted
-          // collision silently serves another dataset's answers.
-          if (!ds->MatchesItems(resolved_n, ref.items)) {
+          // The fingerprint is not collision-resistant: reusing a live
+          // entry for new bytes demands actual content equality, or a
+          // crafted collision silently serves another dataset's answers.
+          if (!ds->MatchesItems(checked->n, ref.items)) {
             return CollisionError(ds->fingerprint_hex());
           }
           ++counters_.reuses;
           return ds;
         }
       }
-      Result<std::shared_ptr<ServedDataset>> built =
-          ServedDataset::FromItems(resolved_n, ref.items, kernel_);
-      if (!built.ok()) return built.status();
+      std::shared_ptr<ServedDataset> built = ServedDataset::FromCheckedItems(
+          checked->n, checked->fingerprint, ref.items, kernel_);
       std::lock_guard<std::mutex> lock(mu_);
-      std::shared_ptr<ServedDataset> raced = LookupLocked((*built)->fingerprint());
+      std::shared_ptr<ServedDataset> raced = LookupLocked(checked->fingerprint);
       if (raced != nullptr) {
-        if (!raced->MatchesItems(resolved_n, ref.items)) {
+        if (!raced->MatchesItems(checked->n, ref.items)) {
           return CollisionError(raced->fingerprint_hex());
         }
         ++counters_.reuses;
         return raced;
       }
       ++counters_.loads;
-      InsertLocked(*built);
+      InsertLocked(built);
       return built;
     }
 

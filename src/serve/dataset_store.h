@@ -79,7 +79,7 @@ class ServedDataset {
   /// bridged distribution as truth.
   const Engine& engine() const { return *engine_; }
 
-  /// Content-equality guards for fingerprint reuse: the 64-bit FNV-1a
+  /// Content-equality guards for fingerprint reuse: a 64-bit content
   /// fingerprint is not collision-resistant, so the store re-verifies the
   /// actual content whenever new bytes hash onto a live entry — a crafted
   /// collision becomes a typed error instead of silently serving answers
@@ -96,7 +96,15 @@ class ServedDataset {
   static constexpr int64_t kMaxTruthDomain = int64_t{1} << 22;
 
  private:
+  friend class DatasetStore;
   ServedDataset() = default;
+
+  /// FromItems once the items are checked and the domain resolved:
+  /// `fingerprint` is FingerprintItems(n, items), which the store has
+  /// already computed to probe for a live entry.
+  static std::shared_ptr<ServedDataset> FromCheckedItems(
+      int64_t n, uint64_t fingerprint, std::vector<int64_t> items,
+      AliasKernel kernel);
 
   int64_t n_ = 0;
   uint64_t fingerprint_ = 0;

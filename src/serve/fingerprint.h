@@ -1,12 +1,14 @@
-// Content fingerprints for served datasets: a 64-bit FNV-1a over the
-// canonical item stream (or sketch wire bytes), printed as 16 lowercase
-// hex digits. The fingerprint is the daemon's dataset identity — clients
-// upload items once, then reference `{"fingerprint": "..."}` in follow-up
-// requests, and the synopsis cache keys on it — so it must be a pure
-// function of content: the same items at the same domain hash identically
-// whether they arrived inline, from a file, or in a different request.
+// Content fingerprints for served datasets: 64-bit hashes, printed as 16
+// lowercase hex digits. Item lists hash one 64-bit word per item over
+// four xxHash64-style lanes (tag "items-v2"); sketches hash their
+// canonical wire bytes with FNV-1a. The fingerprint is the daemon's
+// dataset identity — clients upload items once, then reference
+// `{"fingerprint": "..."}` in follow-up requests, and the synopsis cache
+// keys on it — so it must be a pure function of content: the same items
+// at the same domain hash identically whether they arrived inline, from a
+// file, or in a different request.
 //
-// FNV-1a is fast but not collision-resistant; the DatasetStore therefore
+// Neither hash is collision-resistant; the DatasetStore therefore
 // verifies actual content equality whenever freshly uploaded bytes hash
 // onto a live entry (ServedDataset::MatchesItems/MatchesSketchWire), so a
 // constructed collision is a typed error, never a silent alias.
@@ -48,9 +50,28 @@ class Fingerprinter {
   uint64_t digest_ = kOffsetBasis;
 };
 
-/// Fingerprint of an item-backed dataset: a domain tag, n, then every
-/// item in stream order (order matters — it is the draw replay order).
+/// Fingerprint of an item-backed dataset: every item in stream order
+/// (order matters — it is the draw replay order), then a domain tag, n
+/// and the item count.
 uint64_t FingerprintItems(int64_t n, const std::vector<int64_t>& items);
+
+/// FingerprintItems split at its one pass over the items, which also
+/// finds the largest item: a caller that derives the domain from that
+/// maximum reads the items once, not twice.
+class ItemsFingerprinter {
+ public:
+  explicit ItemsFingerprinter(const std::vector<int64_t>& items);
+  /// The largest item as an unsigned word (0 for no items), so a negative
+  /// item reads as >= 2^63.
+  uint64_t max_word() const { return max_word_; }
+  /// FingerprintItems(n, items).
+  uint64_t Finish(int64_t n) const;
+
+ private:
+  uint64_t lane_[4];
+  uint64_t max_word_;
+  uint64_t count_;
+};
 
 /// Fingerprint of a sketch-backed dataset: a sketch tag over the
 /// canonical WriteSnapshot wire bytes.

@@ -1,23 +1,26 @@
 // The serving core, driven in-process: cache hit/miss/eviction, governor
 // backpressure as wire-level 503s, queue overflow, concurrent submits,
-// the stats conservation invariant, filesystem-ref policy, and the
-// fingerprint-collision content guard.
+// the stats conservation invariant, filesystem-ref policy, the
+// fingerprint-collision content guard, and the item fingerprint itself.
 #include "serve/server.h"
 
 #include <sys/stat.h>
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/json.h"
 #include "serve/dataset_store.h"
+#include "serve/fingerprint.h"
 #include "stream/concurrent_histogram.h"
 
 namespace histk {
@@ -597,6 +600,137 @@ TEST(HistkdTest, ShutdownRequestFlagsTheFrontends) {
       "{\"id\": \"bye\", \"kind\": \"shutdown\"}"));
   EXPECT_EQ(GetString(v, "status"), "ok");
   EXPECT_TRUE(server.shutdown_requested());
+}
+
+TEST(HistkdTest, InlineLoadServesTheItemsFingerprintAndReshipsReuse) {
+  ServeOptions options;
+  options.workers = 1;
+  HistkdServer server(options);
+  const JsonValue learn = MustParse(server.HandleLine(LearnLine("l")));
+  ASSERT_EQ(GetString(learn, "status"), "ok");
+  // kItems' largest item is 7, so the derived domain is n = 8.
+  const std::vector<int64_t> items = {0, 0, 1, 1, 2, 3, 3, 3, 7, 7};
+  EXPECT_EQ(GetString(learn, "fingerprint"),
+            serve::FingerprintHex(serve::FingerprintItems(8, items)));
+  EXPECT_EQ(server.dataset_counters().loads, 1);
+  EXPECT_EQ(server.dataset_counters().reuses, 0);
+
+  const JsonValue reship = MustParse(server.HandleLine(EstimateLine("e")));
+  EXPECT_EQ(GetString(reship, "status"), "ok");
+  EXPECT_EQ(GetString(reship, "fingerprint"), GetString(learn, "fingerprint"));
+  EXPECT_EQ(server.dataset_counters().loads, 1);
+  EXPECT_EQ(server.dataset_counters().reuses, 1);
+  EXPECT_EQ(server.dataset_counters().entries, 1);
+}
+
+TEST(HistkdTest, FromItemsRejectsWhatTheSamplerWouldAbortOn) {
+  // The store checks the items through their largest unsigned word, so a
+  // negative item must still read as negative, whatever its size.
+  auto error = [](int64_t n, std::vector<int64_t> items) {
+    Result<std::shared_ptr<serve::ServedDataset>> ds =
+        serve::ServedDataset::FromItems(n, std::move(items),
+                                        AliasKernel::kReplay);
+    return ds.ok() ? std::string("ok") : ds.status().message();
+  };
+  EXPECT_EQ(error(0, {}), "dataset has no items");
+  EXPECT_EQ(error(0, {3, -1, 2}), "dataset items must be >= 0");
+  EXPECT_EQ(error(4, {3, std::numeric_limits<int64_t>::min()}),
+            "dataset items must be >= 0");
+  EXPECT_EQ(error(4, {5, -1}), "dataset items must be >= 0");
+  EXPECT_EQ(error(4, {1, 4}), "dataset item 4 outside domain [0, 4)");
+  EXPECT_EQ(error(0, {1, std::numeric_limits<int64_t>::max()}),
+            "dataset item 9223372036854775807 outside every int64 domain");
+  EXPECT_EQ(error(4, {1, 3}), "ok");
+
+  // Over the wire too: n = max + 1 would overflow on the largest int64
+  // item, and the sampler's domain check would abort the daemon.
+  ServeOptions options;
+  options.workers = 1;
+  HistkdServer server(options);
+  const JsonValue v = MustParse(server.HandleLine(
+      "{\"id\": \"big\", \"kind\": \"learn\", \"k\": 2, \"eps\": 0.3, "
+      "\"dataset\": {\"items\": [1, 9223372036854775807]}}"));
+  EXPECT_EQ(GetString(v, "status"), "invalid-argument");
+  EXPECT_NE(GetString(v, "error").find("outside every int64 domain"),
+            std::string::npos);
+  Result<std::shared_ptr<serve::ServedDataset>> derived =
+      serve::ServedDataset::FromItems(0, {1, 6, 2}, AliasKernel::kReplay);
+  ASSERT_TRUE(derived.ok());
+  EXPECT_EQ((*derived)->n(), 7);
+  EXPECT_EQ((*derived)->fingerprint(), serve::FingerprintItems(7, {1, 6, 2}));
+}
+
+// ------------------------------------------------------- item fingerprint
+
+TEST(FingerprintTest, PinnedValue) {
+  // The served identity of a dataset: changing the hash must be a
+  // deliberate, documented break (clients re-upload), not a side effect.
+  EXPECT_EQ(serve::FingerprintHex(
+                serve::FingerprintItems(256, {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5})),
+            "42597969feec385c");
+}
+
+TEST(FingerprintTest, DomainLengthAndOrderAllCount) {
+  const std::vector<int64_t> base = {10, 11, 12, 13, 14, 15, 16, 17, 18};
+  const uint64_t fp = serve::FingerprintItems(256, base);
+  EXPECT_EQ(serve::FingerprintItems(256, base), fp);
+  EXPECT_NE(serve::FingerprintItems(257, base), fp);
+
+  std::vector<int64_t> appended = base;
+  appended.push_back(0);
+  EXPECT_NE(serve::FingerprintItems(256, appended), fp);
+
+  std::vector<int64_t> adjacent = base;
+  std::swap(adjacent[2], adjacent[3]);  // lanes 2 and 3
+  EXPECT_NE(serve::FingerprintItems(256, adjacent), fp);
+
+  std::vector<int64_t> same_lane = base;
+  std::swap(same_lane[1], same_lane[5]);  // both feed lane 1
+  EXPECT_NE(serve::FingerprintItems(256, same_lane), fp);
+}
+
+TEST(FingerprintTest, EveryTailLengthIsHashed) {
+  // Lengths 0-7 cover every remainder mod 4 with and without a full
+  // four-word round before it. Every length hashes apart from the others,
+  // and changing the last item (a tail item unless the length is a
+  // multiple of 4) changes the hash.
+  const std::vector<int64_t> source = {5, 8, 13, 21, 34, 55, 89, 144};
+  std::unordered_set<uint64_t> seen;
+  for (size_t len = 0; len <= 7; ++len) {
+    const std::vector<int64_t> items(source.begin(),
+                                     source.begin() + static_cast<std::ptrdiff_t>(len));
+    const uint64_t fp = serve::FingerprintItems(256, items);
+    EXPECT_TRUE(seen.insert(fp).second) << "length " << len;
+    const serve::ItemsFingerprinter hashed(items);
+    EXPECT_EQ(hashed.Finish(256), fp);
+    EXPECT_EQ(hashed.max_word(), len == 0 ? 0u : static_cast<uint64_t>(items.back()));
+    if (len == 0) continue;
+    std::vector<int64_t> tweaked = items;
+    tweaked.back() += 1;
+    EXPECT_NE(serve::FingerprintItems(256, tweaked), fp) << "length " << len;
+  }
+}
+
+TEST(FingerprintTest, ShortListsNeverCollide) {
+  // Every list of up to three items over a 16-item domain (4,369 lists,
+  // zeros included, so only the item count tells [] from [0] from [0, 0]).
+  std::unordered_set<uint64_t> seen;
+  std::vector<std::vector<int64_t>> lists = {{}};
+  for (size_t begin = 0, len = 0; len < 3; ++len) {
+    const size_t end = lists.size();
+    for (size_t i = begin; i < end; ++i) {
+      for (int64_t item = 0; item < 16; ++item) {
+        std::vector<int64_t> longer = lists[i];
+        longer.push_back(item);
+        lists.push_back(std::move(longer));
+      }
+    }
+    begin = end;
+  }
+  ASSERT_EQ(lists.size(), 4369u);
+  for (const std::vector<int64_t>& items : lists) {
+    EXPECT_TRUE(seen.insert(serve::FingerprintItems(16, items)).second);
+  }
 }
 
 }  // namespace

@@ -234,13 +234,13 @@ TEST(PropertyTesterPlanTest, DegenerateCandidateFallsBackToUniformMasses) {
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
-TEST(PropertyTesterTest, ReportsSampleAccountingAndOverride) {
+TEST(PropertyTesterTest, ReportsSampleAccountingAtTheFormulaR) {
   const AliasSampler sampler(Distribution::Uniform(128));
-  PropertyTestConfig cfg = PropertyConfig(2, 0.3, 0.2);
-  cfg.r_override = 5;
+  const PropertyTestConfig cfg = PropertyConfig(2, 0.3, 0.2);
   Rng rng(910);
   const PropertyTestOutcome out = TestIsKHistogram(sampler, cfg, rng);
-  EXPECT_EQ(out.params.verify_r, 5);
+  EXPECT_EQ(out.params.verify_r,
+            ComputePropertyTesterParams(128, 2, 0.3, 0.2).verify_r);
   EXPECT_EQ(out.total_samples,
             out.params.learn.TotalSamples() + out.params.verify_r * out.params.verify_m);
   ASSERT_TRUE(out.candidate.has_value());
@@ -262,14 +262,14 @@ TEST(ClosenessTest, CommonRefinementIsTheCoarsestCommonPartition) {
   EXPECT_EQ(parts[2], Interval(50, 99));
 }
 
-TEST(ClosenessTest, ReportsSampleAccountingAndOverride) {
+TEST(ClosenessTest, ReportsSampleAccountingAtTheFormulaR) {
   const AliasSampler p(Distribution::Uniform(64));
   const AliasSampler q(Distribution::Uniform(64));
-  ClosenessConfig cfg = CloseConfig(2, 0.4, 0.2);
-  cfg.r_override = 3;
+  const ClosenessConfig cfg = CloseConfig(2, 0.4, 0.2);
   Rng rng(920);
   const ClosenessOutcome out = TestCloseness(p, q, cfg, rng);
-  EXPECT_EQ(out.params.verify_r, 3);
+  EXPECT_EQ(out.params.verify_r,
+            ComputeClosenessParams(64, 2, 2, 0.4, 0.2).verify_r);
   EXPECT_EQ(out.total_samples, out.params.learn_p.TotalSamples() +
                                    out.params.learn_q.TotalSamples() +
                                    2 * out.params.verify_r * out.params.verify_m);
@@ -295,9 +295,6 @@ TEST(PropertyTesterValidationTest, RejectsBadConfigsWithoutAborting) {
   cfg.sample_scale = -1.0;
   EXPECT_FALSE(ValidatePropertyTestConfig(64, cfg).ok());
   cfg.sample_scale = 1.0;
-  cfg.r_override = -1;
-  EXPECT_FALSE(ValidatePropertyTestConfig(64, cfg).ok());
-  cfg.r_override = 0;
   EXPECT_TRUE(ValidatePropertyTestConfig(64, cfg).ok());
 }
 
