@@ -17,10 +17,23 @@
 // float when every collision set's count stays below 2^24, else double
 // (MedianFillUsesFloatLanes). greedy_differential_test pins the search's
 // answers to the per-candidate reference (tests/greedy_reference.h).
+//
+// learn_n256_k16_scan_first_over_late is a same-run ratio: the first
+// iteration's scan time over the median later iteration's (the median over
+// the cell's learns). The first iteration computes every per-piece column of
+// the scan's first pass; a later one computes only its new pieces' columns,
+// so the ratio reads under 1 if the columns stopped being reused (later
+// iterations have more pieces).
+//
+// HISTK_E2_SMOKE=1 runs the scaling grid at n in {256, 4096} only and skips
+// the strategy table, so CI can run it in about a second; the emitted
+// BENCH_e2.json then matches the checked-in bench/baselines/BENCH_e2.json
+// record-for-record, which tools/perf_diff.py compares against.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -34,12 +47,18 @@
 #include "histogram/tiling.h"
 #include "stats/bounds.h"
 #include "stats/estimators.h"
+#include "util/math_util.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/timer.h"
 
 namespace histk {
 namespace {
+
+bool SmokeMode() {
+  const char* flag = std::getenv("HISTK_E2_SMOKE");
+  return flag != nullptr && std::string(flag) == "1";
+}
 
 constexpr int64_t kK = 4;
 constexpr double kEps = 0.2;
@@ -112,8 +131,9 @@ void RunStrategyTable() {
 
 /// One cold learn split into its phases. The search's poll hook runs once
 /// per table-fill row and then once per scan row, so the (d+1)-th call
-/// marks the end of the fill (plus the first iteration's O(d r) remnant
-/// costs); everything after it is the per-iteration scans.
+/// marks the end of the fill (plus the first iteration's remnant costs);
+/// everything after it is the per-iteration scans, and iteration i's scan
+/// runs from call d (i + 1) + 1 to call d (i + 2) + 1 (or the search's end).
 struct LearnSplit {
   double draw_ms = 0.0;
   double fill_ms = 0.0;
@@ -122,6 +142,9 @@ struct LearnSplit {
   double fill_ns_per_pair = 0.0;
   double scan_ns_per_pair = 0.0;  ///< scan time / (iterations run x pairs)
   bool float_lanes = false;  ///< the fill's median selection ran on floats
+  /// The first iteration's scan time over the median later iteration's
+  /// (0 when fewer than two iterations ran).
+  double scan_first_over_late = 0.0;
 };
 
 LearnSplit TimeColdLearn(int64_t n, int64_t k, uint64_t seed) {
@@ -158,17 +181,28 @@ LearnSplit TimeColdLearn(int64_t n, int64_t k, uint64_t seed) {
         (static_cast<double>(iterations) * static_cast<double>(result.candidates_per_iter));
   }
   split.float_lanes = MedianFillUsesFloatLanes(est.group());
+  if (iterations >= 2) {
+    std::vector<double> late_ms;
+    for (size_t i = 1; i < iterations; ++i) {
+      const size_t end = d * (i + 2);
+      late_ms.push_back((end < polls_ms.size() ? polls_ms[end] : search_ms) -
+                        polls_ms[d * (i + 1)]);
+    }
+    split.scan_first_over_late = (polls_ms[2 * d] - polls_ms[d]) / Median(late_ms);
+  }
   return split;
 }
 
-void RunScalingGrid() {
+void RunScalingGrid(bool smoke) {
   std::printf(
       "\nlearn-scaling grid: eps=0.3, scale=0.25, kCounts sampler, sample "
       "endpoints, 3 seeds per cell (mean shown)\n");
   Table table({"n", "k", "draw(ms)", "fill(ms)", "fill(ns/pair)", "lanes", "scan(ms)",
                "scan(ns/pair)", "table(MiB)"});
   constexpr int64_t kTrials = 3;
-  for (int64_t n : {256, 4096, 65536}) {
+  const std::vector<int64_t> ns =
+      smoke ? std::vector<int64_t>{256, 4096} : std::vector<int64_t>{256, 4096, 65536};
+  for (int64_t n : ns) {
     for (int64_t k : {4, 16}) {
       std::vector<LearnSplit> runs;
       for (int64_t t = 0; t < kTrials; ++t) {
@@ -189,6 +223,15 @@ void RunScalingGrid() {
           record("fill_ns_per_pair", &LearnSplit::fill_ns_per_pair);
       const ScalarStats scan_per_pair =
           record("scan_ns_per_pair", &LearnSplit::scan_ns_per_pair);
+      if (n == 256 && k == 16) {
+        std::vector<double> ratios;
+        for (const LearnSplit& run : runs) ratios.push_back(run.scan_first_over_late);
+        NextBenchLabel(tag + "_scan_first_over_late");
+        const ScalarStats first_over_late =
+            MeasureScalar(1, [&](int64_t) { return Median(ratios); });
+        std::printf("%s scan, first iteration over the median later one: %.2f\n",
+                    tag.c_str(), first_over_late.mean);
+      }
       const auto floats = std::count_if(
           runs.begin(), runs.end(), [](const LearnSplit& s) { return s.float_lanes; });
       const std::string lanes = floats == kTrials ? "float"
@@ -210,8 +253,14 @@ void RunExperiment() {
       "strategy table: k=4, eps=0.2, shared samples (budget fixed across n), "
       "slow strategy skipped for n > 2048; scaling grid: n x k, eps=0.3, "
       "scale=0.25, kCounts");
-  RunStrategyTable();
-  RunScalingGrid();
+  const bool smoke = SmokeMode();
+  if (smoke) {
+    std::printf(
+        "SMOKE mode: scaling grid at n in {256, 4096}, strategy table skipped\n");
+  } else {
+    RunStrategyTable();
+  }
+  RunScalingGrid(smoke);
 }
 
 // google-benchmark timing of the per-strategy kernel at one mid-size n,

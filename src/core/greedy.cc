@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "util/common.h"
@@ -178,11 +179,68 @@ std::vector<std::pair<size_t, size_t>> MedianNetwork(size_t r) {
   return {kept.rbegin(), kept.rend()};
 }
 
-/// The scan filter's scratch (see Search), O(d + r) doubles allocated once
-/// per Search and not counted in CandidateTable::bytes(): double copies of
-/// the endpoints and of the main-count prefix through each, reciprocals of
-/// the divisors, and per iteration the piece-cost prefix sums, the endpoint
-/// terms lhs/rhs, one row of filter values and every row's minimum.
+/// One key per lane for the pairs of one fill row whose medians are
+/// selected together: 8 doubles or 16 floats, the same registers either
+/// way. The network copies whole Lanes in and out of locals, so the compiler
+/// can vectorize a comparator across the lanes.
+template <typename Key>
+struct Lanes {
+  static constexpr size_t kCount = 64 / sizeof(Key);
+  Key v[kCount];
+};
+
+/// A signed integer as wide as Key. The index search in SelectMedianSets
+/// keeps its compare masks and the set indices it selects in these lanes,
+/// so each set costs one vector compare and one select.
+template <typename Key>
+using MaskLane = std::conditional_t<sizeof(Key) == sizeof(int32_t), int32_t, int64_t>;
+
+/// The median selection for one Lanes' worth of pairs: `keys` holds one
+/// Lanes per set (r of them), the network runs on copies in `wires`, and
+/// found[l] becomes the lowest set index whose key equals lane l's median.
+/// It is a free function over raw pointers, and its index search works on
+/// mask-width lanes, so that on float lanes it compiles to vector compares
+/// and selects whatever is inlined around it: as a member loop selecting
+/// `Index` lanes, GCC compiled the search to scalar code, and unrelated
+/// edits to Search decided whether the rest vectorized. (On double lanes
+/// baseline x86-64 keeps the search scalar.)
+template <typename Key>
+void SelectMedianSets(const Lanes<Key>* keys, size_t r,
+                      const std::pair<size_t, size_t>* network, size_t comparators,
+                      Lanes<Key>* wires, MaskLane<Key>* found) {
+  constexpr size_t kLanes = Lanes<Key>::kCount;
+  using Mask = MaskLane<Key>;
+  for (size_t j = 0; j < r; ++j) wires[j] = keys[j];
+  for (size_t c = 0; c < comparators; ++c) {
+    const auto [lo_wire, hi_wire] = network[c];
+    const Lanes<Key> x = wires[lo_wire];
+    const Lanes<Key> y = wires[hi_wire];
+    Lanes<Key> low;
+    Lanes<Key> high;
+    for (size_t l = 0; l < kLanes; ++l) {
+      low.v[l] = std::min(x.v[l], y.v[l]);
+      high.v[l] = std::max(x.v[l], y.v[l]);
+    }
+    wires[lo_wire] = low;
+    wires[hi_wire] = high;
+  }
+  const Lanes<Key> median = wires[(r - 1) / 2];
+  Mask lowest[kLanes] = {};
+  for (size_t j = r; j-- > 0;) {
+    const auto index = static_cast<Mask>(j);
+    for (size_t l = 0; l < kLanes; ++l) {
+      const Mask hit = -static_cast<Mask>(keys[j].v[l] == median.v[l]);
+      lowest[l] = (lowest[l] & ~hit) | (index & hit);
+    }
+  }
+  for (size_t l = 0; l < kLanes; ++l) found[l] = lowest[l];
+}
+
+/// The scan's per-learn scratch (see Search), O(d + r) doubles not counted
+/// in CandidateTable::bytes(): double copies of the endpoints and of the
+/// main-count prefix through each, reciprocals of the divisors, and per
+/// iteration the piece-cost prefix sums, the endpoint terms lhs/rhs, one
+/// row of filter terms and every row's minimum.
 struct ScanScratch {
   ScanScratch(size_t d, size_t r)
       : endpoint(d), main_hi(d), inv_denom(r), lhs(d), rhs(d), row(d), row_min(d) {}
@@ -205,8 +263,10 @@ struct ScanScratch {
 /// the set whose ratio coll(S^j_J)/C(|S^j|, 2) is the (lower) median, and
 /// z_J and y_J are recomputed from struct-of-arrays prefix rows with the
 /// exact operations GreedyEstimator::PieceCost performs, so every cost is
-/// bit-identical to it. `Index` is uint8_t when r <= 256, else uint32_t.
-template <typename Index>
+/// bit-identical to it. `Index` is uint8_t when r <= 256, else uint32_t;
+/// `Word`, the collision rows' word, is uint32_t when every set's C(m, 2)
+/// fits one (SampleSet::FitsNarrowRow) and r <= 256, else uint64_t.
+template <typename Index, typename Word>
 class CandidateTable {
  public:
   CandidateTable(const GreedyEstimator& est, std::vector<int64_t> endpoints,
@@ -236,8 +296,8 @@ class CandidateTable {
       main_hi_[e] = main.Count(through);
       for (size_t j = 0; j < r_; ++j) {
         const SampleSet& set = est.group().set(static_cast<int64_t>(j));
-        coll_lo_[j * d_ + e] = set.Collisions(before);
-        coll_hi_[j * d_ + e] = set.Collisions(through);
+        coll_lo_[j * d_ + e] = static_cast<Word>(set.Collisions(before));
+        coll_hi_[j * d_ + e] = static_cast<Word>(set.Collisions(through));
       }
     }
 
@@ -247,17 +307,17 @@ class CandidateTable {
     // float, and min, max and == on exact integers agree in float and
     // double, so float lanes select the same median set as double lanes.
     if (MedianFillUsesFloatLanes(est.group())) {
-      FillMedians<float>(poll, [](uint64_t count, size_t) {
+      FillMedians<float>(poll, [](Word count, size_t) {
         // Through int32, exact here: int32 -> float converts lane-wise,
-        // uint64 -> float does not.
+        // unsigned -> float does not.
         return static_cast<float>(static_cast<int32_t>(count));
       });
     } else if (std::all_of(denom_.begin(), denom_.end(),
                            [&](double x) { return x == denom_[0]; })) {
       FillMedians<double>(
-          poll, [](uint64_t count, size_t) { return static_cast<double>(count); });
+          poll, [](Word count, size_t) { return static_cast<double>(count); });
     } else {
-      FillMedians<double>(poll, [this](uint64_t count, size_t j) {
+      FillMedians<double>(poll, [this](Word count, size_t j) {
         return static_cast<double>(count) / denom_[j];
       });
     }
@@ -270,9 +330,12 @@ class CandidateTable {
     return static_cast<int64_t>(
         median_.size() * sizeof(Index) + endpoints_.size() * sizeof(int64_t) +
         (main_lo_.size() + main_hi_.size()) * sizeof(int64_t) +
-        (coll_lo_.size() + coll_hi_.size()) * sizeof(uint64_t) +
+        (coll_lo_.size() + coll_hi_.size()) * sizeof(Word) +
         denom_.size() * sizeof(double));
   }
+
+  /// Index of pair (a, b), a <= b, in enumeration order.
+  size_t Pair(size_t a, size_t b) const { return a * d_ - a * (a - 1) / 2 + (b - a); }
 
   /// GreedyEstimator::PieceCost of [endpoint(a), endpoint(b)], the
   /// `pair`-th candidate in enumeration order.
@@ -283,10 +346,11 @@ class CandidateTable {
     const double y = static_cast<double>(main_hi_[b] - main_lo_[a]) / main_m_;
     return z - y * y / static_cast<double>(endpoints_[b] - endpoints_[a] + 1);
   }
+  double PieceCost(size_t a, size_t b) const { return PieceCost(a, b, Pair(a, b)); }
 
-  /// The scan filter's scratch for this table, with its endpoints and
-  /// main-count hi prefixes copied to doubles (exact: both stay below 2^53)
-  /// and the reciprocals of the divisors.
+  /// The scan's scratch for this table, with its endpoints and main-count
+  /// hi prefixes copied to doubles (exact: both stay below 2^53) and the
+  /// reciprocals of the divisors.
   ScanScratch MakeScanScratch() const {
     ScanScratch s(d_, r_);
     for (size_t e = 0; e < d_; ++e) {
@@ -298,101 +362,72 @@ class CandidateTable {
     return s;
   }
 
-  /// Fills s.row[b] for b = a..d-1 with the filter value
-  /// f(a, b) = PieceCost(a, b) + s.lhs[a] + s.rhs[b], PieceCost taken with
-  /// s's reciprocals in place of its divisions by C(|S^j|, 2) and m, and
-  /// returns the row's minimum. `pair` is pair (a, a)'s index. The median
-  /// sets' z numerators are gathered first; the rest is one branch-free
-  /// loop over contiguous doubles that the compiler vectorizes.
-  double FilterRow(size_t a, size_t pair, ScanScratch& s) const {
-    double* f = s.row.data();
-    const Index* median = &median_[pair - a];  // indexed by b
-    for (size_t b = a; b < d_; ++b) {
+  /// Writes out[b] = PieceCost(a, b) + add[b] for b in [begin, end),
+  /// begin >= a, PieceCost taken with s's reciprocals in place of its
+  /// divisions by C(|S^j|, 2) and m, and returns their minimum (+inf for an
+  /// empty range). The median sets' z numerators are gathered first; the
+  /// rest is one branch-free loop over contiguous doubles that the compiler
+  /// vectorizes.
+  double Terms(size_t a, size_t begin, size_t end, const double* add,
+               const ScanScratch& s, double* out) const {
+    const Index* median = &median_[Pair(a, a) - a];  // indexed by b
+    for (size_t b = begin; b < end; ++b) {
       const size_t j = median[b];
-      f[b] = static_cast<double>(coll_hi_[j * d_ + b] - coll_lo_[j * d_ + a]) *
-             s.inv_denom[j];
+      out[b] = static_cast<double>(coll_hi_[j * d_ + b] - coll_lo_[j * d_ + a]) *
+               s.inv_denom[j];
     }
     const auto before = static_cast<double>(endpoints_[a] - 1);
     const auto main_lo = static_cast<double>(main_lo_[a]);
-    const double lhs = s.lhs[a];
     const double inv_m = s.inv_m;
     const double* endpoint = s.endpoint.data();
     const double* main_hi = s.main_hi.data();
-    const double* rhs = s.rhs.data();
-    for (size_t b = a; b < d_; ++b) {
+    for (size_t b = begin; b < end; ++b) {
       const double y = (main_hi[b] - main_lo) * inv_m;
-      f[b] = f[b] - y * y / (endpoint[b] - before) + lhs + rhs[b];
+      out[b] = out[b] - y * y / (endpoint[b] - before) + add[b];
     }
     // Four independent running minima, not one serial chain.
     constexpr size_t kLanes = 4;
     double lanes[kLanes] = {kInf, kInf, kInf, kInf};
-    size_t b = a;
-    for (; b + kLanes <= d_; b += kLanes) {
-      for (size_t l = 0; l < kLanes; ++l) lanes[l] = std::min(lanes[l], f[b + l]);
+    size_t b = begin;
+    for (; b + kLanes <= end; b += kLanes) {
+      for (size_t l = 0; l < kLanes; ++l) lanes[l] = std::min(lanes[l], out[b + l]);
     }
-    double row_min = kInf;
-    for (; b < d_; ++b) row_min = std::min(row_min, f[b]);
-    for (double lane : lanes) row_min = std::min(row_min, lane);
-    return row_min;
+    double min = kInf;
+    for (; b < end; ++b) min = std::min(min, out[b]);
+    for (double lane : lanes) min = std::min(min, lane);
+    return min;
   }
 
  private:
-  /// One key per lane for the pairs of one row whose medians are selected
-  /// together: 8 doubles or 16 floats, the same registers either way. The
-  /// network copies whole Lanes in and out of locals, so the compiler can
-  /// vectorize a comparator across the lanes.
-  template <typename Key>
-  struct Lanes {
-    static constexpr size_t kCount = 64 / sizeof(Key);
-    Key v[kCount];
-  };
-
   /// Fills median_ in enumeration order. `key(count, j)` must order the
   /// sets like their ratios count / C(|S^j|, 2), so the set at the median
-  /// key holds the median ratio. The median keys of a Lanes' worth of pairs
-  /// of a row come out of one pass of a branch-free selection network, and
-  /// each pair's median set is then the lowest-index one whose key equals
-  /// it.
+  /// key holds the median ratio.
   template <typename Key, typename KeyFn>
   void FillMedians(const GreedyPoll& poll, KeyFn key) {
     constexpr size_t kLanes = Lanes<Key>::kCount;
     const std::vector<std::pair<size_t, size_t>> network = MedianNetwork(r_);
-    const size_t mid = (r_ - 1) / 2;
     std::vector<Lanes<Key>> keys(r_);  // per set
     std::vector<Lanes<Key>> wires(r_);
+    MaskLane<Key> found[kLanes];
     size_t pair = 0;
     for (size_t a = 0; a < d_; ++a) {
       if (poll) poll();
       for (size_t b = a; b < d_; b += kLanes) {
         const size_t lanes = std::min(kLanes, d_ - b);
         for (size_t j = 0; j < r_; ++j) {
-          const uint64_t lo = coll_lo_[j * d_ + a];
-          const uint64_t* hi = &coll_hi_[j * d_ + b];
+          const Word lo = coll_lo_[j * d_ + a];
+          const Word* hi = &coll_hi_[j * d_ + b];
           Key* row = keys[j].v;
-          for (size_t l = 0; l < lanes; ++l) row[l] = key(hi[l] - lo, j);
+          for (size_t l = 0; l < lanes; ++l) {
+            row[l] = key(static_cast<Word>(hi[l] - lo), j);
+          }
           for (size_t l = lanes; l < kLanes; ++l) row[l] = Key{0};
         }
-        wires = keys;
-        for (const auto& [lo_wire, hi_wire] : network) {
-          const Lanes<Key> x = wires[lo_wire];
-          const Lanes<Key> y = wires[hi_wire];
-          Lanes<Key> low;
-          Lanes<Key> high;
-          for (size_t l = 0; l < kLanes; ++l) {
-            low.v[l] = std::min(x.v[l], y.v[l]);
-            high.v[l] = std::max(x.v[l], y.v[l]);
-          }
-          wires[lo_wire] = low;
-          wires[hi_wire] = high;
+        SelectMedianSets(keys.data(), r_, network.data(), network.size(), wires.data(),
+                         found);
+        for (size_t l = 0; l < lanes; ++l) {
+          median_[pair++] = static_cast<Index>(found[l]);
         }
-        const Lanes<Key> median = wires[mid];
-        Index found[kLanes] = {};
-        for (size_t j = r_; j-- > 0;) {
-          for (size_t l = 0; l < kLanes; ++l) {
-            found[l] = keys[j].v[l] == median.v[l] ? static_cast<Index>(j) : found[l];
-          }
-        }
-        for (size_t l = 0; l < lanes; ++l) median_[pair++] = found[l];
       }
     }
   }
@@ -403,11 +438,19 @@ class CandidateTable {
   double main_m_;
   std::vector<int64_t> main_lo_;
   std::vector<int64_t> main_hi_;
-  std::vector<uint64_t> coll_lo_;  ///< r x d, set-major
-  std::vector<uint64_t> coll_hi_;  ///< r x d, set-major
-  std::vector<double> denom_;      ///< C(|S^j|, 2) per set
-  std::vector<Index> median_;      ///< median set per pair, enumeration order
+  std::vector<Word> coll_lo_;   ///< r x d, set-major
+  std::vector<Word> coll_hi_;   ///< r x d, set-major
+  std::vector<double> denom_;   ///< C(|S^j|, 2) per set
+  std::vector<Index> median_;   ///< median set per pair, enumeration order
 };
+
+/// Whether every set's collision prefixes fit 32-bit words.
+bool NarrowCollisionRows(const SampleSetGroup& group) {
+  for (int64_t j = 0; j < group.r(); ++j) {
+    if (!SampleSet::FitsNarrowRow(group.set(j).m())) return false;
+  }
+  return true;
+}
 
 /// Each endpoint's view of the current tiling: the piece containing it and
 /// the cost of the remnant it would clip off that piece as a candidate's
@@ -428,72 +471,184 @@ struct EndpointRemnants {
   std::vector<char> has_right;
 };
 
+constexpr size_t kNoSlot = std::numeric_limits<size_t>::max();
+
+/// One piece of the current tiling as the scan sees it: its endpoints,
+/// [first, end) in the endpoint list (empty when none falls in it), and
+/// the ColumnCache slot holding its column, if it has one.
+struct PieceScan {
+  size_t first = 0;
+  size_t end = 0;
+  size_t slot = kNoSlot;
+  bool fresh = true;  ///< the column is computed in this iteration's scan
+};
+
+/// The columns of Search's first pass, g(., P) for each piece P, kept
+/// across iterations. A column depends only on its piece's bounds, so it
+/// stays valid while the piece survives. `slots` columns of d doubles are
+/// allocated once per learn; a piece that finds no free slot is recomputed
+/// in every iteration instead.
+class ColumnCache {
+ public:
+  ColumnCache(size_t d, size_t slots) : d_(d), values_(d * slots) {
+    for (size_t s = slots; s-- > 0;) free_.push_back(s);
+  }
+
+  double* column(size_t slot) { return &values_[slot * d_]; }
+
+  /// Gives each of this iteration's pieces, whose endpoint ranges `scan`
+  /// already holds, its slot: the previous iteration's when a piece with
+  /// the same bounds had one (not fresh), else a free one (fresh). The
+  /// slots of pieces that are gone are freed first.
+  void Assign(const std::vector<Interval>& pieces, std::vector<PieceScan>& scan) {
+    // Both piece lists tile the domain in order, so one merge finds the
+    // pieces that survived.
+    size_t old = 0;
+    for (size_t p = 0; p < pieces.size(); ++p) {
+      for (; old < owners_.size() && owners_[old].lo <= pieces[p].lo; ++old) {
+        if (owners_[old] == pieces[p] && slots_[old] != kNoSlot) {
+          scan[p].slot = slots_[old];
+          scan[p].fresh = false;
+        } else {
+          Release(slots_[old]);
+        }
+      }
+    }
+    for (; old < owners_.size(); ++old) Release(slots_[old]);
+    slots_.clear();
+    for (PieceScan& piece : scan) {
+      if (piece.fresh && piece.first < piece.end && !free_.empty()) {
+        piece.slot = free_.back();
+        free_.pop_back();
+      }
+      slots_.push_back(piece.slot);
+    }
+    owners_ = pieces;
+  }
+
+ private:
+  void Release(size_t slot) {
+    if (slot != kNoSlot) free_.push_back(slot);
+  }
+
+  size_t d_;
+  std::vector<double> values_;  ///< slot-major, d doubles per column
+  std::vector<size_t> free_;
+  std::vector<Interval> owners_;  ///< the previous iteration's pieces
+  std::vector<size_t> slots_;     ///< and their slots
+};
+
+/// The column cache's cap: at most this many bytes of columns per learn.
+/// Learns with few pieces (every learn at k ln(1/eps) iterations on
+/// cold_miss's shapes) stay far below it.
+constexpr size_t kColumnCacheBytes = size_t{8} << 20;
+
 /// Algorithm 1's loop over a fixed endpoint list: per iteration, the
 /// remnant costs that changed, then a two-pass scan of the candidate table
 /// for the J minimizing c_J, byte-identical to the per-candidate cost
 /// evaluation it replaces.
 ///
-/// Filter. With prefix[i] the sum of the first i piece costs, L(a) / R(b)
-/// the remnant costs (0 when empty), lhs[a] = L(a) + prefix[piece(a)] and
-/// rhs[b] = R(b) - prefix[piece(b) + 1], f(a, b) = PC(a, b) + lhs[a] +
-/// rhs[b] is c_J - total up to rounding, in O(1) per pair. The first pass
-/// keeps each row's minimum f (polling once per row, as the fill does). The
-/// second re-evaluates c_J exactly, with the reference's operations,
-/// enumeration order and `<` tie-break, but only in the rows whose minimum
-/// lies within `margin` of the global minimum f_min, and there only for
-/// the pairs whose f does.
+/// Remnants. L(a) / R(b) are the costs of the remnants J = [a, b] clips off
+/// a's / b's piece (0 when empty). A remnant whose two ends are endpoints
+/// is read from the table, which gives GreedyEstimator::PieceCost's bits;
+/// the others go through the estimator.
+///
+/// Filter. With prefix[i] the sum of the first i piece costs,
+/// lhs[a] = L(a) + prefix[piece(a)] and rhs[b] = R(b) - prefix[piece(b) + 1],
+/// f(a, b) = PC(a, b) + lhs[a] + rhs[b] is c_J - total up to rounding, in
+/// O(1) per pair. R(b) depends only on b and its piece, so the first pass
+/// groups a row's pairs by b's piece P: g(a, P), the minimum over P's
+/// endpoints b >= a of PC(a, b) + R(b), stays fixed while P's bounds do,
+/// and row a's minimum is lhs[a] + min over P of (g(a, P) - prefix[P + 1]).
+/// The pass keeps one column g(., P) per piece (ColumnCache), computes a
+/// column, row by row, only in the iteration where its piece appears, and
+/// polls once per row, as the fill does. An iteration then costs O(d q)
+/// plus the pairs whose b lies in a new piece. The second pass
+/// re-evaluates c_J exactly, with the reference's operations, enumeration
+/// order and `<` tie-break, but only in the rows whose minimum lies within
+/// `margin` of the global minimum f_min, and there only for the pairs
+/// whose f, taken as (PC(a, b) + rhs[b]) + lhs[a], does.
 ///
 /// Margin. Let u = DBL_EPSILON / 2, q the number of pieces and
 /// T = |total| + sum |costs|. Every PieceCost is in [-1, 1] (z <= 1,
-/// y <= 1, |J| >= 1), and so is every piece cost, L and R. Against the
-/// exact sum X_J of PC and the same stored costs, the reference's c_J is a
-/// recursive sum of at most q + 4 terms, its PC off by at most 7u, so
-/// |c_J - total - X_J| <= (q + 10) u (T + 3) to first order. The filter's
-/// prefix sums are each off by at most (q - 1) u sum |costs|, its PC
-/// (reciprocals: two more roundings) by 9u, and lhs, rhs and f add four
-/// roundings, so |f(J) - X_J| <= (2q + 20) u (T + 3). Together
-/// |c_J - total - f(J)| <= E = 4 (q + 8) u (T + 3) for every J. The
-/// reference's J* has c_{J*} <= c_J for all J, so
-/// f(J*) <= c_{J*} - total + E <= c_J - total + E <= f(J) + 2E: J* and
-/// every pair tied with it have f within 2E = 4 (q + 8) DBL_EPSILON (T + 3)
-/// of f_min. `margin` is 16 times that, which also absorbs the higher-order
-/// terms and the rounding of f_min + margin. Among the re-evaluated pairs,
-/// enumeration order and `<` then pick the first pair of minimal c_J,
-/// which is the reference's J. An input where every pair ties costs one
-/// extra pass over the table, not extra memory.
-template <typename Index>
+/// y <= 1, |J| >= 1), and so is every piece cost, L and R, so every partial
+/// sum below is at most T + 3 in magnitude. Against the exact sum X_J of PC
+/// and the same stored costs, the reference's c_J is a recursive sum of at
+/// most q + 4 terms, its PC off by at most 7u, so
+/// |c_J - total - X_J| <= (q + 10) u (T + 3) to first order. Both passes
+/// take PC with reciprocals (two more roundings: 9u) and two prefix sums,
+/// each off by at most (q - 1) u sum |costs|, and add four roundings: the
+/// first pass's (PC + R) - prefix[P + 1] added to lhs[a], the second's
+/// PC + (R - prefix[piece(b) + 1]) added to lhs[a]. Rounding is monotone,
+/// so a row's first-pass minimum is the minimum of its pairs' values
+/// f1(J), and both f1(J) and the second pass's f2(J) are within
+/// (2q + 20) u (T + 3) of X_J. Together |c_J - total - f(J)| <=
+/// E = 4 (q + 8) u (T + 3) for f = f1, f2 and every J. The reference's J*
+/// has c_{J*} <= c_J for all J, so
+/// f(J*) <= c_{J*} - total + E <= c_J - total + E <= f1(J) + 2E: J* and
+/// every pair tied with it have f1 and f2 within
+/// 2E = 4 (q + 8) DBL_EPSILON (T + 3) of f_min = min f1. `margin` is 16
+/// times that, which also absorbs the higher-order terms and the rounding
+/// of f_min + margin. Among the re-evaluated pairs, enumeration order and
+/// `<` then pick the first pair of minimal c_J, which is the reference's
+/// J. An input where every pair ties costs one extra pass over the table,
+/// not extra memory.
+template <typename Index, typename Word>
 LearnResult Search(const GreedyEstimator& estimator, std::vector<int64_t> endpoints,
                    const GreedyParams& params, const GreedyPoll& poll) {
   const int64_t iterations = params.iterations;
-  const CandidateTable<Index> table(estimator, std::move(endpoints), poll);
+  const CandidateTable<Index, Word> table(estimator, std::move(endpoints), poll);
   const size_t d = table.size();
   GreedyState state(estimator, estimator.n());
   PriorityHistogram priority(estimator.n());
   EndpointRemnants rem(d);
   ScanScratch scratch = table.MakeScanScratch();
   // Each iteration adds at most two pieces, and pieces never outnumber n.
-  scratch.prefix.reserve(static_cast<size_t>(
-      std::min(estimator.n(), 2 * std::min(iterations, estimator.n()) + 1) + 1));
+  const auto max_pieces = static_cast<size_t>(
+      std::min(estimator.n(), 2 * std::min(iterations, estimator.n()) + 1));
+  scratch.prefix.reserve(max_pieces + 1);
+  std::vector<PieceScan> scan;
+  scan.reserve(max_pieces);
+  // Only pieces holding an endpoint need a column, so at most d.
+  const size_t cap = kColumnCacheBytes / (sizeof(double) * std::max(d, size_t{1}));
+  ColumnCache columns(d, std::min({d, max_pieces, cap}));
 
   for (int64_t iter = 0; iter < iterations; ++iter) {
     const std::vector<Interval>& pieces = state.pieces();
     const std::vector<double>& costs = state.costs();
-    size_t p = 0;
-    for (size_t e = 0; e < d; ++e) {
-      const int64_t x = table.endpoint(e);
-      while (pieces[p].hi < x) ++p;
+    const size_t q = pieces.size();
+    scan.assign(q, PieceScan{});
+    for (size_t e = 0, p = 0; e < d; ++e) {
+      while (pieces[p].hi < table.endpoint(e)) ++p;
       rem.piece[e] = p;
-      if (rem.left_from[e] != pieces[p].lo) {
-        const Interval left(pieces[p].lo, x - 1);
-        rem.left_from[e] = pieces[p].lo;
-        rem.has_left[e] = !left.empty();
-        rem.left_cost[e] = rem.has_left[e] ? estimator.PieceCost(left) : 0.0;
-      }
-      if (rem.right_to[e] != pieces[p].hi) {
-        const Interval right(x + 1, pieces[p].hi);
-        rem.right_to[e] = pieces[p].hi;
-        rem.has_right[e] = !right.empty();
-        rem.right_cost[e] = rem.has_right[e] ? estimator.PieceCost(right) : 0.0;
+      if (scan[p].first == scan[p].end) scan[p].first = e;
+      scan[p].end = e + 1;
+    }
+
+    for (size_t p = 0; p < q; ++p) {
+      const PieceScan& span = scan[p];
+      if (span.first == span.end) continue;
+      const Interval piece = pieces[p];
+      const bool lo_in_table = table.endpoint(span.first) == piece.lo;
+      const bool hi_in_table = table.endpoint(span.end - 1) == piece.hi;
+      for (size_t e = span.first; e < span.end; ++e) {
+        const int64_t x = table.endpoint(e);
+        if (rem.left_from[e] != piece.lo) {
+          rem.left_from[e] = piece.lo;
+          rem.has_left[e] = x > piece.lo;
+          rem.left_cost[e] = !rem.has_left[e] ? 0.0
+                             : lo_in_table && table.endpoint(e - 1) == x - 1
+                                 ? table.PieceCost(span.first, e - 1)
+                                 : estimator.PieceCost(Interval(piece.lo, x - 1));
+        }
+        if (rem.right_to[e] != piece.hi) {
+          rem.right_to[e] = piece.hi;
+          rem.has_right[e] = x < piece.hi;
+          rem.right_cost[e] = !rem.has_right[e] ? 0.0
+                              : hi_in_table && table.endpoint(e + 1) == x + 1
+                                  ? table.PieceCost(e + 1, span.end - 1)
+                                  : estimator.PieceCost(Interval(x + 1, piece.hi));
+        }
       }
     }
 
@@ -508,11 +663,26 @@ LearnResult Search(const GreedyEstimator& estimator, std::vector<int64_t> endpoi
       scratch.lhs[e] = rem.left_cost[e] + scratch.prefix[rem.piece[e]];
       scratch.rhs[e] = rem.right_cost[e] - scratch.prefix[rem.piece[e] + 1];
     }
+    columns.Assign(pieces, scan);
 
     double f_min = kInf;
-    for (size_t a = 0, pair = 0; a < d; pair += d - a, ++a) {
+    for (size_t a = 0; a < d; ++a) {
       if (poll) poll();
-      scratch.row_min[a] = table.FilterRow(a, pair, scratch);
+      double best = kInf;
+      for (size_t p = rem.piece[a]; p < q; ++p) {
+        const PieceScan& span = scan[p];
+        if (span.first == span.end) continue;
+        double g;
+        if (span.fresh) {
+          g = table.Terms(a, std::max(a, span.first), span.end, rem.right_cost.data(),
+                          scratch, scratch.row.data());
+          if (span.slot != kNoSlot) columns.column(span.slot)[a] = g;
+        } else {
+          g = columns.column(span.slot)[a];
+        }
+        best = std::min(best, g - scratch.prefix[p + 1]);
+      }
+      scratch.row_min[a] = scratch.lhs[a] + best;
       f_min = std::min(f_min, scratch.row_min[a]);
     }
     const double margin = 64.0 * static_cast<double>(costs.size() + 8) *
@@ -525,10 +695,11 @@ LearnResult Search(const GreedyEstimator& estimator, std::vector<int64_t> endpoi
     size_t best_b = d;
     for (size_t a = 0, pair = 0; a < d; pair += d - a, ++a) {
       if (scratch.row_min[a] > threshold) continue;
-      table.FilterRow(a, pair, scratch);
+      table.Terms(a, a, d, scratch.rhs.data(), scratch, scratch.row.data());
+      const double lhs = scratch.lhs[a];
       const size_t first = rem.piece[a];
       for (size_t b = a; b < d; ++b) {
-        if (scratch.row[b] > threshold) continue;
+        if (scratch.row[b] + lhs > threshold) continue;
         double delta = table.PieceCost(a, b, pair + (b - a));
         for (size_t idx = first; idx <= rem.piece[b]; ++idx) delta -= costs[idx];
         if (rem.has_left[a]) delta += rem.left_cost[a];
@@ -551,6 +722,21 @@ LearnResult Search(const GreedyEstimator& estimator, std::vector<int64_t> endpoi
                      state.total_cost()};
   result.candidate_table_bytes = table.bytes();
   return result;
+}
+
+/// Search with the table's index and row words chosen for the group. Only
+/// byte indices take 32-bit rows: r > 256 comes only from hand-set
+/// parameters (the formula's r is ln(6 n^2) < 90), so it does not get a
+/// fourth copy of Search, whose code adds to every daemon's resident size.
+template <typename Index>
+LearnResult SearchFor(const GreedyEstimator& estimator, std::vector<int64_t> endpoints,
+                      const GreedyParams& params, const GreedyPoll& poll) {
+  if constexpr (sizeof(Index) == 1) {
+    if (NarrowCollisionRows(estimator.group())) {
+      return Search<Index, uint32_t>(estimator, std::move(endpoints), params, poll);
+    }
+  }
+  return Search<Index, uint64_t>(estimator, std::move(endpoints), params, poll);
 }
 
 }  // namespace
@@ -595,8 +781,8 @@ LearnResult LearnHistogramWithEstimator(const GreedyEstimator& estimator,
 
   LearnResult result =
       estimator.group().r() <= 256
-          ? Search<uint8_t>(estimator, std::move(endpoints), params, poll)
-          : Search<uint32_t>(estimator, std::move(endpoints), params, poll);
+          ? SearchFor<uint8_t>(estimator, std::move(endpoints), params, poll)
+          : SearchFor<uint32_t>(estimator, std::move(endpoints), params, poll);
   result.endpoints_before_thinning = endpoints_before;
   result.endpoints_after_thinning = endpoints_after;
   return result;

@@ -16,23 +16,29 @@
 //
 // Cost model. With d candidate endpoints (d = n under kAllIntervals) and r
 // collision sets, the search first builds a candidate-cost table once per
-// learn: struct-of-arrays prefix rows (r collision prefixes plus one main
-// count prefix at every endpoint's lo and hi+1) and, for each of the
-// d(d+1)/2 endpoint pairs, the index of the set whose ratio is the median
-// (1 byte per pair for r <= 256, else 4), selected on float lanes when the
-// counts allow it (MedianFillUsesFloatLanes). Filling it costs O(d^2 r) once.
-// Each iteration then costs O(d r) for the remnant costs that changed,
-// O(pieces + d) for the piece-cost prefix sums and per-endpoint terms, and
-// an O(d^2) scan, instead of O(d^2 r). The scan is two passes. A filter
-// gets c_J - total up to rounding in O(1) per pair, from the pair's
-// median-set term plus one vectorized loop, and keeps each row's minimum.
-// An exact pass then re-evaluates, with PieceCost's own operations, only
-// the pairs within a proven rounding margin of the minimum, so the chosen J
-// is byte-identical to a per-candidate evaluation's. The scan's scratch is
-// O(d + r) doubles, allocated once per learn and not counted in
-// candidate_table_bytes. The table is bounded by kMaxCandidatePairs
-// (2^24 pairs, at most 64 MiB): sample-endpoint lists are thinned to it,
-// and a kAllIntervals learn beyond it is rejected by ValidateLearnOptions.
+// learn: struct-of-arrays prefix rows (r collision prefixes, in 32-bit words
+// when r <= 256 and every set's C(m, 2) fits one, plus one main count prefix
+// at every endpoint's lo and hi+1) and, for each of the d(d+1)/2 endpoint
+// pairs, the index of the set whose ratio is the median (1 byte per pair for
+// r <= 256, else 4), selected on float lanes when the counts allow it
+// (MedianFillUsesFloatLanes). Filling it costs O(d^2 r) once. Each
+// iteration then costs O(d r) at most for the remnant costs that changed
+// (a remnant whose ends are both endpoints is read from the table, the rest
+// go through the estimator), O(pieces + d) for the piece-cost prefix sums
+// and per-endpoint terms, and a two-pass scan instead of O(d^2 r). The
+// first pass groups each row's pairs by the piece their right end falls in
+// and keeps one column of minima per piece across iterations, so it costs
+// O(d * pieces) plus the pairs whose right end lies in a piece new in this
+// iteration. It gets c_J - total up to rounding and keeps each row's
+// minimum. An exact pass then re-evaluates, with PieceCost's own
+// operations, only the pairs within a proven rounding margin of the
+// minimum, so the chosen J is byte-identical to a per-candidate
+// evaluation's. The scan's scratch is O(d * pieces) doubles (capped at
+// 8 MiB; pieces past the cap are re-scored every iteration), allocated
+// once per learn and not counted in candidate_table_bytes. The table is
+// bounded by kMaxCandidatePairs (2^24 pairs, at most 64 MiB): sample-
+// endpoint lists are thinned to it, and a kAllIntervals learn beyond it is
+// rejected by ValidateLearnOptions.
 #ifndef HISTK_CORE_GREEDY_H_
 #define HISTK_CORE_GREEDY_H_
 

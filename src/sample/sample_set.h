@@ -75,6 +75,10 @@ class SampleSet {
   static SampleSet Draw(const Sampler& sampler, int64_t m, Rng& rng,
                         int threads = 0);
 
+  /// Whether a set of m draws fits 32-bit words: no prefix count exceeds
+  /// m, and no prefix collision count exceeds C(m, 2).
+  static bool FitsNarrowRow(int64_t m);
+
   int64_t n() const { return n_; }
 
   /// Total number of samples m = |S|.
@@ -116,10 +120,6 @@ class SampleSet {
   /// Words in one dense row over [0, n): n + 1 prefix counts, then n + 1
   /// prefix collisions.
   static size_t RowWords(int64_t n) { return 2 * (static_cast<size_t>(n) + 1); }
-
-  /// Whether a set of m draws fits a 32-bit row: no prefix count exceeds
-  /// m, and no prefix collision count exceeds C(m, 2).
-  static bool FitsNarrowRow(int64_t m);
 
   /// One zeroed 64-bit row over [0, n), ready for counts at row[v + 1].
   static std::shared_ptr<uint64_t[]> NewDenseRow(int64_t n);

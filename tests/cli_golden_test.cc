@@ -66,6 +66,8 @@ const Case kCases[] = {
     {"learn_replay", "{cli} learn --k 6 --eps 0.15 --kernel replay --seed 5 < items.txt"},
     {"learn_domain_reservoir", "{cli} learn --k 6 --eps 0.2 --n 300 --reservoir 5000 --draw-threads 2 < items.txt"},
     {"learn_negative_items", "printf '3\\n-1\\n5\\n' | {cli} learn --k 2 --eps 0.3 --scale 0.1"},
+    {"learn_int64_max_item",
+     "printf '1\\n9223372036854775807\\n' | {cli} learn --k 2 --eps 0.3"},
 
     // test (Algorithm 2).
     {"test_l2_accept_text", "{cli} test --k 6 --eps 0.3 --norm l2 < items.txt"},

@@ -7,6 +7,7 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,6 +117,77 @@ TEST(GreedyDifferentialTest, ZooAcrossSeedsAndStrategies) {
   }
 }
 
+/// How the steps of a learn met the tiling they were applied to: how many
+/// J covered more than one piece, and how many were exactly one existing
+/// piece (a step that leaves the tiling as it was).
+struct StepShapes {
+  int64_t spanning = 0;
+  int64_t equal_to_piece = 0;
+};
+
+/// Replays `result`'s priority entries over [0, n): each step records J
+/// first, then its remnants, under one rank.
+StepShapes ReplaySteps(const LearnResult& result, int64_t n) {
+  StepShapes shapes;
+  std::vector<Interval> pieces = {Interval::Full(n)};
+  int64_t rank = 0;
+  for (const PriorityEntry& entry : result.priority.entries()) {
+    if (entry.rank == rank) continue;
+    rank = entry.rank;
+    const Interval J = entry.interval;
+    size_t first = 0;
+    while (pieces[first].hi < J.lo) ++first;
+    size_t last = first;
+    while (last + 1 < pieces.size() && pieces[last + 1].lo <= J.hi) ++last;
+    if (last > first) ++shapes.spanning;
+    if (last == first && pieces[first] == J) ++shapes.equal_to_piece;
+    std::vector<Interval> next;
+    if (pieces[first].lo < J.lo) next.push_back(Interval(pieces[first].lo, J.lo - 1));
+    next.push_back(J);
+    if (J.hi < pieces[last].hi) next.push_back(Interval(J.hi + 1, pieces[last].hi));
+    pieces.erase(pieces.begin() + static_cast<ptrdiff_t>(first),
+                 pieces.begin() + static_cast<ptrdiff_t>(last + 1));
+    pieces.insert(pieces.begin() + static_cast<ptrdiff_t>(first), next.begin(),
+                  next.end());
+  }
+  return shapes;
+}
+
+TEST(GreedyDifferentialTest, ColumnReuseOverManyIterations) {
+  // k = 16 run for 48 iterations: most pieces survive many iterations, so
+  // the scan reads most of its per-piece columns from earlier iterations.
+  // Across the runs, some step's J covers several pieces and some step's J
+  // is exactly an existing piece, the two ways a column's piece can end.
+  StepShapes seen;
+  for (const Family& family : Zoo()) {
+    for (uint64_t seed : {1, 2}) {
+      Rng rng(0xC01 + 31 * seed);
+      for (CandidateStrategy strategy :
+           {CandidateStrategy::kAllIntervals, CandidateStrategy::kSampleEndpoints}) {
+        const bool all = strategy == CandidateStrategy::kAllIntervals;
+        const int64_t n = all ? 64 : 512;
+        const Distribution dist = family.make(n, rng);
+        const AliasSampler sampler(dist);
+        GreedyParams params = ComputeGreedyParams(n, 16, 0.25, all ? 0.01 : 0.001);
+        params.iterations = 48;
+        const GreedyEstimator est = GreedyEstimator::Draw(sampler, params, rng);
+        const LearnResult fast =
+            LearnHistogramWithEstimator(est, Options(16, 0.25, strategy), params);
+        ExpectIdentical(fast,
+                        reference::LearnHistogramWithEstimator(
+                            est, Options(16, 0.25, strategy), params),
+                        std::string(family.name) + " seed " + std::to_string(seed) +
+                            " " + CandidateStrategyName(strategy));
+        const StepShapes shapes = ReplaySteps(fast, n);
+        seen.spanning += shapes.spanning;
+        seen.equal_to_piece += shapes.equal_to_piece;
+      }
+    }
+  }
+  EXPECT_GT(seen.spanning, 0);
+  EXPECT_GT(seen.equal_to_piece, 0);
+}
+
 /// A shared estimator over a full-support distribution, so the endpoint
 /// list is long enough to thin.
 struct Shared {
@@ -186,24 +258,29 @@ SampleSet DrawSet(const Sampler& sampler, int64_t m, Rng& rng) {
 
 TEST(GreedyDifferentialTest, HandBuiltGroupWithUnequalSetSizes) {
   // Sets of different sizes normalize their collision counts by different
-  // C(|S^j|, 2): the median must be taken over ratios, not raw counts.
-  for (uint64_t seed : {21, 22, 23, 24, 25}) {
-    Rng rng(seed);
-    const int64_t n = 128;
-    const AliasSampler sampler(MakeGaussianMixture(n, {{0.4, 0.1, 1.0}}, 0.1));
-    std::vector<SampleSet> sets;
-    for (int64_t m : {300, 4000, 900, 12000, 50, 2500, 7000}) {
-      sets.push_back(DrawSet(sampler, m, rng));
-    }
-    const GreedyEstimator est(DrawSet(sampler, 3000, rng),
-                              SampleSetGroup(std::move(sets)));
-    GreedyParams params = ComputeGreedyParams(n, 3, 0.25, 0.05);
-    params.r = est.group().r();
-    for (CandidateStrategy strategy :
-         {CandidateStrategy::kAllIntervals, CandidateStrategy::kSampleEndpoints}) {
-      ExpectMatchesReference(est, Options(3, 0.25, strategy), params,
-                             "unequal sets, seed " + std::to_string(seed) + " " +
-                                 CandidateStrategyName(strategy));
+  // C(|S^j|, 2): the median must be taken over ratios, not raw counts. The
+  // second size list has a set whose collision count passes 2^32, so the table's
+  // collision rows take 64-bit words instead of 32-bit ones.
+  const std::vector<std::vector<int64_t>> size_lists = {
+      {300, 4000, 900, 12000, 50, 2500, 7000}, {300, 1000000, 900}};
+  for (const std::vector<int64_t>& sizes : size_lists) {
+    for (uint64_t seed : {21, 22, 23, 24, 25}) {
+      Rng rng(seed);
+      const int64_t n = 128;
+      const AliasSampler sampler(MakeGaussianMixture(n, {{0.4, 0.1, 1.0}}, 0.1));
+      std::vector<SampleSet> sets;
+      for (int64_t m : sizes) sets.push_back(DrawSet(sampler, m, rng));
+      const GreedyEstimator est(DrawSet(sampler, 3000, rng),
+                                SampleSetGroup(std::move(sets)));
+      GreedyParams params = ComputeGreedyParams(n, 3, 0.25, 0.05);
+      params.r = est.group().r();
+      for (CandidateStrategy strategy :
+           {CandidateStrategy::kAllIntervals, CandidateStrategy::kSampleEndpoints}) {
+        ExpectMatchesReference(est, Options(3, 0.25, strategy), params,
+                               "unequal sets (r " + std::to_string(sizes.size()) +
+                                   "), seed " + std::to_string(seed) + " " +
+                                   CandidateStrategyName(strategy));
+      }
     }
   }
 }
@@ -335,6 +412,39 @@ std::vector<Interval> MinimalCandidates(const reference::GreedyState& state, int
     }
   }
   return at;
+}
+
+TEST(GreedyDifferentialTest, RemnantsOutsideTheTable) {
+  // A main set with a few isolated samples: the endpoints are short runs
+  // around them, none within 1 of 0 or n - 1. A remnant reaching the
+  // domain's ends, or ending next to an endpoint whose neighbour is not one,
+  // has an end outside the endpoint list, so its cost comes from the
+  // estimator; the others are read from the table.
+  const int64_t n = 512;
+  std::vector<int64_t> main(static_cast<size_t>(n), 0);
+  for (const auto& [value, count] : std::vector<std::pair<int64_t, int64_t>>{
+           {60, 5}, {61, 3}, {200, 4}, {330, 6}, {331, 2}, {470, 3}}) {
+    main[static_cast<size_t>(value)] = count;
+  }
+  for (uint64_t seed : {41, 42, 43}) {
+    Rng rng(seed);
+    const AliasSampler sampler(MakeRandomKHistogram(n, 4, rng, 10.0).dist);
+    std::vector<SampleSet> sets;
+    for (int64_t j = 0; j < 5; ++j) sets.push_back(DrawSet(sampler, 3000, rng));
+    const GreedyEstimator est(SampleSet::FromCounts(n, main),
+                              SampleSetGroup(std::move(sets)));
+    GreedyParams params = ComputeGreedyParams(n, 4, 0.25, 0.05);
+    params.r = est.group().r();
+    for (int64_t iterations : {1, 3, 8}) {
+      params.iterations = iterations;
+      const LearnOptions opt = Options(4, 0.25, CandidateStrategy::kSampleEndpoints);
+      const LearnResult fast = LearnHistogramWithEstimator(est, opt, params);
+      ASSERT_EQ(fast.endpoints_after_thinning, 14);
+      ExpectIdentical(fast, reference::LearnHistogramWithEstimator(est, opt, params),
+                      "seed " + std::to_string(seed) + ", " +
+                          std::to_string(iterations) + " iterations");
+    }
+  }
 }
 
 TEST(GreedyDifferentialTest, ExactTiesAcrossPieces) {

@@ -1,8 +1,9 @@
 // Deadlines bound the greedy search, not only the draws. At n=4096, k=16,
-// eps 0.3, scale 0.25 the draws take milliseconds and the candidate search
-// far longer, so a 100 ms deadline can only be met if the search itself
-// polls the session's deadline (once per candidate-table row). Each learn-
-// family task must end deadline-exceeded and degraded within 200 ms.
+// eps 0.3, scale 0.25 the draws take about 6 ms and the candidate search
+// about 70 ms (Release, shared 4-vCPU VM), so a 20 ms deadline can only be
+// met if the search itself polls the session's deadline (once per
+// candidate-table row). Each learn-family task must end deadline-exceeded
+// and degraded within 40 ms, twice the deadline.
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -22,8 +23,8 @@ constexpr int64_t kN = 4096;
 constexpr int64_t kK = 16;
 constexpr double kEps = 0.3;
 constexpr double kScale = 0.25;
-constexpr int64_t kDeadlineMs = 100;
-constexpr double kMaxWallMs = 200.0;
+constexpr int64_t kDeadlineMs = 20;
+constexpr double kMaxWallMs = 40.0;
 
 Distribution Truth(uint64_t seed) {
   Rng rng(seed);

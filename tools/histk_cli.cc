@@ -88,6 +88,7 @@
 #include <deque>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -333,6 +334,11 @@ Result<Ingested> IngestStream(std::istream& is, int64_t explicit_n, IngestMode m
     return Status::Ok();
   });
   if (!scan.ok()) return scan;
+  if (explicit_n <= 0 && max_seen == std::numeric_limits<int64_t>::max()) {
+    // No int64 domain [0, n) holds it, and deriving n would overflow.
+    return Status::InvalidArgument("item " + std::to_string(max_seen) +
+                                   " outside every int64 domain");
+  }
 
   out.n = explicit_n > 0 ? explicit_n : max_seen + 1;
   if (reservoir) out.items = reservoir->sample();
