@@ -1,7 +1,7 @@
 // E16 — the histkd serving core (serve/server.h): what one daemon process
 // sustains once learned synopses are cached, and what the edges cost.
 //
-// Three question groups:
+// Five question groups:
 //   1. throughput — requests/s through Submit + the worker pool for
 //      cache-hit estimate traffic at w workers. Hits bypass the governor
 //      and draw nothing, so this is the pure serving path: parse, dataset
@@ -15,13 +15,16 @@
 //      saturated daemon must shed load at queue speed, not learn speed;
 //   4. request parse — µs per ParseRequestJson of a line shipping 20,000
 //      inline items, shaped like perfbench's ingest_test lines. Integer
-//      arrays parse into one packed int64 vector (api/json.h), so this is
-//      a scan of the line, not 20,000 generic JSON values;
+//      arrays parse into one packed int64 vector, read in 64-byte blocks
+//      (api/json.h), so this is a scan of the line, not 20,000 generic
+//      JSON values; serve_parse_packed_speedup is a per-element
+//      ScanJsonI64 scan of the same items over the parse;
 //   5. dataset resolve — µs per DatasetStore::Resolve of that line's
-//      items, on a reuse (already stored) and on a load (empty store),
-//      and the same-run ratio of parse to reuse. The items are hashed a
-//      word at a time in the pass that checks them (serve/fingerprint.h),
-//      so a reuse costs a small fraction of the parse.
+//      items, on a reuse (already stored) and on a load (empty store).
+//      The items are hashed a word at a time in the pass that checks them
+//      (serve/fingerprint.h), so a reuse costs a few plain reads of the
+//      items: serve_read_over_resolve_reuse is one summing pass over a
+//      reuse.
 //
 // HISTK_E16_SMOKE=1 shrinks request counts and skips the worker sweep so
 // CI finishes in seconds; the emitted BENCH_e16.json then matches
@@ -36,11 +39,13 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "api/request.h"
 #include "benchutil/harness.h"
+#include "dist/io.h"
 #include "engine/runtime.h"
 #include "serve/dataset_store.h"
 #include "serve/server.h"
@@ -121,6 +126,28 @@ std::string IngestLine(int count) {
   }
   line += "]}}";
   return line;
+}
+
+// The packed array's scan before it read blocks: from the items array's
+// '[', one ScanJsonI64 and one push_back per element, with the generic
+// parser's whitespace and separator steps.
+std::vector<int64_t> ScanItemsPerElement(const std::string& line) {
+  const char* p = line.data() + line.find("\"items\":[") + 9;
+  const char* const end = line.data() + line.size();
+  auto skip_space = [&] {
+    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) ++p;
+  };
+  std::vector<int64_t> out;
+  while (true) {
+    skip_space();
+    int64_t value = 0;
+    p = ScanJsonI64(p, end, value);
+    HISTK_CHECK(p != nullptr);
+    out.push_back(value);
+    skip_space();
+    HISTK_CHECK(p < end);
+    if (*p++ == ']') return out;
+  }
 }
 
 serve::ServeOptions Options(int workers) {
@@ -254,13 +281,22 @@ void RunExperiment() {
   // The store's side of the parsed line: a reuse (a re-shipped dataset
   // that is already stored: one pass to check, hash and probe, then the
   // content guard) and a load into an empty store (the same pass plus the
-  // sampler build). Parse and reuse are timed in interleaved pairs, and
-  // the median of their per-pair ratios is the record a CI floor can
-  // trust across machines.
+  // sampler build). Each gated figure is a same-run ratio: the median, over
+  // interleaved rounds, of the per-round ratio of two timings, which a CI
+  // floor can trust across machines. The rounds time four calls:
+  //   * the parse (ParseRequestJson of the whole line);
+  //   * the per-element scan the packed parse replaced: ScanJsonI64 and a
+  //     push_back per item over the same array (serve_parse_packed_speedup
+  //     is its time over the parse's);
+  //   * a resolve reuse;
+  //   * one plain read of the parsed items, a sum
+  //     (serve_read_over_resolve_reuse is its time over the reuse's: what
+  //     a reuse costs beyond touching each item once).
   const std::string ingest = IngestLine(20000);
   const int64_t kCalls = smoke ? 50 : 300;
   const Result<api::RequestSpec> parsed = api::ParseRequestJson(ingest);
   HISTK_CHECK(parsed.ok() && parsed->dataset.items.size() == 20000);
+  HISTK_CHECK(ScanItemsPerElement(ingest) == parsed->dataset.items);
   const serve::ServeOptions defaults;
   serve::DatasetStore store(defaults.max_datasets, defaults.kernel);
   auto resolve = [&](serve::DatasetStore& into) {
@@ -270,60 +306,84 @@ void RunExperiment() {
     benchmark::DoNotOptimize(ds);
   };
   resolve(store);  // the load; every later Resolve on `store` is a reuse
-  auto per_call_us = [kCalls](const std::function<void()>& call) {
+  auto per_call_us = [](int64_t calls, const std::function<void()>& call) {
     const WallTimer timer;
-    for (int64_t i = 0; i < kCalls; ++i) call();
-    return timer.ElapsedSeconds() * 1e6 / static_cast<double>(kCalls);
+    for (int64_t i = 0; i < calls; ++i) call();
+    return timer.ElapsedSeconds() * 1e6 / static_cast<double>(calls);
   };
-  auto time_parse = [&] {
-    return per_call_us([&] {
-      const Result<api::RequestSpec> req = api::ParseRequestJson(ingest);
-      HISTK_CHECK(req.ok());
-      benchmark::DoNotOptimize(req);
-    });
+  const std::vector<std::function<double()>> timings = {
+      [&] {
+        return per_call_us(kCalls, [&] {
+          const Result<api::RequestSpec> req = api::ParseRequestJson(ingest);
+          HISTK_CHECK(req.ok());
+          benchmark::DoNotOptimize(req);
+        });
+      },
+      [&] {
+        return per_call_us(kCalls, [&] {
+          const std::vector<int64_t> items = ScanItemsPerElement(ingest);
+          benchmark::DoNotOptimize(items.data());
+        });
+      },
+      [&] { return per_call_us(kCalls, [&] { resolve(store); }); },
+      [&] {
+        return per_call_us(4 * kCalls, [&] {
+          const std::vector<int64_t>& items = parsed->dataset.items;
+          int64_t sum = std::accumulate(items.begin(), items.end(), int64_t{0});
+          benchmark::DoNotOptimize(sum);
+        });
+      },
   };
-  auto time_reuse = [&] { return per_call_us([&] { resolve(store); }); };
-  const int64_t pairs = 3 * trials;
-  std::vector<double> parse_us;
-  std::vector<double> reuse_us;
-  std::vector<double> ratios;
-  for (int64_t t = 0; t < pairs; ++t) {
-    double parse = 0.0;
-    double reuse = 0.0;
-    if (t % 2 == 0) {
-      parse = time_parse();
-      reuse = time_reuse();
-    } else {
-      reuse = time_reuse();
-      parse = time_parse();
+  enum { kParse, kPerElement, kReuse, kRead };
+  const int64_t rounds = 3 * trials;
+  std::vector<std::vector<double>> us(timings.size());
+  std::vector<double> packed_speedup;
+  std::vector<double> read_over_reuse;
+  for (int64_t t = 0; t < rounds; ++t) {
+    double round[4];
+    // Forward on even rounds, backward on odd ones.
+    for (size_t i = 0; i < timings.size(); ++i) {
+      const size_t at = t % 2 == 0 ? i : timings.size() - 1 - i;
+      round[at] = timings[at]();
+      us[at].push_back(round[at]);
     }
-    parse_us.push_back(parse);
-    reuse_us.push_back(reuse);
-    ratios.push_back(parse / reuse);
+    packed_speedup.push_back(round[kPerElement] / round[kParse]);
+    read_over_reuse.push_back(round[kRead] / round[kReuse]);
   }
-  NextBenchLabel("serve_parse_items20000_us");
-  const ScalarStats parse = MeasureScalar(
-      pairs, [&](int64_t t) { return parse_us[static_cast<size_t>(t)]; });
-  NextBenchLabel("serve_resolve_reuse_items20000_us");
-  const ScalarStats reuse = MeasureScalar(
-      pairs, [&](int64_t t) { return reuse_us[static_cast<size_t>(t)]; });
+  auto record = [&](const char* label, const std::vector<double>& values) {
+    NextBenchLabel(label);
+    return MeasureScalar(static_cast<int64_t>(values.size()),
+                         [&](int64_t t) { return values[static_cast<size_t>(t)]; });
+  };
+  const ScalarStats parse = record("serve_parse_items20000_us", us[kParse]);
+  const ScalarStats reuse = record("serve_resolve_reuse_items20000_us", us[kReuse]);
   NextBenchLabel("serve_resolve_load_items20000_us");
   const ScalarStats load = MeasureScalar(trials, [&](int64_t) {
-    return per_call_us([&] {
+    return per_call_us(kCalls, [&] {
       serve::DatasetStore empty(defaults.max_datasets, defaults.kernel);
       resolve(empty);
     });
   });
-  const double parse_over_reuse = Median(ratios);
-  NextBenchLabel("serve_parse_over_resolve_reuse");
-  MeasureScalar(1, [&](int64_t) { return parse_over_reuse; });
+  const ScalarStats per_element =
+      record("serve_parse_per_element_items20000_us", us[kPerElement]);
+  const ScalarStats read = record("serve_read_items20000_us", us[kRead]);
+  const double ratios[] = {Median(packed_speedup), Median(read_over_reuse)};
+  const char* const ratio_labels[] = {"serve_parse_packed_speedup",
+                                      "serve_read_over_resolve_reuse"};
+  for (int i = 0; i < 2; ++i) {
+    NextBenchLabel(ratio_labels[i]);
+    MeasureScalar(1, [&](int64_t) { return ratios[i]; });
+  }
 
-  Table parse_table({"request line", "parse", "resolve (reuse)",
-                     "resolve (load)", "parse / reuse"});
+  Table parse_table({"request line", "parse", "per-element scan", "speedup",
+                     "resolve (reuse)", "resolve (load)", "plain read",
+                     "read / reuse"});
   parse_table.AddRow({std::to_string(ingest.size() / 1024) +
                           " KB, 20,000 inline items",
-                      FmtF(parse.mean, 1) + " us", FmtF(reuse.mean, 1) + " us",
-                      FmtF(load.mean, 1) + " us", FmtF(parse_over_reuse, 2)});
+                      FmtF(parse.mean, 1) + " us", FmtF(per_element.mean, 1) + " us",
+                      FmtF(ratios[0], 2), FmtF(reuse.mean, 1) + " us",
+                      FmtF(load.mean, 1) + " us", FmtF(read.mean, 1) + " us",
+                      FmtF(ratios[1], 3)});
   parse_table.Print(std::cout);
 
   std::printf(

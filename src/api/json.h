@@ -12,14 +12,29 @@
 // converted on access through the sanctioned dist/io.h parsers. An array
 // whose elements are all JSON integers (`-?(0|[1-9][0-9]*)`, separated by
 // JSON whitespace and commas) is *packed*: one `std::vector<int64_t>`
-// (AsInts), converted once by dist/io.h's ScanJsonI64, with no per-element
-// JsonValue — a 20,000-item inline dataset is one vector, not 20,000
-// values. Any element outside that grammar (a fraction, an exponent, an
-// int64 overflow, "-0", a string, a nested value, a syntax error) or an
-// array whose elements would sit past the depth limit makes the parser
-// rewind to the '[' and parse the array generically, so every error
-// message and column is the generic loop's. Both forms are Type::kArray;
-// readers check is_int_array() before choosing AsInts() or AsArray().
+// (AsInts), converted once, with no per-element JsonValue — a 20,000-item
+// inline dataset is one vector, not 20,000 values. Any element outside
+// that grammar (a fraction, an exponent, an int64 overflow, "-0", a
+// string, a nested value, a syntax error) or an array whose elements would
+// sit past the depth limit makes the parser rewind to the '[' and parse
+// the array generically, so every error message and column is the generic
+// loop's. Both forms are Type::kArray; readers check is_int_array() before
+// choosing AsInts() or AsArray().
+//
+// The packed scan allocates once, and no element's load waits on the
+// previous element's length. It first counts the commas before the
+// array's first ']' and sizes the vector to that count plus one; any
+// other byte of 0x40 or above met first ('[', '{', a letter) ends the
+// packed attempt with nothing allocated. It then reads 64-byte blocks
+// that start at an element: a 64-bit mask of the block's non-digit bytes,
+// built from eight plain uint64_t words, gives each element's end by its
+// lowest set bit, and an element of the form (0|[1-9][0-9]{0,7})
+// followed by ',' or ']' is converted from one 8-byte load and written by
+// index. Anything else (a sign, whitespace, 9 or more digits, a leading
+// zero, a non-ASCII byte) takes the per-element ScanJsonI64 step, after
+// which blocks resume; so do the elements after the last block, which
+// must start 72 bytes or more before the line's end. A failed step
+// rewinds as above.
 #ifndef HISTK_API_JSON_H_
 #define HISTK_API_JSON_H_
 

@@ -264,8 +264,9 @@ struct ScanScratch {
 /// z_J and y_J are recomputed from struct-of-arrays prefix rows with the
 /// exact operations GreedyEstimator::PieceCost performs, so every cost is
 /// bit-identical to it. `Index` is uint8_t when r <= 256, else uint32_t;
-/// `Word`, the collision rows' word, is uint32_t when every set's C(m, 2)
-/// fits one (SampleSet::FitsNarrowRow) and r <= 256, else uint64_t.
+/// `Word`, the collision rows' word, is uint32_t when every set's total
+/// collision count fits one (NarrowCollisionRows) and r <= 256, else
+/// uint64_t.
 template <typename Index, typename Word>
 class CandidateTable {
  public:
@@ -444,10 +445,13 @@ class CandidateTable {
   std::vector<Index> median_;   ///< median set per pair, enumeration order
 };
 
-/// Whether every set's collision prefixes fit 32-bit words.
+/// Whether every set's collision prefixes fit 32-bit words: a prefix's
+/// collisions are at most the set's total, so the total decides, however
+/// large m is (C(m, 2) itself passes 2^32 from m = 92,682).
 bool NarrowCollisionRows(const SampleSetGroup& group) {
   for (int64_t j = 0; j < group.r(); ++j) {
-    if (!SampleSet::FitsNarrowRow(group.set(j).m())) return false;
+    const SampleSet& set = group.set(j);
+    if (set.Collisions(Interval::Full(set.n())) > UINT32_MAX) return false;
   }
   return true;
 }

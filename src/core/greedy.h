@@ -17,7 +17,7 @@
 // Cost model. With d candidate endpoints (d = n under kAllIntervals) and r
 // collision sets, the search first builds a candidate-cost table once per
 // learn: struct-of-arrays prefix rows (r collision prefixes, in 32-bit words
-// when r <= 256 and every set's C(m, 2) fits one, plus one main count prefix
+// when r <= 256 and each set's collisions fit one, plus one main count prefix
 // at every endpoint's lo and hi+1) and, for each of the d(d+1)/2 endpoint
 // pairs, the index of the set whose ratio is the median (1 byte per pair for
 // r <= 256, else 4), selected on float lanes when the counts allow it

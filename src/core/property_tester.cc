@@ -459,15 +459,20 @@ ClosenessOutcome DecideCloseness(const std::vector<Interval>& parts,
     const SampleSet& sq = group_q.set(i);
     HISTK_CHECK_MSG(sp.m() == sq.m(),
                     "closeness verification sets must be equal-sized");
+    HISTK_CHECK_MSG(sp.m() >= 2, "closeness verification sets need 2 draws");
+    const double m = static_cast<double>(sp.m());
     double t = 0.0;
     for (const Interval& part : parts) {
       const double x = static_cast<double>(sp.Count(part));
       const double y = static_cast<double>(sq.Count(part));
-      // CDVV14: E[(X-Y)^2 - X - Y] = m^2 (p_A - q_A)^2 under Poissonized
-      // draws — an unbiased reduced-support L2^2 estimate.
-      t += (x - y) * (x - y) - x - y;
+      // Each set holds exactly m draws, so X ~ Binomial(m, p_A) and
+      // E[X(X-1)] = m(m-1) p_A^2; with Y independent, E[XY] = m^2 p_A q_A.
+      // The term's mean is then m^2 (p_A - q_A)^2: an unbiased
+      // reduced-support L2^2 estimate. (CDVV14's (X-Y)^2 - X - Y is
+      // unbiased only under Poissonized draws; here it runs low by
+      // m (p_A^2 + q_A^2).)
+      t += m / (m - 1.0) * (x * (x - 1.0) + y * (y - 1.0)) - 2.0 * x * y;
     }
-    const double m = static_cast<double>(sp.m());
     stats.push_back(t / (m * m));
   }
   // Lower median for even sizes — the same combiner rule as the library's

@@ -33,9 +33,12 @@
 // 2015/17): both oracles are promised (approximate) histograms with at most
 // k_p / k_q pieces. Learn a candidate per oracle, reduce both samples to the
 // common <= k_p + k_q bucket refinement of the two candidates, and compare
-// fresh per-part counts with the CDVV14 reduced-support chi-square
-// statistic sum_A [(X_A - Y_A)^2 - X_A - Y_A], median-combined over
-// verify_r independent pairs.
+// fresh per-part counts of m draws each with the reduced-support L2^2
+// statistic sum_A [m/(m-1) (X_A(X_A-1) + Y_A(Y_A-1)) - 2 X_A Y_A] / m^2,
+// median-combined over verify_r independent pairs. Its mean is exactly
+// sum_A (p_A - q_A)^2 for sets of exactly m draws; CDVV14's
+// (X_A - Y_A)^2 - X_A - Y_A is unbiased only when the set sizes are
+// Poissonized, and runs low by sum_A (p_A^2 + q_A^2) / m here.
 //
 // Both testers run as budgeted engine TaskSpecs (PropertyTestSpec /
 // ClosenessSpec in engine/engine.h); the free functions here are the

@@ -2,6 +2,8 @@
 // against the per-candidate reference in tests/greedy_reference.h. Every
 // LearnResult field must match bit for bit — priority entries, tiling
 // values, estimated_cost, candidates_per_iter and the thinning counts.
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -256,6 +258,17 @@ SampleSet DrawSet(const Sampler& sampler, int64_t m, Rng& rng) {
   return SampleSet::FromDraws(sampler.n(), sampler.DrawMany(m, rng));
 }
 
+/// The byte width of the table's collision-row words, read back from
+/// candidate_table_bytes: d(d+1)/2 one-byte median indices (r <= 256),
+/// three int64 words per endpoint (the endpoint and the main set's two
+/// prefixes), one double per set, and two row words per endpoint and set.
+int64_t CollisionRowWordBytes(const LearnResult& result, int64_t d, int64_t r) {
+  const int64_t fixed = d * (d + 1) / 2 + 3 * d * 8 + r * 8;
+  const int64_t rows = result.candidate_table_bytes - fixed;
+  EXPECT_EQ(rows % (2 * d * r), 0) << result.candidate_table_bytes;
+  return rows / (2 * d * r);
+}
+
 TEST(GreedyDifferentialTest, HandBuiltGroupWithUnequalSetSizes) {
   // Sets of different sizes normalize their collision counts by different
   // C(|S^j|, 2): the median must be taken over ratios, not raw counts. The
@@ -264,6 +277,7 @@ TEST(GreedyDifferentialTest, HandBuiltGroupWithUnequalSetSizes) {
   const std::vector<std::vector<int64_t>> size_lists = {
       {300, 4000, 900, 12000, 50, 2500, 7000}, {300, 1000000, 900}};
   for (const std::vector<int64_t>& sizes : size_lists) {
+    const bool wide = sizes.size() == 3;
     for (uint64_t seed : {21, 22, 23, 24, 25}) {
       Rng rng(seed);
       const int64_t n = 128;
@@ -281,7 +295,44 @@ TEST(GreedyDifferentialTest, HandBuiltGroupWithUnequalSetSizes) {
                                    "), seed " + std::to_string(seed) + " " +
                                    CandidateStrategyName(strategy));
       }
+      const LearnResult all =
+          LearnHistogramWithEstimator(est, Options(3, 0.25, CandidateStrategy::kAllIntervals),
+                                      params);
+      EXPECT_EQ(CollisionRowWordBytes(all, n, params.r), wide ? 8 : 4);
     }
+  }
+}
+
+TEST(GreedyDifferentialTest, LargeSetsWithFewCollisionsTakeNarrowRows) {
+  // C(m, 2) passes 2^32 from m = 92,682, but the rows hold collision
+  // prefixes, which a set's total bounds: sets of 120,000 and 200,000 draws
+  // over n = 128 hold under 2^32 collisions, so the rows take 32-bit words.
+  for (uint64_t seed : {31, 32, 33}) {
+    Rng rng(seed);
+    const int64_t n = 128;
+    const AliasSampler sampler(MakeGaussianMixture(n, {{0.4, 0.1, 1.0}}, 0.1));
+    std::vector<SampleSet> sets;
+    for (int64_t m : {120000, 900, 200000, 4000, 120000}) {
+      sets.push_back(DrawSet(sampler, m, rng));
+    }
+    uint64_t most = 0;
+    for (const SampleSet& set : sets) {
+      most = std::max<uint64_t>(most, set.Collisions(Interval::Full(n)));
+    }
+    ASSERT_GT(most, uint64_t{1} << 24);
+    ASSERT_LE(most, uint64_t{UINT32_MAX});
+    const GreedyEstimator est(DrawSet(sampler, 3000, rng), SampleSetGroup(std::move(sets)));
+    GreedyParams params = ComputeGreedyParams(n, 3, 0.25, 0.05);
+    params.r = est.group().r();
+    for (CandidateStrategy strategy :
+         {CandidateStrategy::kAllIntervals, CandidateStrategy::kSampleEndpoints}) {
+      ExpectMatchesReference(est, Options(3, 0.25, strategy), params,
+                             "large sets, seed " + std::to_string(seed) + " " +
+                                 CandidateStrategyName(strategy));
+    }
+    const LearnResult all = LearnHistogramWithEstimator(
+        est, Options(3, 0.25, CandidateStrategy::kAllIntervals), params);
+    EXPECT_EQ(CollisionRowWordBytes(all, n, params.r), 4);
   }
 }
 

@@ -8,7 +8,9 @@
 #include "json_reference.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,22 @@
 
 #include "api/json.h"
 #include "util/rng.h"
+
+namespace {
+/// Bytes requested through operator new, so a test can bound what one
+/// parse allocates (the suite runs on one thread).
+size_t g_new_bytes = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_new_bytes += size;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line: inlined into a caller, GCC reads free() of what operator
+// new returned as a mismatched pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace histk {
 namespace {
@@ -90,9 +108,12 @@ struct Tally {
   int64_t packed_arrays = 0;
 };
 
-/// Parses `text` with both parsers and checks the property.
-void ExpectSameOutcome(const std::string& text, const std::string& what,
+/// Parses `line` with both parsers and checks the property. Both parse a
+/// copy allocated at the line's exact size, so under ASan a read past the
+/// line's end is a heap overflow rather than a read of spare capacity.
+void ExpectSameOutcome(const std::string& line, const std::string& what,
                        Tally& tally) {
+  const std::string text(line.data(), line.size());
   const Result<JsonValue> got = api::ParseJson(text);
   const Result<JsonValue> want = reference::ParseJson(text);
   ASSERT_EQ(got.ok(), want.ok())
@@ -265,6 +286,7 @@ TEST(JsonDifferentialTest, IngestItemsArePackedIntoOneVector) {
   EXPECT_TRUE(items->is_array());
   EXPECT_TRUE(items->is_int_array());
   EXPECT_EQ(items->AsInts().size(), 20000u);
+  EXPECT_EQ(items->AsInts().capacity(), items->AsInts().size());  // one allocation
   EXPECT_TRUE(items->AsArray().empty());
 }
 
@@ -329,6 +351,185 @@ TEST(JsonDifferentialTest, NestingAroundTheDepthLimitParsesAlike) {
                           "depth " + std::to_string(levels) + " " + value.substr(0, 40),
                           tally);
       }
+    }
+  }
+  EXPECT_GT(tally.accepted, 0);
+  EXPECT_GT(tally.rejected, 0);
+  EXPECT_GT(tally.packed_arrays, 0);
+}
+
+/// Every byte the block path can meet: all 256 values.
+std::vector<char> AllBytes() {
+  std::vector<char> bytes;
+  for (int b = 0; b < 256; ++b) bytes.push_back(static_cast<char>(b));
+  return bytes;
+}
+
+/// `line` with byte `at` replaced by `b`, and with it deleted.
+std::vector<std::string> ByteMutations(const std::string& line, size_t at,
+                                       const std::vector<char>& bytes) {
+  std::vector<std::string> out;
+  for (char b : bytes) {
+    if (b == line[at]) continue;
+    std::string mutated = line;
+    mutated[at] = b;
+    out.push_back(std::move(mutated));
+  }
+  out.push_back(line.substr(0, at) + line.substr(at + 1));
+  return out;
+}
+
+/// The offsets the block sweeps mutate: a 72-byte window from `from`, and
+/// the line's last 8 bytes. In a compact array of short items each block
+/// starts at an element within 65 bytes of the last block's start, so any
+/// 72 bytes of the array straddle a block boundary.
+std::vector<size_t> BlockEdgeOffsets(const std::string& line, size_t from) {
+  std::vector<size_t> offsets;
+  for (size_t at = from; at < from + 72; ++at) offsets.push_back(at);
+  for (size_t at = line.size() - 8; at < line.size(); ++at) offsets.push_back(at);
+  return offsets;
+}
+
+TEST(JsonDifferentialTest, EveryByteAtBlockEdgesParsesAlike) {
+  // All 256 substitutions and a deletion at each offset. On a 20,000-item
+  // line the reference parser takes about 6 ms, so this exhaustive sweep
+  // runs on a 120-item line, whose window lies in the block path (well
+  // before the line's last 72 bytes); the 20,000-item sweep below rotates
+  // through the byte classes instead.
+  const std::string line = IngestLine(8, 120);
+  const size_t from = line.find('[') + 150;
+  ASSERT_LT(from + 72 + 72, line.size());
+  const std::vector<char> bytes = AllBytes();
+  Tally tally;
+  for (size_t at : BlockEdgeOffsets(line, from)) {
+    for (const std::string& mutated : ByteMutations(line, at, bytes)) {
+      ExpectSameOutcome(mutated, "offset " + std::to_string(at), tally);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(tally.accepted, 500);
+  EXPECT_GT(tally.rejected, 10000);
+  EXPECT_GT(tally.packed_arrays, 500);
+}
+
+TEST(JsonDifferentialTest, BlockEdgesOfAnIngestLineParseAlike) {
+  // The same window and tail on a 20,000-item line, a window in the middle
+  // of the array. Each offset takes one substitution, rotating through a
+  // digit, a separator, whitespace, a sign, a fraction, a letter and a
+  // byte >= 0x80 (the classes the block path tells apart), and a deletion
+  // at every fourth offset.
+  const std::string line = IngestLine(9, 20000);
+  const size_t from = line.find('[') + line.size() / 2;
+  const char kClasses[] = {'7', '0', ',', ']', ' ', '\n', '-', '+', '.', 'e', 'x', '\x80'};
+  Tally tally;
+  size_t turn = 0;
+  for (size_t at : BlockEdgeOffsets(line, from)) {
+    std::string mutated = line;
+    mutated[at] = kClasses[turn++ % sizeof(kClasses)];
+    ExpectSameOutcome(mutated, "offset " + std::to_string(at), tally);
+    if (at % 4 == 0) {
+      ExpectSameOutcome(line.substr(0, at) + line.substr(at + 1),
+                        "deletion at " + std::to_string(at), tally);
+    }
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(tally.accepted, 0);
+  EXPECT_GT(tally.rejected, 0);
+  EXPECT_GT(tally.packed_arrays, 0);
+}
+
+TEST(JsonDifferentialTest, ElementFormsAroundTheFastPathParseAlike) {
+  // Each token below, put at every offset of a 64-byte block among
+  // one-to-three-digit items: items of 1 to 19 digits (the block path
+  // converts at most 8), leading zeros, signs, whitespace inside the
+  // array, and a byte >= 0x80 inside a number.
+  std::vector<std::string> tokens;
+  std::string digits = "1";
+  for (int width = 1; width <= 19; ++width) {
+    tokens.push_back(digits);
+    tokens.push_back(std::string(width, '9'));
+    digits += static_cast<char>('0' + width % 10);
+  }
+  for (const char* token :
+       {"0", "00", "01", "007", "-0", "-1", "+1", "-12345678", "- 1", "1 ", " 1",
+        "1 ,2", "1,\t2", "1,\n2", "1,\r2", "1,  2", "12\x80" "3", "\xff", "1\xc3\xa9",
+        "1.5", "1e5", "99999999", "100000000", "9223372036854775807",
+        "9223372036854775808"}) {
+    tokens.push_back(token);
+  }
+  Rng rng(808);
+  std::vector<std::string> items;
+  for (int i = 0; i < 200; ++i) items.push_back(std::to_string(rng.UniformInt(1000)));
+  Tally tally;
+  for (const std::string& token : tokens) {
+    for (size_t at = 40; at < 60; ++at) {
+      std::string line = "{\"items\":[";
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (i > 0) line += ',';
+        line += i == at ? token : items[i];
+      }
+      line += "]}";
+      ExpectSameOutcome(line, "token \"" + token + "\" at item " + std::to_string(at),
+                        tally);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(tally.accepted, 0);
+  EXPECT_GT(tally.rejected, 0);
+  EXPECT_GT(tally.packed_arrays, 0);
+}
+
+TEST(JsonDifferentialTest, ArraysEndingNearTheLineEndParseAlike) {
+  // The array's ']' from 80 bytes before the line's end down to its last
+  // byte: the block path reads at most 72 bytes from a block's start, so
+  // its last block, and then only per-element steps, reach the ']'.
+  Rng rng(909);
+  std::string array = "[";
+  for (int i = 0; i < 300; ++i) {
+    if (i > 0) array += ',';
+    array += std::to_string(rng.UniformInt(100000));
+  }
+  array += ']';
+  Tally tally;
+  for (size_t tail = 0; tail <= 80; ++tail) {
+    ExpectSameOutcome(array + std::string(tail, ' '), "tail " + std::to_string(tail),
+                      tally);
+    ExpectSameOutcome("{\"a\":" + array + std::string(tail, ' ') + "}",
+                      "object tail " + std::to_string(tail), tally);
+    // The same array cut short at the line end, and cut after a comma.
+    const std::string cut = array.substr(0, array.size() - 1 - tail);
+    ExpectSameOutcome(cut, "cut " + std::to_string(tail), tally);
+  }
+  EXPECT_GT(tally.accepted, 0);
+  EXPECT_GT(tally.rejected, 0);
+  EXPECT_EQ(tally.packed_arrays, 2 * 81);
+}
+
+TEST(JsonDifferentialTest, NestedArraysAroundALongOneParseAlike) {
+  // A long all-ones array under up to the depth limit of arrays and
+  // objects that each hold one element before the next level. Every outer
+  // level's packed attempt must end at its nested '[', '{' or letter having
+  // allocated nothing, so the parse allocates the inner vector once (8
+  // bytes per 2-byte item) plus a few generic values per level, not a
+  // vector per level.
+  std::string inner = "[1";
+  for (int i = 1; i < 100000; ++i) inner += ",1";
+  inner += ']';
+  const std::vector<std::pair<std::string, std::string>> levels_of = {
+      {"[1,", "]"}, {"[1, ", "]"}, {"[1,\"s\",", "]"}, {"[1,{\"a\":", "}]"}};
+  Tally tally;
+  for (const auto& [open, close] : levels_of) {
+    for (int levels : {1, kJsonMaxDepth / 2 - 1, kJsonMaxDepth - 1, kJsonMaxDepth}) {
+      std::string line;
+      for (int i = 0; i < levels; ++i) line += open;
+      line += inner;
+      for (int i = 0; i < levels; ++i) line += close;
+      const std::string what = open + " x " + std::to_string(levels);
+      ExpectSameOutcome(line, what, tally);
+      const size_t before = g_new_bytes;
+      const Result<JsonValue> parsed = api::ParseJson(line);
+      const size_t allocated = g_new_bytes - before;
+      if (parsed.ok()) EXPECT_LT(allocated, 5 * line.size()) << what;
     }
   }
   EXPECT_GT(tally.accepted, 0);

@@ -157,9 +157,18 @@ void WriteResponse(const std::shared_ptr<Connection>& conn,
   }
 }
 
+/// Bytes asked of each read(): a 20,000-item inline dataset (about 70 KB)
+/// arrives in two reads instead of eighteen.
+constexpr size_t kReadBytes = size_t{64} << 10;  // 64 KiB
+
+/// The connection's reader: reads up to kReadBytes at a time, searches
+/// only the bytes just read for '\n' (what came before held none), and
+/// submits each complete line to the worker pool.
 void ServeConnection(HistkdServer& server, std::shared_ptr<Connection> conn) {
   std::string buffer;
-  char chunk[4096];
+  // Left uninitialized: a page of it is touched only when a read reaches
+  // it, so a connection sending short lines holds one page, not 64 KiB.
+  const std::unique_ptr<char[]> chunk(new char[kReadBytes]);
   while (!server.shutdown_requested()) {
     // Poll with a coarse tick so an idle connection rechecks the shutdown
     // flag instead of parking in read() forever and blocking the join in
@@ -171,12 +180,13 @@ void ServeConnection(HistkdServer& server, std::shared_ptr<Connection> conn) {
       break;
     }
     if (ready == 0) continue;
-    const ssize_t got = read(conn->fd, chunk, sizeof(chunk));
+    const ssize_t got = read(conn->fd, chunk.get(), kReadBytes);
     if (got < 0 && errno == EINTR) continue;
     if (got <= 0) break;
-    buffer.append(chunk, static_cast<size_t>(got));
+    const size_t scanned = buffer.size();
+    buffer.append(chunk.get(), static_cast<size_t>(got));
     size_t start = 0;
-    for (size_t nl = buffer.find('\n', start); nl != std::string::npos;
+    for (size_t nl = buffer.find('\n', scanned); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;

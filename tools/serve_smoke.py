@@ -19,6 +19,10 @@ Two seeded scenarios, each against a freshly started daemon:
      and the queue must shed the overflow with typed `unavailable`
      responses carrying retry_after_ms, never a crash or a hang, while at
      least one learn still lands.
+  3. split and joined lines — a 20,000-item inline `test` line (about
+     70 KB, the shape of an ingest request) arrives in uneven writes that
+     straddle the daemon's read sizes, and two complete lines arrive in one
+     write. Every response must be `ok` and carry its request's id.
 
 Request and response transcripts are written to --out-dir (default
 "serve-out") as NDJSON so CI can schema-check every line with
@@ -293,6 +297,61 @@ def over_admission_burst(binary, out_dir):
           f"{rejected} typed rejections)")
 
 
+def split_and_joined_lines(binary, out_dir):
+    items = [(v * 2654435761) % 1024 for v in range(20000)]
+    big = json.dumps({"id": "split-big", "kind": "test", "k": 4, "eps": 0.3,
+                      "norm": "l2", "n": 1024, "scale": 0.25, "seed": 17,
+                      "dataset": {"items": items}},
+                     separators=(",", ":")) + "\n"
+    data = big.encode()
+    cuts = [1, 4095, 4097, 65537]
+    if sum(cuts) >= len(data):
+        fail(f"split line is only {len(data)} bytes")
+    transcript = Transcript()
+    sock_path = os.path.join(tempfile.mkdtemp(prefix="histkd-split-"),
+                             "histkd.sock")
+    proc = start_daemon(binary, sock_path, ["--workers", "2"])
+    client = Client(sock_path, transcript)
+
+    # Pieces of 1, 4095, 4097 and 65,537 bytes, then the rest, each its own
+    # write with a pause between: the line reaches the daemon in reads that
+    # end at uneven offsets, one piece longer than its 64 KiB read size.
+    at = 0
+    for size in cuts + [len(data) - sum(cuts)]:
+        client.sock.sendall(data[at:at + size])
+        at += size
+        time.sleep(0.02)
+    pair = [json.dumps({"id": f"joined-{i}", "kind": "test", "k": 4,
+                        "eps": 0.3, "norm": "l2", "n": 1024, "scale": 0.25,
+                        "seed": 20 + i, "dataset": {"items": items[:2000]}})
+            for i in range(2)]
+    client.send_raw(pair)
+    sent = [big.rstrip("\n")] + pair
+    responses = client.read_responses(3)
+    by_id = {}
+    for raw in responses:
+        resp = json.loads(raw)
+        by_id[resp["id"]] = raw
+        if resp["status"] != "ok":
+            fail(f"split/joined request {resp['id']} failed: {resp}")
+    for line in sent:
+        rid = json.loads(line)["id"]
+        if rid not in by_id:
+            fail(f"no response for {rid}; got ids {sorted(by_id)}")
+        transcript.record(line, by_id[rid])
+
+    down = client.call({"id": "bye", "kind": "shutdown"})
+    if down["status"] != "ok":
+        fail(f"shutdown request failed: {down}")
+    client.close()
+    code = proc.wait(timeout=30)
+    if code != 0:
+        fail(f"daemon exited {code} after shutdown (want 0)")
+    transcript.dump(out_dir, "split")
+    print(f"serve_smoke: split and joined lines ok ({len(data)}-byte line "
+          f"in {len(cuts) + 1} writes, 2 lines in one write)")
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("binary", help="path to the histkd executable")
@@ -301,6 +360,7 @@ def main():
     args = parser.parse_args()
     serving_mix(args.binary, args.out_dir)
     over_admission_burst(args.binary, args.out_dir)
+    split_and_joined_lines(args.binary, args.out_dir)
     print("serve_smoke: all scenarios passed")
 
 
