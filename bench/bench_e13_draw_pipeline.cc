@@ -24,14 +24,20 @@
 //   5. one ingest-shaped group — the draw layer of a histkd `test` request
 //      on 20,000 inline items: SampleSetGroup::Draw of r = 207 sets of
 //      m = 10,954 draws over n = 256 from a kCounts DatasetSampler, split
-//      into the whole group, the set assembly alone (the same count
-//      vectors, pre-drawn, replayed into the group path), the conditional
-//      binomial chain alone (ns per support entry; single sets still draw
-//      through it), the group plan that the group path draws through (its
-//      build in us, its bytes, and ns per support entry for the r blocks
-//      with the build and the fix-up draws included), the chain-over-plan
-//      speedup (the median ratio over interleaved pairs of the two in one
-//      run; CI requires >= 2), and the minor page faults a warm group
+//      into the whole group, the set assembly alone (pre-drawn count
+//      vectors written into the group's rows, as the oracle's
+//      DrawCountsInto writes its draws, then the prefix pass), the
+//      per-set-route-over-direct speedup (the same group drawn through a
+//      forwarding oracle that has only DrawManyInto and DrawCounts, so
+//      each set goes through a SampleCounter and the kernel's DrawCounts,
+//      over the group drawn straight into its rows: the median ratio over
+//      interleaved pairs in one run; CI requires >= 1.15), the
+//      conditional binomial chain alone (ns per support entry; single sets
+//      still draw through it), the group plan that the group path draws
+//      through (its build in us, its bytes, and ns per support entry for
+//      the r blocks through DrawCounts with the build and the fix-up draws
+//      included), the chain-over-plan speedup (the same kind of median;
+//      CI requires >= 2), and the minor page faults a warm group
 //      costs (median over 20 groups). It runs first, and at full size in
 //      smoke mode too: once earlier rows free their large batches, glibc's
 //      dynamic mmap threshold rises, and the fault count would no longer
@@ -197,9 +203,9 @@ double SampleSetDrawSeconds(const Sampler& sampler, int64_t m) {
   return sec;
 }
 
-/// Replays pre-drawn count vectors, the next one per DrawCounts call, as
-/// runs into an order-free sink, so SampleSetGroup::Draw over it times only
-/// the assembly of the sets: storage, accumulation and the prefix pass.
+/// Writes pre-drawn count vectors, the next one per DrawCountsInto call,
+/// into the group's rows, so SampleSetGroup::Draw over it times only the
+/// assembly of the sets: storage, the writes and the prefix pass.
 class PreDrawnSampler final : public Sampler {
  public:
   struct Vector {
@@ -212,19 +218,40 @@ class PreDrawnSampler final : public Sampler {
 
   int64_t n() const override { return n_; }
   void DrawManyInto(int64_t* /*out*/, int64_t /*m*/, Rng& /*rng*/) const override {
-    std::abort();  // only the order-free path is replayed
+    std::abort();  // only the group's direct route is replayed
   }
-  void DrawCounts(int64_t /*m*/, Rng& /*rng*/, CountSink& sink,
-                  int /*threads*/) const override {
+  bool DrawCountsInto(int64_t /*m*/, Rng& /*rng*/, uint32_t* counts,
+                      DrawBlockBuffers& /*scratch*/) const override {
     const Vector& v = vectors_[next_++ % vectors_.size()];
-    sink.ConsumeRuns(v.values.data(), v.counts.data(),
-                     static_cast<int64_t>(v.values.size()), 0);
+    for (size_t j = 0; j < v.values.size(); ++j) {
+      counts[v.values[j]] += static_cast<uint32_t>(v.counts[j]);
+    }
+    return true;
   }
 
  private:
   int64_t n_;
   std::vector<Vector> vectors_;
   mutable size_t next_ = 0;
+};
+
+/// Forwards only the per-set draw functions, so SampleSetGroup::Draw over
+/// it takes the per-set route: a SampleCounter and DrawCounts per set.
+class PerSetRouteSampler final : public Sampler {
+ public:
+  explicit PerSetRouteSampler(const Sampler& inner) : inner_(inner) {}
+
+  int64_t n() const override { return inner_.n(); }
+  void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const override {
+    inner_.DrawManyInto(out, m, rng);
+  }
+  void DrawCounts(int64_t m, Rng& rng, CountSink& sink,
+                  int threads) const override {
+    inner_.DrawCounts(m, rng, sink, threads);
+  }
+
+ private:
+  const Sampler& inner_;
 };
 
 /// An order-free sink that keeps only a checksum and lends one draw
@@ -277,6 +304,7 @@ void RunIngestGroup(int64_t trials) {
     const SampleSetGroup g = SampleSetGroup::Draw(oracle, kR, kM, rng);
     benchmark::DoNotOptimize(g.TotalSamples());
   };
+  const PerSetRouteSampler per_set(oracle);
   // Faults per warm group: the median over 20 groups after one warm-up.
   // The median, because the allocator may grow its heap once on the way to
   // a steady state (the first block freed raises glibc's mmap threshold, so
@@ -313,6 +341,35 @@ void RunIngestGroup(int64_t trials) {
     }
   }
   const PreDrawnSampler predrawn(kN, std::move(vectors));
+  // The same group by either route, in pairs that alternate which goes
+  // first; the speedup is the median of the pairs' ratios.
+  auto time_route = [&](const Sampler& sampler, uint64_t seed) {
+    Rng rng(seed);
+    WallTimer timer;
+    const SampleSetGroup g = SampleSetGroup::Draw(sampler, kR, kM, rng);
+    const double sec = timer.ElapsedSeconds();
+    benchmark::DoNotOptimize(g.TotalSamples());
+    return sec;
+  };
+  std::vector<double> per_set_s;
+  std::vector<double> route_ratios;
+  for (int64_t t = 0; t < 3 * trials; ++t) {
+    const uint64_t seed = 53 + static_cast<uint64_t>(t);
+    double routed = 0.0;
+    double direct = 0.0;
+    if (t % 2 == 0) {
+      routed = time_route(per_set, seed);
+      direct = time_route(oracle, seed);
+    } else {
+      direct = time_route(oracle, seed);
+      routed = time_route(per_set, seed);
+    }
+    per_set_s.push_back(routed);
+    route_ratios.push_back(routed / direct);
+  }
+  NextBenchLabel("ingest_group_route_speedup");
+  MeasureScalar(1, [&](int64_t) { return Median(route_ratios); });
+
   NextBenchLabel("ingest_assembly_s");
   const ScalarStats assembly = MeasureScalar(trials, [&](int64_t) {
     Rng rng(43);
@@ -396,10 +453,12 @@ void RunIngestGroup(int64_t trials) {
   NextBenchLabel("ingest_group_minflt");
   MeasureScalar(1, [&](int64_t) { return faults; });
 
-  Table table({"r x m", "support", "group ms", "assembly ms", "binomial ns/entry",
-               "plan ns/entry", "plan build us", "plan KB", "minor faults/group"});
+  Table table({"r x m", "support", "group ms", "per-set route ms", "route speedup",
+               "assembly ms", "binomial ns/entry", "plan ns/entry",
+               "plan build us", "plan KB", "minor faults/group"});
   table.AddRow({std::to_string(kR) + " x " + std::to_string(kM),
                 std::to_string(kernel.size()), FmtF(whole.mean * 1e3, 3),
+                FmtF(Median(per_set_s) * 1e3, 3), FmtF(Median(route_ratios), 2),
                 FmtF(assembly.mean * 1e3, 3), FmtF(binomial.mean, 1),
                 FmtF(planned.mean, 1), FmtF(build.mean, 1),
                 FmtF(plan_bytes / 1024.0, 1), FmtF(faults, 1)});

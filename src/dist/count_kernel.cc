@@ -48,6 +48,7 @@ CountKernel::CountKernel(std::vector<Run> runs) {
     lo_[i] = runs[i].lo;
     len_[i] = runs[i].len;
     cond_[i] = std::min(1.0, static_cast<double>(runs[i].mass / suffix[i & 1]));
+    unit_runs_ = unit_runs_ && runs[i].len == 1;
     max_runs_ = std::min(max_runs_ + runs[i].len, Sampler::kShardChunk);
   }
   // Each chain's last entry takes what is left of its share.
@@ -221,6 +222,17 @@ int64_t CountKernel::GroupPlan::DrawTotals(Rng& rng, int64_t* totals) const {
   return sum;
 }
 
+int64_t CountKernel::GroupPlan::DrawTotals(Rng& rng, uint32_t* counts) const {
+  const int64_t* const lo = kernel_->lo_.data();
+  int64_t sum = 0;
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const int64_t x = Draw(entries_[i], rng);
+    counts[lo[i]] = static_cast<uint32_t>(x);
+    sum += x;
+  }
+  return sum;
+}
+
 int64_t CountKernel::EmitShare(size_t i, int64_t share, Rng& rng,
                                int64_t* values, int64_t* counts,
                                int64_t runs) const {
@@ -305,6 +317,32 @@ void CountKernel::DrawPlannedBlock(const GroupPlan& plan, const Sampler& oracle,
   }
 }
 
+const CountKernel::GroupPlan& CountKernel::PlanFor(DrawBlockBuffers& scratch,
+                                                   int64_t len) const {
+  std::vector<GroupPlan>& store = scratch.plans;
+  if (!store.empty() && store.front().kernel() != this) store.clear();
+  for (const GroupPlan& plan : store) {
+    if (plan.len() == len) return plan;
+  }
+  return store.emplace_back(*this, len);
+}
+
+int64_t CountKernel::DrawPlannedTotals(int64_t m, Rng& rng, uint32_t* counts,
+                                       DrawBlockBuffers& scratch) const {
+  if (cond_.empty() || !unit_runs_ || m > Sampler::kShardChunk ||
+      m < kDrawsPerBinomial * size()) {
+    return -1;
+  }
+  // DrawPlannedBlock's draws, less the runs: each entry's total is written
+  // to its element, and a redraw overwrites the same elements.
+  const GroupPlan& plan = PlanFor(scratch, m);
+  int64_t placed = 0;
+  do {
+    placed = plan.DrawTotals(rng, counts);
+  } while (placed > m);
+  return m - placed;
+}
+
 void CountKernel::DrawCounts(const Sampler& oracle, int64_t m, Rng& rng,
                              CountSink& sink, int threads) const {
   if (cond_.empty() || !sink.OrderFree()) {
@@ -317,18 +355,11 @@ void CountKernel::DrawCounts(const Sampler& oracle, int64_t m, Rng& rng,
   // worker, only read them.
   const std::vector<GroupPlan>* plans = nullptr;
   if (DrawBlockBuffers* scratch = sink.DrawScratch()) {
-    std::vector<GroupPlan>& store = scratch->plans;
-    if (!store.empty() && store.front().kernel() != this) store.clear();
     for (const int64_t len :
          {std::min(m, Sampler::kShardChunk), m % Sampler::kShardChunk}) {
-      if (len < per_draw_below ||
-          std::any_of(store.begin(), store.end(),
-                      [len](const GroupPlan& p) { return p.len() == len; })) {
-        continue;
-      }
-      store.emplace_back(*this, len);
+      if (len >= per_draw_below) PlanFor(*scratch, len);
     }
-    plans = &store;
+    plans = &scratch->plans;
   }
   RunDrawBlocks(m, rng, sink, threads,
                 [&](int64_t offset, int64_t len, Rng& block_rng,

@@ -46,6 +46,13 @@
 //     calling thread before any worker starts and read by all of them;
 //   * every other long block — single SampleSet::Draw sets, sinks without
 //     a scratch — runs the chain.
+// A group's set that would be one planned block (sequential, m <=
+// kShardChunk, at least kDrawsPerBinomial draws per entry, one-element
+// entries, a 32-bit row) skips DrawCounts and the sink when its oracle
+// can: DrawPlannedTotals writes the plan's totals straight into the row,
+// and the oracle adds its fix-up picks there (Sampler::DrawCountsInto; a
+// kCounts DatasetSampler does, metered by BudgetedSampler unless the
+// session is hardened). The rng and the counts are DrawCounts's.
 #ifndef HISTK_DIST_COUNT_KERNEL_H_
 #define HISTK_DIST_COUNT_KERNEL_H_
 
@@ -98,6 +105,11 @@ class CountKernel {
     /// Draws N_i ~ Poisson(λ_i) for every entry, independently and in
     /// entry order, into totals[0, kernel.size()); returns their sum T.
     int64_t DrawTotals(Rng& rng, int64_t* totals) const;
+
+    /// DrawTotals written to the elements instead: N_i at
+    /// counts[kernel.run_lo(i)], for a kernel whose entries are all one
+    /// element wide. The same uniforms, the same T.
+    int64_t DrawTotals(Rng& rng, uint32_t* counts) const;
 
     /// The value DrawTotals draws for entry i from a uniform u in [0, 1):
     /// the smallest x with P(N <= x) > u, by the table or a tail walk; -1
@@ -164,6 +176,18 @@ class CountKernel {
   void DrawCounts(const Sampler& oracle, int64_t m, Rng& rng, CountSink& sink,
                   int threads) const;
 
+  /// The planned part of an oracle's Sampler::DrawCountsInto: draws a set
+  /// of m draws' Poisson totals by the group plan for m (kept in
+  /// `scratch`) straight into counts[v], redrawing while they exceed m, and
+  /// returns the m − T draws left. The oracle adds those one at a time, as
+  /// DrawPlannedBlock's fix-up does, and then has consumed the rng as
+  /// DrawCounts(m, rng, sink, 0) does. Returns -1, drawing nothing, unless
+  /// DrawCounts would draw the set as one planned block: every entry one
+  /// element wide, m <= Sampler::kShardChunk, and at least
+  /// kDrawsPerBinomial draws per entry.
+  int64_t DrawPlannedTotals(int64_t m, Rng& rng, uint32_t* counts,
+                            DrawBlockBuffers& scratch) const;
+
   /// Writes one chain-drawn block's count vector as runs (values[j],
   /// counts[j]) and returns how many; both arrays need room for min(len,
   /// max_runs()) runs. Exposed for the distributional tests.
@@ -194,8 +218,14 @@ class CountKernel {
                         int64_t offset, Rng& rng, CountSink& sink,
                         DrawBlockBuffers& buffers) const;
 
+  /// The plan for blocks of `len` draws in `scratch`, built there on first
+  /// use (a scratch keeps one kernel's plans; another kernel's go).
+  const GroupPlan& PlanFor(DrawBlockBuffers& scratch, int64_t len) const;
+
   std::vector<int64_t> lo_;
   std::vector<int64_t> len_;
+  /// Every entry is one element wide.
+  bool unit_runs_ = true;
   /// P(entry i | the draw fell in i's chain and missed the chain's earlier
   /// entries); each chain's last is exactly 1.
   std::vector<double> cond_;

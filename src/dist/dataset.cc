@@ -55,6 +55,18 @@ void DatasetSampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
   counts_.DrawCounts(*this, m, rng, sink, threads);
 }
 
+bool DatasetSampler::DrawCountsInto(int64_t m, Rng& rng, uint32_t* counts,
+                                    DrawBlockBuffers& scratch) const {
+  if (kernel_ != AliasKernel::kCounts) return false;
+  const int64_t rest = counts_.DrawPlannedTotals(m, rng, counts, scratch);
+  if (rest < 0) return false;
+  // DrawManyInto's picks, counted where they land.
+  const int64_t* const items = items_.data();
+  const uint64_t size = items_.size();
+  for (int64_t i = 0; i < rest; ++i) ++counts[items[rng.UniformInt(size)]];
+  return true;
+}
+
 Distribution DatasetSampler::EmpiricalDist() const {
   return EmpiricalDistribution(n_, items_);
 }

@@ -34,6 +34,11 @@ class DatasetSampler : public Sampler {
   void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const override;
   void DrawCounts(int64_t m, Rng& rng, CountSink& sink,
                   int threads = 0) const override;
+  /// kCounts: the set's Poisson totals by the group plan, then each fix-up
+  /// pick added to its item's count (CountKernel::DrawPlannedTotals says
+  /// which sets qualify). kReplay declines.
+  bool DrawCountsInto(int64_t m, Rng& rng, uint32_t* counts,
+                      DrawBlockBuffers& scratch) const override;
 
   /// Number of items |D|.
   int64_t size() const { return static_cast<int64_t>(items_.size()); }

@@ -170,6 +170,11 @@ void Sampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
                 });
 }
 
+bool Sampler::DrawCountsInto(int64_t /*m*/, Rng& /*rng*/, uint32_t* /*counts*/,
+                             DrawBlockBuffers& /*scratch*/) const {
+  return false;
+}
+
 int64_t Sampler::Draw(Rng& rng) const {
   int64_t v = 0;
   DrawManyInto(&v, 1, rng);

@@ -25,7 +25,11 @@
 //
 // Decorators (engine/budget.h, engine/fault_injection.h) override exactly
 // these two, on the caller's thread: the sharded fan-out runs the inner
-// oracle's kernel, never a decorator's.
+// oracle's kernel, never a decorator's. A third virtual, DrawCountsInto,
+// is an optional shortcut: a kCounts DatasetSampler draws a group's
+// one-block set straight into its row with it, and BudgetedSampler meters
+// and forwards it. A decorator that does not override it (its default
+// declines) sends every set through DrawCounts, the same stream.
 //
 // Determinism invariant (relied on by the engine parity suites): for a given
 // sampler every sequential path — Draw loops, DrawMany, DrawManyInto,
@@ -168,6 +172,17 @@ class Sampler {
   virtual void DrawCounts(int64_t m, Rng& rng, CountSink& sink,
                           int threads = 0) const;
 
+  /// One set of `m` draws counted straight into a dense 32-bit row: value
+  /// v's count lands at counts[v], which the caller zeroed. This is
+  /// SampleSetGroup::Draw's sequential route for sets of one block;
+  /// `scratch` is the group's, shared by its r sets. A true return leaves
+  /// the counts and the rng exactly as DrawCounts(m, rng, sink, 0) into an
+  /// order-free sink lending `scratch` would. False means the oracle has no
+  /// such draw for m, and nothing was drawn, consumed or metered; the
+  /// caller then draws through DrawCounts. The default returns false.
+  virtual bool DrawCountsInto(int64_t m, Rng& rng, uint32_t* counts,
+                              DrawBlockBuffers& scratch) const;
+
   /// One draw: a one-element DrawManyInto.
   int64_t Draw(Rng& rng) const;
 
@@ -224,11 +239,13 @@ enum class AliasKernel {
   /// count vector in O(support) instead of O(block). A group's sets
   /// (SampleSetGroup::Draw) share one plan of Poisson tables per block
   /// length and draw each block as table lookups plus about 3√len
-  /// fix-up draws; other sets draw sequential conditional binomials over
-  /// the support. Blocks with under 24 draws per support entry are drawn
-  /// per draw. Same law as the per-draw kernel, its own stream; every
-  /// other path (Draw, DrawMany, DrawManySharded, ordered sinks) runs the
-  /// kReplay kernel byte for byte. histkd's and histk_cli's default.
+  /// fix-up draws (a dataset oracle's one-block sets straight into their
+  /// rows, Sampler::DrawCountsInto); other sets draw sequential
+  /// conditional binomials over the support. Blocks with under 24 draws
+  /// per support entry are drawn per draw. Same law as the per-draw
+  /// kernel, its own stream; every other path (Draw, DrawMany,
+  /// DrawManySharded, ordered sinks) runs the kReplay kernel byte for
+  /// byte. histkd's and histk_cli's default.
   kCounts,
 };
 

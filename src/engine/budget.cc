@@ -128,6 +128,21 @@ void BudgetedSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
   } while (done < m);
 }
 
+bool BudgetedSampler::DrawCountsInto(int64_t m, Rng& rng, uint32_t* counts,
+                                     DrawBlockBuffers& scratch) const {
+  // Hardened sessions chunk and retry through DrawCounts. Otherwise these
+  // are Charge's metering points around the draw: an inert policy's
+  // runtime check is stateless, so a declined set checks again in
+  // DrawCounts to the same effect.
+  if (hardened()) return false;
+  HISTK_CHECK(m >= 0);
+  CheckRuntime(m);
+  AdmitWindow(m);
+  if (!inner_->DrawCountsInto(m, rng, counts, scratch)) return false;
+  Account(m);
+  return true;
+}
+
 void BudgetedSampler::DrawCounts(int64_t m, Rng& rng, CountSink& sink,
                                  int threads) const {
   if (!hardened()) {

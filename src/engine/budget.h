@@ -8,7 +8,9 @@
 //   * meters every draw, attributed to the phase the engine is currently
 //     in ("learn-main", "test-draw", ...). It overrides the two virtual
 //     draw functions, DrawManyInto and DrawCounts; every other draw path
-//     (Draw, DrawMany, DrawManySharded, SampleSet::Draw) wraps one of them,
+//     (Draw, DrawMany, DrawManySharded, SampleSet::Draw) wraps one of them.
+//     It also meters the group shortcut DrawCountsInto (dist/sampler.h),
+//     which a hardened session declines, so its sets take DrawCounts,
 //   * enforces a hard cap: a draw request that would exceed the budget is
 //     rejected whole by throwing BudgetExhaustedError BEFORE any sample is
 //     drawn, so samples_drawn() never exceeds the budget.
@@ -105,6 +107,11 @@ class BudgetedSampler : public Sampler {
   void DrawManyInto(int64_t* out, int64_t m, Rng& rng) const override;
   void DrawCounts(int64_t m, Rng& rng, CountSink& sink,
                   int threads = 0) const override;
+  /// Metered as DrawCounts's unhardened path: runtime check and admission,
+  /// then the inner oracle's draw, then the account. Declines, metering
+  /// nothing, when hardened or when the inner oracle declines.
+  bool DrawCountsInto(int64_t m, Rng& rng, uint32_t* counts,
+                      DrawBlockBuffers& scratch) const override;
 
   /// Starts attributing subsequent draws to `name`. Phases are recorded in
   /// call order; a phase with zero draws is kept (it documents that the

@@ -249,8 +249,21 @@ SampleSetGroup SampleSetGroup::Draw(const Sampler& sampler, int64_t r, int64_t m
   // Every set draws m from the same oracle: one draw scratch serves them
   // all, and a count kernel keeps its plans there (dist/count_kernel.h).
   DrawBlockBuffers scratch;
+  // A sequential set of one block in a 32-bit row may be drawn straight
+  // into it (Sampler::DrawCountsInto). An oracle that declines one set
+  // declines them all, so the rest go through DrawCounts untried.
+  bool into_rows = threads == 0 && narrow_rows != nullptr &&
+                   m <= Sampler::kShardChunk;
   for (int64_t i = 0; i < r; ++i) {
     const size_t at = row_words * static_cast<size_t>(i);
+    if (into_rows) {
+      uint32_t* const row = narrow_rows + at;
+      if (sampler.DrawCountsInto(m, rng, row + 1, scratch)) {
+        sets.push_back(SampleSet::FromDenseRow(n, row, block));
+        continue;
+      }
+      into_rows = false;
+    }
     SampleSet::DenseRow row;
     if (block != nullptr) {
       row.block = block;

@@ -13,9 +13,10 @@
 //
 // Construction is fused with sampling: Draw accumulates oracle
 // chunks through SampleCounter (sample/counter.h) instead of materializing
-// an m-element draw vector, while FromDraws/FromCounts/FromRuns build from
-// data the caller already holds. All construction paths yield the same
-// canonical representation for the same multiset.
+// an m-element draw vector (a group's planned sets skip even that: the
+// oracle counts them into their rows), while FromDraws/FromCounts/FromRuns
+// build from data the caller already holds. All construction paths yield
+// the same canonical representation for the same multiset.
 //
 // A dense set is one row of 2(n + 1) words, prefix counts then prefix
 // collisions, built in place: the counts accumulate at row[v + 1] and one
@@ -158,7 +159,12 @@ class SampleSetGroup {
   /// sharded by `threads`; see SampleSet::Draw). Dense sets are built in
   /// place, in one block of r rows. The sets share one draw scratch, so a
   /// kCounts oracle builds its group plan once for all r (its blocks then
-  /// differ from SampleSet::Draw's; same law, own stream).
+  /// differ from SampleSet::Draw's; same law, own stream). A sequential
+  /// set of one block in a 32-bit row is first offered to the oracle's
+  /// Sampler::DrawCountsInto, which draws it straight into its row (a
+  /// kCounts DatasetSampler's planned sets); a declined set, and every
+  /// other set, goes through a SampleCounter and DrawCounts. Either way
+  /// the sets and the rng come out the same.
   static SampleSetGroup Draw(const Sampler& sampler, int64_t r, int64_t m,
                              Rng& rng, int threads = 0);
 

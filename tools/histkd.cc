@@ -163,7 +163,9 @@ constexpr size_t kReadBytes = size_t{64} << 10;  // 64 KiB
 
 /// The connection's reader: reads up to kReadBytes at a time, searches
 /// only the bytes just read for '\n' (what came before held none), and
-/// submits each complete line to the worker pool.
+/// submits each complete line to the worker pool. A line that is the whole
+/// pending buffer, as with one request in flight, is the buffer itself,
+/// moved to the worker rather than copied out of it.
 void ServeConnection(HistkdServer& server, std::shared_ptr<Connection> conn) {
   std::string buffer;
   // Left uninitialized: a page of it is touched only when a read reaches
@@ -188,8 +190,18 @@ void ServeConnection(HistkdServer& server, std::shared_ptr<Connection> conn) {
     size_t start = 0;
     for (size_t nl = buffer.find('\n', scanned); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
+      std::string line;
+      if (start == 0 && nl + 1 == buffer.size()) {
+        // The buffer goes with the line, and the next line gets as much
+        // room, so it grows no more than the copied buffer did.
+        buffer.pop_back();
+        line = std::move(buffer);
+        buffer = std::string();
+        buffer.reserve(line.capacity());
+      } else {
+        line = buffer.substr(start, nl - start);
+        start = nl + 1;
+      }
       if (!line.empty()) {
         server.Submit(std::move(line), [conn](std::string response) {
           WriteResponse(conn, response);

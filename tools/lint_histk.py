@@ -65,14 +65,18 @@ histk idioms the codebase relies on:
                    drifts from the first in digits or escapes; append
                    through the api/json.h primitives instead.
   draw-surface     Under src/, a class deriving from Sampler may override
-                   only n, DrawManyInto and DrawCounts. Those are the
-                   oracle's only virtual functions besides the destructor:
-                   the kernel and the sink-fed count path. Draw, DrawMany
-                   and DrawManySharded are non-virtual wrappers over them,
-                   so a decorator (BudgetedSampler, FaultInjectingSampler)
-                   meters and faults every path by overriding exactly those
-                   two, on the caller's thread. A new draw entry point goes
-                   on Sampler as a wrapper, not as a virtual.
+                   only n, DrawManyInto, DrawCounts and DrawCountsInto.
+                   Those are the oracle's only virtual functions besides
+                   the destructor: the kernel, the sink-fed count path and
+                   a group set's count-into-row shortcut. Draw, DrawMany
+                   and DrawManySharded are non-virtual wrappers over the
+                   first two, so a decorator (BudgetedSampler,
+                   FaultInjectingSampler) meters and faults every path by
+                   overriding exactly those two, on the caller's thread;
+                   the shortcut's default declines, which sends the set
+                   through DrawCounts, so a decorator that does not
+                   override it still sees every draw. A new draw entry
+                   point goes on Sampler as a wrapper, not as a virtual.
   include-hygiene  No <bits/...> includes, no "../" relative includes, and
                    headers must carry a HISTK_<PATH>_H_ include guard.
   orphan-module    Every src/ header must be reachable by #include from the
@@ -194,7 +198,7 @@ JSON_FORMAT_ALLOW = {"src/api/json.cc", "src/dist/io.cc"}
 JSON_FORMAT_RE = re.compile(r'"[^"\n]*(?:%\.\*g|%\.17g|\\\\u%04x)')
 
 # draw-surface: the virtual draw surface of Sampler subclasses under src/.
-DRAW_SURFACE = {"n", "DrawManyInto", "DrawCounts"}
+DRAW_SURFACE = {"n", "DrawManyInto", "DrawCounts", "DrawCountsInto"}
 SAMPLER_CLASS_RE = re.compile(
     r"\bclass\s+(\w+)\s*(?:final\s*)?:\s*public\s+(?:histk::)?Sampler\b[^{;]*\{"
 )
@@ -355,7 +359,7 @@ def lint_file(root, rel):
                     break
 
     # draw-surface: scan each Sampler subclass body (brace-matched on the
-    # blanked text) for overrides outside the two draw functions and n().
+    # blanked text) for overrides outside the draw surface.
     if rel.startswith("src/"):
         for cls in SAMPLER_CLASS_RE.finditer(code):
             depth, end = 1, cls.end()
@@ -366,8 +370,9 @@ def lint_file(root, rel):
                 if m.group(1) not in DRAW_SURFACE:
                     emit(code.count("\n", 0, m.start()) + 1, "draw-surface",
                          f"{cls.group(1)} overrides {m.group(1)}() — a Sampler "
-                         "subclass may override only n, DrawManyInto and "
-                         "DrawCounts; make other draw paths wrappers")
+                         "subclass may override only n, DrawManyInto, "
+                         "DrawCounts and DrawCountsInto; make other draw "
+                         "paths wrappers")
 
     # include-hygiene
     for idx, line in enumerate(code_lines, start=1):

@@ -40,8 +40,21 @@ import threading
 import time
 
 
+# Every daemon start_daemon spawned. A failure kills the ones still
+# running, so a failed scenario leaves no daemon behind.
+DAEMONS = []
+
+
+def stop_daemons():
+    for proc in DAEMONS:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 def fail(msg):
     print(f"serve_smoke: {msg}", file=sys.stderr)
+    stop_daemons()
     sys.exit(1)
 
 
@@ -113,6 +126,7 @@ class Client:
 
 def start_daemon(binary, sock_path, extra_flags):
     proc = subprocess.Popen([binary, "--socket", sock_path] + extra_flags)
+    DAEMONS.append(proc)
     for _ in range(200):
         if os.path.exists(sock_path):
             try:
@@ -125,7 +139,6 @@ def start_daemon(binary, sock_path, extra_flags):
         if proc.poll() is not None:
             fail(f"daemon exited early with {proc.returncode}")
         time.sleep(0.05)
-    proc.kill()
     fail("daemon never opened its socket")
 
 
@@ -228,7 +241,6 @@ def serving_mix(binary, out_dir):
     try:
         code = proc.wait(timeout=30)
     except subprocess.TimeoutExpired:
-        proc.kill()
         fail("daemon hung on shutdown with an idle connection open")
     idler.close()
     if code != 0:
@@ -358,9 +370,13 @@ def main():
     parser.add_argument("--out-dir", default="serve-out",
                         help="directory for request/response transcripts")
     args = parser.parse_args()
-    serving_mix(args.binary, args.out_dir)
-    over_admission_burst(args.binary, args.out_dir)
-    split_and_joined_lines(args.binary, args.out_dir)
+    # Any other way out (an exception, a timeout) stops the daemons too.
+    try:
+        serving_mix(args.binary, args.out_dir)
+        over_admission_burst(args.binary, args.out_dir)
+        split_and_joined_lines(args.binary, args.out_dir)
+    finally:
+        stop_daemons()
     print("serve_smoke: all scenarios passed")
 
 
